@@ -21,8 +21,12 @@ counters are identical to the scalar walk's, and every float (per-block
 seconds, the accumulated :class:`BlockTime`, ``tile_cycles``) is produced
 by the same IEEE operations in the same order, so even golden-file tests
 that pin formatted output cannot tell the paths apart. The scalar walk
-remains available behind the engines' ``exact_walk=True`` flag and is the
-oracle the equivalence tests run against.
+(:mod:`repro.analysis.walk`, reached through the engines'
+``exact_walk=True``) is the oracle the equivalence tests run against.
+
+This module is also the only accounting on the multiply path: the
+engines' ``multiply`` reports the counters, time and bound tallies of
+one memoized call per executed plan (:mod:`repro.gemm.engine`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.gemm.plan import CakePlan, GotoPlan
 from repro.gemm.result import GemmRun
 from repro.machines.spec import MachineSpec
 from repro.packing.cost import packing_cost
-from repro.perfmodel.roofline import block_times_batch
+from repro.perfmodel.roofline import BlockTime, block_times_batch
 from repro.schedule.kfirst import kfirst_order_arrays
 from repro.schedule.reuse import (
     encode_surface_ids,
@@ -43,7 +47,7 @@ from repro.schedule.reuse import (
     surface_lru_replay,
 )
 from repro.schedule.space import ComputationSpace
-from repro.util import split_length
+from repro.util import ceil_div, split_length
 
 
 def _ceil_div_arr(numerator: np.ndarray, denominator) -> np.ndarray:
@@ -67,6 +71,58 @@ def _hit_flags(raw: bytearray) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(bool)
 
 
+def plan_counters(plan: "CakePlan | GotoPlan") -> TrafficCounters:
+    """The counters every analytic run starts from: packing and MACs."""
+    space = plan.space
+    counters = TrafficCounters()
+    counters.ext_pack = 2 * (space.m * space.k + space.k * space.n)
+    counters.macs = space.macs
+    return counters
+
+
+def analytic_run(
+    plan: "CakePlan | GotoPlan",
+    counters: TrafficCounters,
+    time: BlockTime,
+    bound_blocks: dict[str, int],
+) -> GemmRun:
+    """The ``c=None`` run of a priced plan, as both analyzers return it."""
+    machine, space = plan.machine, plan.space
+    if isinstance(plan, CakePlan):
+        engine = "cake"
+        summary = {
+            "alpha": plan.alpha,
+            "mc": plan.mc,
+            "kc": plan.kc,
+            "m_block": plan.m_block,
+            "n_block": plan.n_block,
+            "blocks": ceil_div(space.m, plan.m_block)
+            * ceil_div(space.n, plan.n_block)
+            * ceil_div(space.k, plan.kc),
+        }
+    else:
+        engine = "goto"
+        summary = {
+            "mc": plan.mc,
+            "kc": plan.kc,
+            "nc": plan.nc,
+            "m_strips": ceil_div(space.m, plan.mc),
+        }
+    return GemmRun(
+        engine=engine,
+        machine=machine,
+        space=space,
+        cores=plan.cores,
+        counters=counters,
+        time=time,
+        packing_seconds=packing_cost(
+            machine, space.m * space.k, space.k * space.n
+        ).seconds,
+        bound_blocks=bound_blocks,
+        plan_summary=summary,
+    )
+
+
 def analyze_cake_batch(
     machine: MachineSpec,
     space: ComputationSpace,
@@ -78,10 +134,10 @@ def analyze_cake_batch(
 ) -> GemmRun:
     """CAKE's analytic walk (:meth:`CakeGemm.analyze`), batched.
 
-    Identical accounting to ``CakeGemm(...)._run(space)`` — the same plan,
-    the same K-first order, the same LRU residency decisions, the same
-    roofline pricing — with the per-block Python loop replaced by array
-    passes plus one tight replay loop for the LRU.
+    Identical accounting to :func:`repro.analysis.walk.walk_cake` — the
+    same plan, the same K-first order, the same LRU residency decisions,
+    the same roofline pricing — with the per-block Python loop replaced
+    by array passes plus one tight replay loop for the LRU.
 
     The autotuner prices candidate plans through the same walk: ``plan``
     supplies an explicit (possibly overridden) :class:`CakePlan` in place
@@ -102,10 +158,7 @@ def analyze_cake_batch(
     mi, ni, ki = order.mi, order.ni, order.ki
     sa, sb, sc = grid.surface_arrays(mi, ni, ki)
 
-    counters = TrafficCounters()
-    counters.ext_pack = 2 * (space.m * space.k + space.k * space.n)
-    pack = packing_cost(machine, space.m * space.k, space.k * space.n)
-    counters.macs = space.macs
+    counters = plan_counters(plan)
 
     # Residency: replay the exact LRU the scalar walk drives. C-surface
     # occurrence counts stand in for the walk's ``progress`` dict.
@@ -136,7 +189,7 @@ def analyze_cake_batch(
     counters.ext_c_write = int(c_write_el.sum())
     counters.ext_c_spill = spill
 
-    # Per-core strip split: closed form of _core_strips per M-extent.
+    # Per-core strip split: closed form of core_strips per M-extent.
     m_sizes, n_sizes, k_sizes = grid.size_arrays()
     chunk_m = _ceil_div_arr(m_sizes, plan.cores)  # == max(strips)
     active_m = _ceil_div_arr(m_sizes, chunk_m)  # == len(strips)
@@ -167,25 +220,7 @@ def analyze_cake_batch(
         int_elements=internal,
     )
 
-    return GemmRun(
-        engine="cake",
-        machine=machine,
-        space=space,
-        cores=plan.cores,
-        counters=counters,
-        time=batch.total(),
-        packing_seconds=pack.seconds,
-        bound_blocks=batch.bound_tallies(),
-        plan_summary={
-            "alpha": plan.alpha,
-            "mc": plan.mc,
-            "kc": plan.kc,
-            "m_block": plan.m_block,
-            "n_block": plan.n_block,
-            "blocks": grid.num_blocks,
-        },
-        c=None,
-    )
+    return analytic_run(plan, counters, batch.total(), batch.bound_tallies())
 
 
 def analyze_goto_batch(
@@ -195,7 +230,7 @@ def analyze_goto_batch(
     cores: int | None = None,
     plan: GotoPlan | None = None,
 ) -> GemmRun:
-    """GOTO's analytic walk (:meth:`GotoGemm.analyze`), batched.
+    """GOTO's analytic walk (:func:`repro.analysis.walk.walk_goto`), batched.
 
     The GOTO loop nest has no LRU state, so the whole walk collapses to
     broadcasting over a ``(n-panels, k-slices, waves)`` lattice: wave
@@ -207,10 +242,7 @@ def analyze_goto_batch(
     if plan is None:
         plan = GotoPlan.from_problem(machine, space, cores=cores)
 
-    counters = TrafficCounters()
-    counters.ext_pack = 2 * (space.m * space.k + space.k * space.n)
-    pack = packing_cost(machine, space.m * space.k, space.k * space.n)
-    counters.macs = space.macs
+    counters = plan_counters(plan)
 
     m_strips = np.asarray(
         split_length(space.m, min(plan.mc, space.m)), dtype=np.int64
@@ -270,20 +302,4 @@ def analyze_goto_batch(
         int_elements=np.broadcast_to(internal, lattice).reshape(-1),
     )
 
-    return GemmRun(
-        engine="goto",
-        machine=machine,
-        space=space,
-        cores=plan.cores,
-        counters=counters,
-        time=batch.total(),
-        packing_seconds=pack.seconds,
-        bound_blocks=batch.bound_tallies(),
-        plan_summary={
-            "mc": plan.mc,
-            "kc": plan.kc,
-            "nc": plan.nc,
-            "m_strips": len(m_strips),
-        },
-        c=None,
-    )
+    return analytic_run(plan, counters, batch.total(), batch.bound_tallies())

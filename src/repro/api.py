@@ -140,8 +140,8 @@ def cake_matmul(
         into a near-square shard grid, packed operands are shared
         zero-copy through ``multiprocessing.shared_memory``, and each
         shard runs the threaded executor in its own process. The
-        product is bit-identical to the serial path for every
-        (processes x workers x backend) combination; ``run.shards``
+        product is bit-identical to the in-process run on the same
+        backend for every process and worker count; ``run.shards``
         reports the grid, per-shard timers, and measured inter-process
         bytes against the communication lower bound.
     tuned:
@@ -186,7 +186,8 @@ def goto_matmul(
 
     Same contract as :func:`cake_matmul` (minus ``alpha``), including
     the ``backend``, ``processes``, and ``tuned`` selectors (GOTO
-    shards over its ``mc``-strip rows and ``nc``-panel columns).
+    shards over its ``mc``-strip rows and ``nc``-panel columns; on
+    grouped backends over the columns only).
     """
     machine = intel_i9_10900k() if machine is None else machine
     return GotoGemm(

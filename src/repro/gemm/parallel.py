@@ -9,7 +9,9 @@ with real threads, using the paper's per-core M-decomposition.
 Execution model
 ---------------
 
-Both engines hand the executor an ordered sequence of **strip groups**:
+Both engines hand the executor an ordered sequence of **strip groups**,
+built by the one :func:`build_groups` from the engine's loop order
+(a sequence of :class:`GroupSlot`) over its plan's block grid:
 
 * For CAKE, one group per CB block of the K-first schedule. Within the
   group, each strip is one core's ``mc``-row slab of packed A multiplied
@@ -19,6 +21,10 @@ Both engines hand the executor an ordered sequence of **strip groups**:
 * For GOTO, one group per ``(nc, kc)`` slice of the Figure 5 loop nest;
   strips are the ``mc x kc`` A sub-blocks of that slice (all M waves),
   again with disjoint C row panels.
+
+The same builder serves the in-process path and every shard worker of
+:mod:`repro.gemm.sharded` (restricted to the shard's span), so the two
+paths cannot drift apart.
 
 Groups are barriers: group ``g+1`` starts only after every strip of group
 ``g`` completed. That ordering is what makes the parallel product
@@ -39,8 +45,9 @@ backend the result is bit-identical across worker counts; across
 (bit-exact for backends declaring determinism).
 
 Traffic/timing accounting never runs here — counters come from the
-engines' deterministic schedule walk, so ``GemmRun`` rows are identical
-whether numerics ran serial or parallel (asserted in tests).
+batch analyzer's pricing of the plan (:mod:`repro.analysis.batch`), so
+``GemmRun`` rows are identical whether numerics ran serial, threaded or
+sharded (asserted in tests).
 
 Phase timers
 ------------
@@ -80,9 +87,10 @@ keyed deterministically by ``(group, strip)``.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,11 +102,15 @@ from repro.gemm.backends.base import (
 )
 from repro.gemm.backends.numpy_backend import NumpyBackend
 from repro.gemm.microkernel import MicroKernel
+from repro.gemm.verify import GroupVerifier, VerifyConfig, VerifyReport
 from repro.util import ceil_div, require_positive, split_length
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.gemm.backends.registry import BackendSpec
-    from repro.gemm.verify import GroupVerifier
+    from repro.gemm.plan import CakePlan, GotoPlan
+    from repro.gemm.sharded import ShardSpan
+    from repro.packing.pack import PackedA, PackedB
+    from repro.packing.pool import BufferPool
     from repro.runtime.faults import NumericFaultInjector
 
 
@@ -175,11 +187,192 @@ def core_strips(rows: int, cores: int) -> list[int]:
 
     Returns at most ``cores`` strip heights differing by at most the
     rounding chunk; fewer strips than cores means idle cores (only when
-    ``rows < cores``). Shared by the CAKE engine's schedule walk and the
-    process-sharded executor, which must carve identical strips for the
-    bit-identity contract to hold.
+    ``rows < cores``). Shared by CAKE's accounting walk and
+    :func:`build_groups`, which carves every execution path's strips.
     """
     return split_length(rows, ceil_div(rows, cores))
+
+
+# -- the group builder ---------------------------------------------------------
+
+
+class GroupSlot(NamedTuple):
+    """One strip group of an engine's loop order over its plan's block grid.
+
+    The group multiplies the packed A blocks of block rows ``mi0:mi1`` at
+    K panel ``ki`` by the packed B panel ``(ki, ni)``: one CB block for
+    CAKE (``mi1 == mi0 + 1``), one ``(nc, kc)`` slice across every ``mc``
+    strip for GOTO. ``coord`` and ``label`` name the group in
+    verification errors.
+    """
+
+    mi0: int
+    mi1: int
+    ni: int
+    ki: int
+    coord: tuple
+    label: str
+
+
+class BuiltGroups(NamedTuple):
+    """What :func:`build_groups` hands the executor and the caller."""
+
+    groups: list[StripGroup]
+    #: Stacked A operands leased from the builder's pool; the caller
+    #: releases them once the groups have run.
+    leased: list[np.ndarray]
+    #: Checksum elements computed by the builder (operands packed without
+    #: checksums, as in shard workers); 0 when pack-time vectors served.
+    checksum_elements: int
+
+
+class _BlockSums:
+    """ABFT checksum and magnitude material of one packed operand's blocks.
+
+    Pack-time vectors when the operand was packed with ``checksums=True``;
+    otherwise computed from the block on first use and cached (shard
+    workers derive their own from the attached blocks instead of shipping
+    the parent's). ``fresh`` counts the elements computed here.
+    """
+
+    def __init__(
+        self,
+        packed: "PackedA | PackedB",
+        block_at: Callable[[int, int], np.ndarray],
+        axis: int,
+    ) -> None:
+        self.packed = packed
+        self.block_at = block_at
+        self.axis = axis
+        self.cache: dict[tuple[int, int], tuple] = {}
+        self.fresh = 0
+
+    def __call__(
+        self, i: int, j: int
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        if self.packed.checksums is not None:
+            return self.packed.checksum(i, j), self.packed.magnitude(i, j)
+        hit = self.cache.get((i, j))
+        if hit is None:
+            block = self.block_at(i, j)
+            ab = np.abs(block)
+            hit = (block.sum(axis=self.axis), (ab.sum(axis=0), ab.sum(axis=1)))
+            self.cache[(i, j)] = hit
+            self.fresh += hit[0].size + ab.shape[0] + ab.shape[1]
+        return hit
+
+
+def build_groups(
+    order: Sequence[GroupSlot],
+    plan: "CakePlan | GotoPlan",
+    packed_a: "PackedA",
+    packed_b: "PackedB",
+    c: np.ndarray,
+    *,
+    span: "ShardSpan | None" = None,
+    strips: int = 1,
+    verifying: bool = False,
+    grouped: bool = False,
+    pool: "BufferPool | None" = None,
+) -> BuiltGroups:
+    """The strip groups of ``order``, in order, over ``plan``'s block grid.
+
+    The one builder behind every execution path. The in-process engines
+    call it with ``span=None``; a shard worker passes its
+    :class:`~repro.gemm.sharded.ShardSpan` and gets only the groups (and,
+    for groups spanning several block rows, only the rows) inside its C
+    panel. Group indices are positions in the whole ``order`` — the
+    fault-injection and verification keys — so a shard's groups carry
+    the numbers the serial run gives them.
+
+    Each block row of a group is split into ``core_strips(rows, strips)``
+    strip tasks: one per modelled core (or the override's granularity)
+    for CAKE, the ``mc`` strip itself (``strips=1``) for GOTO. A group's
+    stacked A operand is the packed block itself when the group covers
+    one block row; for several it is concatenated (leased from ``pool``)
+    only when something reads it — the verifier, or a ``grouped`` backend
+    executing the group as one call.
+    """
+    grid = plan.grid()
+    m_sizes, n_sizes, _ = (sizes.tolist() for sizes in grid.size_arrays())
+    m_off, n_off, _ = (offsets.tolist() for offsets in grid.offset_arrays())
+    row_lo, row_hi, col_lo, col_hi = 0, grid.mb, 0, grid.nb
+    if span is not None:
+        row_lo = bisect_left(m_off, span.m0)
+        row_hi = bisect_left(m_off, span.m0 + span.m_extent)
+        col_lo = bisect_left(n_off, span.n0)
+        col_hi = bisect_left(n_off, span.n0 + span.n_extent)
+    a_sums = _BlockSums(packed_a, packed_a.block, axis=0)
+    b_sums = _BlockSums(packed_b, packed_b.panel, axis=1)
+    # A-side material per (rows, ki): shared by every ni of a GOTO slice.
+    a_sides: dict[tuple[int, int, int], tuple] = {}
+    started: set[tuple[int, int, int]] = set()
+    leased: list[np.ndarray] = []
+    groups: list[StripGroup] = []
+    for index, slot in enumerate(order):
+        r0, r1 = max(slot.mi0, row_lo), min(slot.mi1, row_hi)
+        ni, ki = slot.ni, slot.ki
+        if r0 >= r1 or not col_lo <= ni < col_hi:
+            continue
+        b_panel = packed_b.panel(ki, ni)
+        n0, n1 = n_off[ni], n_off[ni] + n_sizes[ni]
+        tasks: list[StripTask] = []
+        for row in range(r0, r1):
+            block = packed_a.block(row, ki)
+            lo = 0
+            for rows in core_strips(m_sizes[row], strips):
+                top = m_off[row] + lo
+                c_strip = c[top : top + rows, n0:n1]
+                tasks.append(StripTask(block[lo : lo + rows], b_panel, c_strip))
+                lo += rows
+
+        side = a_sides.get((r0, r1, ki))
+        if side is None:
+            operand_a = cs_a = mag_a = None
+            if r1 - r0 == 1:
+                operand_a = packed_a.block(r0, ki)
+            elif verifying or grouped:
+                operand_a = packed_a.column(ki, pool=pool, start=r0, stop=r1)
+                if pool is not None:
+                    leased.append(operand_a)
+            if verifying:
+                cs_a, (col, row_mag) = a_sums(r0, ki)
+                if r1 - r0 > 1:
+                    cs_a, col, row_parts = cs_a.copy(), col.copy(), [row_mag]
+                    for row in range(r0 + 1, r1):
+                        s_cs, (s_col, s_row) = a_sums(row, ki)
+                        cs_a += s_cs
+                        col += s_col
+                        row_parts.append(s_row)
+                    row_mag = np.concatenate(row_parts)
+                mag_a = (col, row_mag)
+            side = a_sides[(r0, r1, ki)] = (operand_a, cs_a, mag_a)
+        operand_a, cs_a, mag_a = side
+        cs_b = mag_b = None
+        if verifying:
+            cs_b, mag_b = b_sums(ki, ni)
+
+        label = slot.label
+        if span is not None:
+            label = f"{label} [shard ({span.row}, {span.col})]"
+        fresh = (r0, r1, ni) not in started
+        started.add((r0, r1, ni))
+        groups.append(
+            StripGroup(
+                tasks=tasks,
+                index=index,
+                coord=slot.coord,
+                label=label,
+                checksum_a=cs_a,
+                checksum_b=cs_b,
+                panel=c[m_off[r0] : m_off[r1 - 1] + m_sizes[r1 - 1], n0:n1],
+                fresh_panel=fresh,
+                operand_a=operand_a,
+                mag_a=mag_a,
+                mag_b=mag_b,
+            )
+        )
+    return BuiltGroups(groups, leased, a_sums.fresh + b_sums.fresh)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -367,3 +560,43 @@ def run_strip_groups(
         if pool_ctx is not None:
             pool_ctx.shutdown(wait=True)
     return timers
+
+
+def execute_groups(
+    groups: Sequence[StripGroup],
+    kernel: MicroKernel,
+    *,
+    verify: VerifyConfig | None,
+    checksum_elements: int,
+    workers: int,
+    backend: Backend,
+    exact_tiles: bool,
+    timers: PhaseTimers,
+) -> VerifyReport | None:
+    """Run built groups with the verification and fault injection ``verify`` asks for.
+
+    The body shared by the in-process engines and every shard worker.
+    Returns the :class:`~repro.gemm.verify.VerifyReport` of a verified
+    run (``checksum_elements`` is the checksum surface it carried), else
+    ``None``.
+    """
+    verifier = faults = report = None
+    if verify is not None:
+        if verify.inject is not None:
+            from repro.runtime.faults import NumericFaultInjector  # lazy: pkg cycle
+
+            faults = NumericFaultInjector(verify.inject)
+        if verify.enabled:
+            report = VerifyReport(checksum_elements=checksum_elements)
+            verifier = GroupVerifier(verify, report, timers)
+    run_strip_groups(
+        groups,
+        kernel,
+        workers=workers,
+        exact_tiles=exact_tiles,
+        timers=timers,
+        verifier=verifier,
+        faults=faults,
+        backend=backend,
+    )
+    return report

@@ -29,6 +29,7 @@ from repro.errors import ConfigurationError
 from repro.gemm.microkernel import MicroKernel
 from repro.machines.spec import MachineSpec
 from repro.schedule.kfirst import kfirst_schedule
+from repro.schedule.variants import build_schedule
 from repro.schedule.space import BlockCoord, BlockGrid, ComputationSpace
 from repro.util import require_positive
 
@@ -290,9 +291,12 @@ class CakePlan:
         """Partition the problem space with this plan's CB block."""
         return BlockGrid(self.space, self.block)
 
-    def schedule(self) -> list[BlockCoord]:
-        """The K-first block order of Algorithm 2."""
-        return kfirst_schedule(self.grid())
+    def schedule(self, name: str = "k-first") -> list[BlockCoord]:
+        """The block order: Algorithm 2's K-first, or a named variant
+        (:mod:`repro.schedule.variants`)."""
+        if name == "k-first":
+            return kfirst_schedule(self.grid())
+        return build_schedule(name, self.grid())
 
 
 @lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
@@ -401,6 +405,15 @@ class GotoPlan:
             nr=self.machine.nr,
         )
 
+    def grid(self) -> BlockGrid:
+        """The loop nest's tiles: ``mc`` strips x ``nc`` panels x ``kc`` slices.
+
+        The same partition (ragged at the high edges) the Figure 5 nest
+        walks, as a block grid like a :class:`CakePlan`'s, so both engines
+        pack and build their strip groups through one code path.
+        """
+        return BlockGrid(self.space, CBBlock(m=self.mc, n=self.nc, k=self.kc))
+
 
 @lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
 def _goto_plan(
@@ -433,15 +446,23 @@ def _goto_plan(
 
 
 def plan_cache_info() -> dict[str, object]:
-    """Hit/miss/size counters for both plan memos (for audits and tests)."""
+    """Hit/miss/size counters for the plan memos and the per-plan
+    accounting memo (:func:`repro.gemm.engine.plan_accounting`)."""
+    from repro.gemm.engine import plan_accounting  # lazy: pkg cycle
+
     return {
         "maxsize": PLAN_MEMO_MAXSIZE,
         "cake": _cake_plan.cache_info()._asdict(),
         "goto": _goto_plan.cache_info()._asdict(),
+        "accounting": plan_accounting.cache_info()._asdict(),
     }
 
 
 def clear_plan_memos() -> None:
-    """Drop every memoized plan (tests; never needed for correctness)."""
+    """Drop every memoized plan and plan accounting (tests; never needed
+    for correctness)."""
+    from repro.gemm.engine import plan_accounting  # lazy: pkg cycle
+
     _cake_plan.cache_clear()
     _goto_plan.cache_clear()
+    plan_accounting.cache_clear()

@@ -19,13 +19,23 @@ processes ever touch the same byte of C.
 Bit-identity
 ------------
 
-The sharded product is **bit-identical** to the serial walk for any
-(processes x threads x backend) combination, because sharding never
-splits the K dimension: every C element's full ``+=`` accumulation
-sequence lives inside exactly one shard, the shard walks the *global*
-K-first schedule filtered to its blocks (same ki order, same strip
-shapes, same backend calls), and floating-point addition order is
-therefore unchanged. The conformance suite asserts this per backend.
+The sharded product is **bit-identical** to the same engine's
+in-process run on the same backend, for any process and thread count,
+because of two rules:
+
+* sharding never splits the K dimension, so every C element's full
+  ``+=`` accumulation sequence lives inside exactly one shard;
+* shards tile **whole backend calls**. Each worker builds its groups
+  with the engines' own :func:`~repro.gemm.parallel.build_groups` over
+  the *global* loop order, restricted to its span, so it issues the
+  serial run's calls on identically-shaped operands. The shard grid may
+  therefore only cut between the row ranges one call covers: CB block
+  rows for CAKE, ``mc`` strips for GOTO on per-strip backends, and no
+  row cut at all for GOTO on ``grouped`` backends (one call multiplies
+  the whole M column of a slice; BLAS may block a different M extent
+  differently), which then shard along N only.
+
+The conformance suite and the differential test assert this per backend.
 
 Shard-grid selection
 --------------------
@@ -79,17 +89,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import CakeError, ConfigurationError, DeadlineExceededError
-from repro.core.cb_block import CBBlock
 from repro.gemm.backends.registry import backend_spec, registered_backends
-from repro.gemm.microkernel import MicroKernel
 from repro.gemm.parallel import (
+    GroupSlot,
     PhaseTimers,
-    StripGroup,
-    StripTask,
-    core_strips,
-    run_strip_groups,
+    build_groups,
+    execute_groups,
 )
-from repro.gemm.verify import GroupVerifier, VerifyConfig, VerifyReport
+from repro.gemm.plan import CakePlan, GotoPlan
+from repro.gemm.verify import VerifyConfig, VerifyReport
 from repro.packing.pack import (
     GridParts,
     PackedA,
@@ -97,15 +105,8 @@ from repro.packing.pack import (
     grid_views,
 )
 from repro.packing.pool import SegmentSpec, SharedBufferPool
-from repro.runtime.faults import NumericFaultInjector, mark_worker_process
-from repro.schedule.kfirst import kfirst_schedule
-from repro.schedule.space import BlockGrid, ComputationSpace
-from repro.util import (
-    require_nonnegative,
-    require_positive,
-    split_even,
-    split_length,
-)
+from repro.runtime.faults import mark_worker_process
+from repro.util import require_nonnegative, require_positive, split_even
 
 #: Documented slack on the memory-independent communication lower bound:
 #: the shard grid meets the bound up to (a) the AM-GM gap of the best
@@ -227,10 +228,10 @@ def resolve_shards(
 class ShardSpan:
     """One shard's slice of the CB block grid, in blocks and elements.
 
-    ``mi0:mi1`` / ``ni0:ni1`` are half-open *block* index ranges along
-    the M and N axes of the grid (for GOTO, block rows are the ``mc``
-    strips and block columns the ``nc`` panels); ``m0``/``n0`` and the
-    extents are the corresponding element ranges of C.
+    ``mi0:mi1`` / ``ni0:ni1`` are half-open index ranges into the row and
+    column extents :func:`plan_shards` was given; ``m0``/``n0`` and the
+    extents are the corresponding element ranges of C, which is what
+    :func:`~repro.gemm.parallel.build_groups` filters on.
     """
 
     index: int
@@ -337,12 +338,13 @@ def plan_shards(
 ) -> ShardPlan:
     """Partition a block grid into shards for ``processes`` workers.
 
-    ``row_extents``/``col_extents`` are the element heights/widths of
-    the grid's block rows and columns (CAKE: CB block extents; GOTO:
-    ``mc`` strips and ``nc`` panels). Block rows/columns are split into
-    balanced contiguous runs — every shard gets at least one block row
-    and one block column, so the spans tile the grid exactly (asserted
-    by hypothesis in the tests).
+    ``row_extents``/``col_extents`` are the element heights/widths the
+    shard grid may cut between — the row ranges of whole backend calls
+    (CAKE: CB block rows; GOTO: ``mc`` strips, or all of M on grouped
+    backends) and the plan's N panels. They are split into balanced
+    contiguous runs — every shard gets at least one row and one column,
+    so the spans tile the grid exactly (asserted by hypothesis in the
+    tests).
     """
     mb, nb = len(row_extents), len(col_extents)
     m, n = int(sum(row_extents)), int(sum(col_extents))
@@ -468,21 +470,18 @@ class PackedHandle(NamedTuple):
     """Picklable description of one packed matrix in shared memory.
 
     ``segments`` are the (up to four) :class:`GridParts` buffers in
-    ``(main, right, bottom, corner)`` order; together with the grid
-    extents a worker rebuilds the parent's exact packed block views.
-    ``row_chunk``/``col_chunk`` are the pack's tiling arguments
-    (``mc``/``kc`` for A, ``kc``/``n_block`` for B).
+    ``(main, right, bottom, corner)`` order; with the grid extents (and
+    the plan's block shape, shipped alongside) a worker rebuilds the
+    parent's exact packed block views.
     """
 
-    row_chunk: int
-    col_chunk: int
     segments: tuple[SegmentSpec | None, ...]
     r_full: int
     c_full: int
 
 
 def _pack_handle(
-    packed: "PackedA | PackedB", pool: SharedBufferPool, kind: str
+    packed: "PackedA | PackedB", pool: SharedBufferPool
 ) -> PackedHandle:
     parts = packed.parts
     if parts is None:  # pragma: no cover - engines force vectorized packs
@@ -494,23 +493,7 @@ def _pack_handle(
         None if part is None else pool.segment_of(part)
         for part in (parts.main, parts.right, parts.bottom, parts.corner)
     )
-    if kind == "a":
-        assert isinstance(packed, PackedA)
-        return PackedHandle(
-            row_chunk=packed.mc,
-            col_chunk=packed.kc,
-            segments=segments,
-            r_full=parts.r_full,
-            c_full=parts.c_full,
-        )
-    assert isinstance(packed, PackedB)
-    return PackedHandle(
-        row_chunk=packed.kc,
-        col_chunk=packed.n_block,
-        segments=segments,
-        r_full=parts.r_full,
-        c_full=parts.c_full,
-    )
+    return PackedHandle(segments, parts.r_full, parts.c_full)
 
 
 #: Whether attaching a segment in *this* process must undo the resource
@@ -559,10 +542,16 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """Everything one worker needs, in picklable primitives + handles."""
+    """Everything one worker needs, in picklable primitives + handles.
 
-    engine: str
-    dims: dict
+    ``plan``, ``order`` and ``strips`` are exactly what the parent engine
+    hands :func:`~repro.gemm.parallel.build_groups` for an in-process
+    run; the worker calls the same builder with its ``span``.
+    """
+
+    plan: CakePlan | GotoPlan
+    order: Sequence[GroupSlot]
+    strips: int
     span: ShardSpan
     a_handle: PackedHandle
     b_handle: PackedHandle
@@ -576,212 +565,11 @@ class _ShardTask:
 # -- worker side ---------------------------------------------------------------
 
 
-def _operand_sums(
-    cache: dict, key, block: np.ndarray, axis: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
-    """A block's ABFT checksum + magnitude pair, cached per operand.
-
-    Shard workers compute checksum material from the attached packed
-    blocks themselves (shipping the parent's checksum buffers would
-    double the descriptor surface for no gain — the identities are
-    self-consistent within the worker). Returns the fresh element count
-    so the shard's ``VerifyReport.checksum_elements`` stays honest.
-    """
-    hit = cache.get(key)
-    if hit is not None:
-        return hit[0], hit[1], 0
-    cs = block.sum(axis=axis)
-    ab = np.abs(block)
-    mag = (ab.sum(axis=0), ab.sum(axis=1))
-    cache[key] = (cs, mag)
-    return cs, mag, cs.size + mag[0].size + mag[1].size
-
-
-def _cake_groups(
-    task: _ShardTask, packed_a: PackedA, packed_b: PackedB, c: np.ndarray
-) -> tuple[list[StripGroup], int]:
-    """This shard's strip groups, in global K-first schedule order.
-
-    The worker rebuilds the *global* block grid and walks the *global*
-    schedule, keeping only blocks inside its span — so group indices
-    (the fault-injection and verification keys) and per-block strip
-    shapes are identical to the serial engine's, which is the whole
-    bit-identity argument.
-    """
-    d = task.dims
-    grid = BlockGrid(
-        ComputationSpace(d["m"], d["n"], d["k"]),
-        CBBlock(m=d["m_block"], n=d["n_block"], k=d["kc"]),
-    )
-    span = task.span
-    verifying = task.verify is not None and task.verify.enabled
-    a_sums: dict[tuple[int, int], tuple] = {}
-    b_sums: dict[tuple[int, int], tuple] = {}
-    checksum_elements = 0
-    groups: list[StripGroup] = []
-    for index, coord in enumerate(kfirst_schedule(grid)):
-        if not (
-            span.mi0 <= coord.mi < span.mi1
-            and span.ni0 <= coord.ni < span.ni1
-        ):
-            continue
-        ext = grid.extent(coord)
-        m0, n0, _k0 = grid.origin(coord)
-        a_block = packed_a.block(coord.mi, coord.ki)
-        b_panel = packed_b.panel(coord.ki, coord.ni)
-        c_view = c[m0 : m0 + ext.m, n0 : n0 + ext.n]
-        tasks: list[StripTask] = []
-        r0 = 0
-        for rows in core_strips(ext.m, d["cores"]):
-            tasks.append(
-                StripTask(
-                    a_block[r0 : r0 + rows], b_panel, c_view[r0 : r0 + rows]
-                )
-            )
-            r0 += rows
-        cs_a = cs_b = mag_a = mag_b = None
-        if verifying:
-            cs_a, mag_a, fresh = _operand_sums(
-                a_sums, (coord.mi, coord.ki), a_block, axis=0
-            )
-            checksum_elements += fresh
-            cs_b, mag_b, fresh = _operand_sums(
-                b_sums, (coord.ki, coord.ni), b_panel, axis=1
-            )
-            checksum_elements += fresh
-        groups.append(
-            StripGroup(
-                tasks=tasks,
-                index=index,
-                coord=(coord.mi, coord.ni, coord.ki),
-                label=f"cake block (mi={coord.mi}, ni={coord.ni}, "
-                f"ki={coord.ki}) [shard ({span.row}, {span.col})]",
-                checksum_a=cs_a,
-                checksum_b=cs_b,
-                panel=c_view,
-                fresh_panel=coord.ki == 0,
-                operand_a=a_block,
-                mag_a=mag_a,
-                mag_b=mag_b,
-            )
-        )
-    return groups, checksum_elements
-
-
-def _goto_groups(
-    task: _ShardTask, packed_a: PackedA, packed_b: PackedB, c: np.ndarray
-) -> tuple[list[StripGroup], int]:
-    """This shard's GOTO slice groups, in the serial nest's (ni, ki) order.
-
-    Group indices are the global ``ni * Kb + ki`` positions of the
-    serial loop nest. Strip indices within a group are shard-local
-    (the shard owns a contiguous run of ``mc`` strips), which only
-    affects fault-injection targeting — never the numerics.
-    """
-    d = task.dims
-    m, n, k = d["m"], d["n"], d["k"]
-    m_strips = split_length(m, min(d["mc"], m))
-    n_sizes = split_length(n, min(d["nc"], n))
-    k_sizes = split_length(k, min(d["kc"], k))
-    m_off = _prefix(m_strips)
-    n_off = _prefix(n_sizes)
-    kb = len(k_sizes)
-    span = task.span
-    verifying = task.verify is not None and task.verify.enabled
-    grouped = backend_spec(task.backend).capabilities.grouped
-    a_full: dict[int, np.ndarray] = {}
-    a_sums: dict[int, tuple] = {}
-    b_sums: dict[tuple[int, int], tuple] = {}
-    checksum_elements = 0
-    groups: list[StripGroup] = []
-    for ni in range(span.ni0, span.ni1):
-        nc_actual = n_sizes[ni]
-        n0 = n_off[ni]
-        for ki in range(kb):
-            b_panel = packed_b.panel(ki, ni)
-            tasks = [
-                StripTask(
-                    packed_a.block(strip, ki),
-                    b_panel,
-                    c[
-                        m_off[strip] : m_off[strip] + m_strips[strip],
-                        n0 : n0 + nc_actual,
-                    ],
-                )
-                for strip in range(span.mi0, span.mi1)
-            ]
-            operand_a = None
-            if verifying or grouped:
-                if ki not in a_full:
-                    parts = [
-                        packed_a.block(s, ki)
-                        for s in range(span.mi0, span.mi1)
-                    ]
-                    a_full[ki] = (
-                        parts[0]
-                        if len(parts) == 1
-                        else np.concatenate(parts, axis=0)
-                    )
-                operand_a = a_full[ki]
-            cs_a = cs_b = mag_a = mag_b = None
-            if verifying:
-                cs_a, mag_a, fresh = _operand_sums(
-                    a_sums, ki, operand_a, axis=0
-                )
-                checksum_elements += fresh
-                cs_b, mag_b, fresh = _operand_sums(
-                    b_sums, (ki, ni), b_panel, axis=1
-                )
-                checksum_elements += fresh
-            groups.append(
-                StripGroup(
-                    tasks=tasks,
-                    index=ni * kb + ki,
-                    coord=(ni, ki),
-                    label=f"goto slice (ni={ni}, ki={ki}) "
-                    f"[shard ({span.row}, {span.col})]",
-                    checksum_a=cs_a,
-                    checksum_b=cs_b,
-                    panel=c[
-                        span.m0 : span.m0 + span.m_extent, n0 : n0 + nc_actual
-                    ],
-                    fresh_panel=ki == 0,
-                    operand_a=operand_a,
-                    mag_a=mag_a,
-                    mag_b=mag_b,
-                )
-            )
-    return groups, checksum_elements
-
-
-def _prefix(sizes: Sequence[int]) -> list[int]:
-    out = [0]
-    for size in sizes[:-1]:
-        out.append(out[-1] + size)
-    return out
-
-
-def _attach_packed(
-    handle: PackedHandle,
-    attach: Callable[[SegmentSpec], np.ndarray],
-    kind: str,
-) -> "PackedA | PackedB":
+def _attach_parts(
+    handle: PackedHandle, attach: Callable[[SegmentSpec], np.ndarray]
+) -> GridParts:
     buffers = [None if s is None else attach(s) for s in handle.segments]
-    parts = GridParts(
-        buffers[0], buffers[1], buffers[2], buffers[3],
-        handle.r_full, handle.c_full,
-    )
-    grid = grid_views(parts)
-    if kind == "a":
-        return PackedA(
-            blocks=grid, mc=handle.row_chunk, kc=handle.col_chunk, parts=parts
-        )
-    return PackedB(
-        panels=grid,
-        kc=handle.row_chunk,
-        n_block=handle.col_chunk,
-        parts=parts,
-    )
+    return GridParts(*buffers, handle.r_full, handle.c_full)
 
 
 def _run_attached(
@@ -792,43 +580,43 @@ def _run_attached(
     Every array built here (packed views, C views, verifier state) is
     local to this frame, so when it returns only the segment handles
     remain and :func:`_execute_shard` can close the mappings cleanly.
+    Checksum material is computed here from the attached blocks
+    (shipping the parent's would double the descriptor surface for no
+    gain — the identities are self-consistent within the worker).
     """
-    d = task.dims
-    packed_a = _attach_packed(task.a_handle, attach, kind="a")
-    packed_b = _attach_packed(task.b_handle, attach, kind="b")
-    c = attach(task.c_segment)
-    if task.engine == "cake":
-        groups, checksum_elements = _cake_groups(task, packed_a, packed_b, c)
-    else:
-        groups, checksum_elements = _goto_groups(task, packed_a, packed_b, c)
-    timers = PhaseTimers()
-    verifier = faults = None
-    report = None
-    if task.verify is not None:
-        if task.verify.inject is not None:
-            faults = NumericFaultInjector(task.verify.inject)
-        if task.verify.enabled:
-            report = VerifyReport(checksum_elements=checksum_elements)
-            verifier = GroupVerifier(task.verify, report, timers)
-    kernel = MicroKernel(mr=d["mr"], nr=d["nr"], kc=d["kc"])
-    backend = backend_spec(task.backend).create(
-        kernel=kernel, exact_tiles=task.exact_tiles
+    verifying = task.verify is not None and task.verify.enabled
+    spec = backend_spec(task.backend)
+    block = task.plan.grid().nominal
+    a_parts = _attach_parts(task.a_handle, attach)
+    b_parts = _attach_parts(task.b_handle, attach)
+    built = build_groups(
+        task.order,
+        task.plan,
+        PackedA(grid_views(a_parts), block.m, block.k, parts=a_parts),
+        PackedB(grid_views(b_parts), block.k, block.n, parts=b_parts),
+        attach(task.c_segment),
+        span=task.span,
+        strips=task.strips,
+        verifying=verifying,
+        grouped=spec.capabilities.grouped,
     )
-    run_strip_groups(
-        groups,
+    timers = PhaseTimers()
+    kernel = task.plan.kernel
+    report = execute_groups(
+        built.groups,
         kernel,
+        verify=task.verify,
+        checksum_elements=built.checksum_elements,
         workers=task.workers,
+        backend=spec.create(kernel=kernel, exact_tiles=task.exact_tiles),
         exact_tiles=task.exact_tiles,
         timers=timers,
-        verifier=verifier,
-        faults=faults,
-        backend=backend,
     )
     return {
         "shard": task.span.index,
         "row": task.span.row,
         "col": task.span.col,
-        "groups": len(groups),
+        "groups": len(built.groups),
         "phases": timers.as_dict(),
         "workers": timers.workers,
         "verify": None if report is None else report.as_dict(),
@@ -880,9 +668,10 @@ def _zero_panel(c: np.ndarray, span: ShardSpan) -> None:
 
 def run_sharded(
     *,
-    engine: str,
-    dims: dict,
-    plan: ShardPlan,
+    plan: CakePlan | GotoPlan,
+    order: Sequence[GroupSlot],
+    strips: int,
+    shards: ShardPlan,
     packed_a: PackedA,
     packed_b: PackedB,
     pool: SharedBufferPool,
@@ -897,12 +686,15 @@ def run_sharded(
 ) -> tuple[ShardReport, VerifyReport | None]:
     """Execute a shard plan over a process pool; heal or fail structured.
 
-    ``packed_a``/``packed_b`` must have been packed through ``pool`` (a
-    :class:`~repro.packing.pool.SharedBufferPool`) and ``c`` leased from
-    it, zero-filled. On return, ``c`` holds the product — the caller
-    copies it out before destroying the arena. Worker phase timers are
-    summed into ``timers``; per-shard breakdowns, rebuild counts and the
-    IPC-vs-bound comparison come back in the :class:`ShardReport`.
+    ``plan``/``order``/``strips`` are the engine's group-builder inputs
+    (each worker builds its span's groups from them); ``shards`` is the
+    shard grid. ``packed_a``/``packed_b`` must have been packed through
+    ``pool`` (a :class:`~repro.packing.pool.SharedBufferPool`) and ``c``
+    leased from it, zero-filled. On return, ``c`` holds the product —
+    the caller copies it out before destroying the arena. Worker phase
+    timers are summed into ``timers``; per-shard breakdowns, rebuild
+    counts and the IPC-vs-bound comparison come back in the
+    :class:`ShardReport`.
     """
     if backend not in registered_backends():
         raise ConfigurationError(
@@ -910,13 +702,14 @@ def run_sharded(
             f"(worker processes rebuild the backend from its registry "
             f"entry); {backend!r} is not registered"
         )
-    handle_a = _pack_handle(packed_a, pool, kind="a")
-    handle_b = _pack_handle(packed_b, pool, kind="b")
+    handle_a = _pack_handle(packed_a, pool)
+    handle_b = _pack_handle(packed_b, pool)
     c_segment = pool.segment_of(c)
     tasks = {
         span.index: _ShardTask(
-            engine=engine,
-            dims=dims,
+            plan=plan,
+            order=order,
+            strips=strips,
             span=span,
             a_handle=handle_a,
             b_handle=handle_b,
@@ -926,7 +719,7 @@ def run_sharded(
             verify=verify,
             exact_tiles=exact_tiles,
         )
-        for span in plan.spans
+        for span in shards.spans
     }
     start_method = config.start_method or _default_start_method()
     ctx = mp.get_context(start_method)
@@ -1029,8 +822,8 @@ def run_sharded(
             merged.oracle_recoveries += v["oracle_recoveries"]
             merged.checksum_elements += v["checksum_elements"]
     report = ShardReport(
-        rows=plan.rows,
-        cols=plan.cols,
+        rows=shards.rows,
+        cols=shards.cols,
         workers=workers,
         start_method=start_method,
         shard_phase_seconds=[
@@ -1043,8 +836,8 @@ def run_sharded(
             }
             for res in ordered
         ],
-        ipc_bytes=plan.ipc_elements * element_bytes,
-        ipc_lower_bound_bytes=plan.ipc_lower_bound_elements * element_bytes,
+        ipc_bytes=shards.ipc_elements * element_bytes,
+        ipc_lower_bound_bytes=shards.ipc_lower_bound_elements * element_bytes,
         pool_rebuilds=rebuilds,
         inline_shards=inline,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gemm.cake import _core_strips
+from repro.gemm.parallel import core_strips
 from repro.gemm.plan import CakePlan, GotoPlan
 from repro.machines.spec import MachineSpec
 from repro.memsim.hierarchy import LevelStats, MemoryHierarchy
@@ -90,7 +90,7 @@ def profile_cake(
 
     for coord in plan.schedule():
         ext = grid.extent(coord)
-        strips = _core_strips(ext.m, plan.cores)
+        strips = core_strips(ext.m, plan.cores)
         n_tiles = ceil_div(ext.n, nr)
         for core, rows in enumerate(strips):
             hier.access(

@@ -16,10 +16,8 @@ from repro.packing.pack import (
     PackedB,
     pack_a,
     pack_a_cake,
-    pack_a_goto,
     pack_b,
     pack_b_cake,
-    pack_b_goto,
 )
 from repro.packing.pool import BufferPool
 from repro.packing.cost import PackingCost, packing_cost
@@ -30,10 +28,8 @@ __all__ = [
     "PackedB",
     "pack_a",
     "pack_a_cake",
-    "pack_a_goto",
     "pack_b",
     "pack_b_cake",
-    "pack_b_goto",
     "PackingCost",
     "packing_cost",
 ]

@@ -126,18 +126,23 @@ class PackedA:
         return self.blocks[strip][k_panel]
 
     def column(
-        self, k_panel: int, *, pool: BufferPool | None = None
+        self,
+        k_panel: int,
+        *,
+        pool: BufferPool | None = None,
+        start: int = 0,
+        stop: int | None = None,
     ) -> np.ndarray:
-        """One contiguous operand spanning *every* strip at ``k_panel``.
+        """One contiguous operand spanning strips ``start:stop`` at ``k_panel``.
 
-        The group-contiguous view whole-group backends multiply: all
-        ``mc``-row strips of the matrix at this K panel, stacked in
-        strip order as a single C-contiguous ``(M, kc)`` array. With a
-        single strip the packed block itself is returned (zero-copy —
-        the caller must not release it to a pool); with several, a
-        fresh (or pool-leased) buffer is filled with one concatenate.
+        The group-contiguous view whole-group backends multiply: the
+        ``mc``-row strips (by default every one) at this K panel, stacked
+        in strip order as a single C-contiguous array. With a single
+        strip the packed block itself is returned (zero-copy — the caller
+        must not release it to a pool); with several, a fresh (or
+        pool-leased) buffer is filled with one concatenate.
         """
-        parts = [row[k_panel] for row in self.blocks]
+        parts = [row[k_panel] for row in self.blocks[start:stop]]
         if len(parts) == 1:
             return parts[0]
         rows = sum(part.shape[0] for part in parts)
@@ -310,13 +315,10 @@ def pack_b(
     )
 
 
-# Engine-specific aliases: CAKE and GOTO pack identically at this
-# granularity but with differently-derived tile extents, so the executors
-# read better calling their own names.
+# CAKE-named aliases of the packers, for callers that name the CB block
+# extents (the engines call ``pack_a``/``pack_b`` with their plan grid's).
 pack_a_cake = pack_a
-pack_a_goto = pack_a
 pack_b_cake = pack_b
-pack_b_goto = pack_b
 
 
 # -- vectorized packing -------------------------------------------------------

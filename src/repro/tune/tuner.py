@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.gemm.plan import CakePlan, GotoPlan, PlanOverride
+from repro.gemm.plan import PlanOverride
 from repro.gemm.sharded import ipc_lower_bound_elements
 from repro.machines.spec import MachineSpec
 from repro.schedule.space import ComputationSpace
@@ -163,14 +163,8 @@ class PlanTuner:
     # -- the pipeline --------------------------------------------------------
 
     def _search(self, key: TuneKey) -> TuneResult:
-        space = ComputationSpace(key.m, key.n, key.k)
-        base: "CakePlan | GotoPlan"
-        if key.engine == "cake":
-            base = CakePlan.from_problem(self.machine, space, cores=key.cores)
-        else:
-            base = GotoPlan.from_problem(self.machine, space, cores=key.cores)
-
-        ranked = self._rank(key, space, plan_shape_candidates(key.engine, base))
+        base = self._engine(key, None).plan_for(key.m, key.n, key.k)
+        ranked = self._rank(key, plan_shape_candidates(key.engine, base))
         surface = key.m * key.k + key.k * key.n + key.m * key.n
         if surface > self.config.max_surface_elements:
             # Too big to synthesize throwaway operands for: keep the
@@ -186,34 +180,18 @@ class PlanTuner:
         return self._validate(key, ranked)
 
     def _rank(
-        self, key: TuneKey, space: ComputationSpace, shapes: list[PlanOverride]
+        self, key: TuneKey, shapes: list[PlanOverride]
     ) -> list[tuple[CandidateReport, PlanOverride]]:
-        """Price every plan shape with the batch analyzer; best first.
+        """Price every plan shape with the engine's batch analyzer; best first.
 
         The identity override (index 0 by construction) is always kept
         in front of the ``top_k`` cut so the validation stage times the
         analytic shape's execution variants too.
         """
-        from repro.analysis.batch import analyze_cake_batch, analyze_goto_batch
-
         bound = ipc_lower_bound_elements(key.m, key.n, key.k, 1)
         reports: list[tuple[float, CandidateReport, PlanOverride]] = []
         for override in shapes:
-            if key.engine == "cake":
-                plan = CakePlan.from_problem(
-                    self.machine, space, cores=key.cores, override=override
-                )
-                run = analyze_cake_batch(
-                    self.machine,
-                    space,
-                    plan=plan,
-                    schedule=override.schedule or "k-first",
-                )
-            else:
-                plan = GotoPlan.from_problem(
-                    self.machine, space, cores=key.cores, override=override
-                )
-                run = analyze_goto_batch(self.machine, space, plan=plan)
+            run = self._engine(key, override).analyze(key.m, key.n, key.k)
             reports.append(
                 (
                     run.seconds,

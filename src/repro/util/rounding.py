@@ -96,3 +96,15 @@ def split_length(total: int, chunk: int) -> list[int]:
     if rem:
         sizes.append(rem)
     return sizes
+
+
+def prefix_offsets(sizes: list[int]) -> list[int]:
+    """Start offset of each chunk: the exclusive prefix sums of ``sizes``.
+
+    >>> prefix_offsets([4, 4, 2])
+    [0, 4, 8]
+    """
+    offsets = [0]
+    for size in sizes[:-1]:
+        offsets.append(offsets[-1] + size)
+    return offsets

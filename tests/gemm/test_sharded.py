@@ -3,8 +3,8 @@
 The contract under test (see ``repro.gemm.sharded``): sharding the
 M x N grid of CB blocks across worker processes is an *execution*
 detail — the product and the schedule-derived traffic counters must be
-bit-identical to the serial walk for every (processes x workers x
-backend) combination, the shard grid must be the near-square minimizer
+bit-identical to the in-process run on the same backend for every
+process and worker count, the shard grid must be the near-square minimizer
 of the replicated-input traffic, the measured inter-process bytes must
 sit within the documented slack of the memory-independent lower bound,
 and a dying shard worker must heal through the pool-rebuild ladder or
@@ -32,6 +32,7 @@ from repro.gemm.sharded import (
     select_shard_grid,
     set_default_processes,
 )
+from repro.gemm.plan import PlanOverride
 from repro.gemm.verify import VerifyConfig
 from repro.machines import intel_i9_10900k
 from repro.runtime.faults import NumericFaultPlan, NumericFaultRule
@@ -262,6 +263,26 @@ class TestBitIdentity:
         assert np.array_equal(run.c, serial.c)
         assert run.counters.without_ipc() == serial.counters.without_ipc()
         assert run.backend == "blas-group"
+
+    @pytest.mark.parametrize(
+        "override",
+        [PlanOverride(strips=1), PlanOverride(schedule="naive")],
+        ids=["strips=1", "naive"],
+    )
+    def test_execution_overrides_reach_the_shards(self, intel, rng, override):
+        # The shard workers take block order and strip granularity from
+        # the engine, exactly as the in-process path does. cores=2 makes
+        # the default granularity two strips per block, and the 2x2x3
+        # block grid gives the K-first order descending K runs.
+        a = rng.standard_normal((600, 700))
+        b = rng.standard_normal((700, 840))
+        inprocess = CakeGemm(intel, cores=2, plan=override).multiply(a, b)
+        sharded = CakeGemm(
+            intel, cores=2, plan=override, processes=2
+        ).multiply(a, b)
+        assert sharded.processes == 2
+        assert np.array_equal(sharded.c, inprocess.c)
+        assert sharded.counters.without_ipc() == inprocess.counters
 
     @pytest.mark.skipif(
         "spawn" not in mp.get_all_start_methods(),

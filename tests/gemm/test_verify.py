@@ -266,6 +266,22 @@ class TestRecovery:
         assert not np.array_equal(run.c, ref.c)
         assert run.verify is None
 
+    def test_last_group_of_a_descending_k_run_heals(self, intel, rng):
+        # K-first walks every other reduction run from the last K panel
+        # down, so the ki=0 group is the panel's last update, not its
+        # first. Restoring it must bring back the earlier groups' partial
+        # sums; a non-replayable backend can only do that from a
+        # snapshot. cores=2 gives a 2x2x3 block grid whose block
+        # (mi=1, ni=0) runs ki = 2, 1, 0: schedule positions 3, 4, 5.
+        a, b = _operands(rng, m=600, k=700, n=840)
+        ref = CakeGemm(intel, cores=2, backend="blas-group").multiply(a, b)
+        cfg = VerifyConfig(inject=_plan(block=5, strip=0, kind="scale"))
+        run = CakeGemm(
+            intel, cores=2, backend="blas-group", verify=cfg
+        ).multiply(a, b)
+        assert np.array_equal(run.c, ref.c)
+        assert run.verify.retry_recoveries == 1
+
     def test_recovery_deterministic_across_worker_counts(self, intel, rng):
         a, b = _operands(rng, m=400, k=300, n=350)
         cfg = VerifyConfig(inject=_plan(block=1, strip="*", kind="zero"))
