@@ -117,7 +117,6 @@ def test_serve(benchmark):
                 machine,
                 workers=workers,
                 capacity=max(64, 4 * FLEET_CLIENTS),
-                worker_capacity=max(64, 4 * FLEET_CLIENTS),
                 default_deadline=DEADLINE_SECONDS,
             ) as fleet:
                 report = run_load(

@@ -72,7 +72,6 @@ def serve(
             machine,
             workers=workers,
             capacity=capacity,
-            worker_capacity=capacity,
             executors=executors,
             max_batch=max_batch,
             cores=cores,

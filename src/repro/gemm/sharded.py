@@ -106,6 +106,7 @@ from repro.packing.pack import (
 )
 from repro.packing.pool import SegmentSpec, SharedBufferPool
 from repro.runtime.faults import mark_worker_process
+from repro.runtime.restart import RestartPolicy, RestartTracker, kill_pool
 from repro.util import require_nonnegative, require_positive, split_even
 
 #: Documented slack on the memory-independent communication lower bound:
@@ -496,48 +497,23 @@ def _pack_handle(
     return PackedHandle(segments, parts.r_full, parts.c_full)
 
 
-#: Whether attaching a segment in *this* process must undo the resource
-#: tracker's registration (pre-3.13 fallback only). True exactly in
-#: spawn-started workers, which own a private tracker that would
-#: otherwise unlink the parent's segments when the worker exits. Fork
-#: workers and the parent itself share one tracker holding the create
-#: registration — unregistering there would break the parent's own
-#: cleanup. Set by :func:`_worker_init`.
-_UNTRACK_ATTACH = False
-
-
-def _worker_init(untrack_attach: bool) -> None:
-    """Pool initializer: worker marking + tracker policy for attaches."""
-    global _UNTRACK_ATTACH
-    _UNTRACK_ATTACH = untrack_attach
-    mark_worker_process()
-
-
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to a named segment without taking tracker ownership.
 
     The parent owns (and unlinks) every segment. Python 3.13's
-    ``track=False`` expresses that directly; earlier versions register
-    the attach with a resource tracker, which is harmless when that
-    tracker is shared with the parent (fork, or inline execution — a
-    set-typed duplicate of the create registration) but fatal under
-    spawn, where the worker's *private* tracker would unlink the
-    segment on worker exit — hence the conditional unregister.
+    ``track=False`` expresses that directly. Earlier versions register
+    the attach with the resource tracker, which is harmless: fork and
+    spawn workers alike share the parent's tracker (a spawn child adopts
+    the parent's tracker fd in ``spawn_main``), whose set-typed cache
+    already holds the create registration. Unregistering the attach
+    would delete that registration — the parent's later unlink then
+    fails in the tracker, and a parent that dies before
+    ``arena.destroy()`` leaks the segment.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no track parameter
-        segment = shared_memory.SharedMemory(name=name)
-        if _UNTRACK_ATTACH:
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(
-                    getattr(segment, "_name", segment.name), "shared_memory"
-                )
-            except Exception:  # pragma: no cover - best-effort hygiene
-                pass
-        return segment
+        return shared_memory.SharedMemory(name=name)
 
 
 @dataclass(frozen=True)
@@ -651,17 +627,6 @@ def _default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Force-tear-down a pool whose workers may be dead or wedged."""
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in procs:
-        proc.join(timeout=2.0)
-
-
 def _zero_panel(c: np.ndarray, span: ShardSpan) -> None:
     c[span.m0 : span.m0 + span.m_extent, span.n0 : span.n0 + span.n_extent] = 0
 
@@ -735,21 +700,27 @@ def run_sharded(
 
     pending = dict(tasks)
     results: dict[int, dict] = {}
-    rebuilds = 0
+    # Pool deaths climb one restart ladder (rebuilds are immediate: its
+    # delay is never slept). The death it refuses is terminal and still
+    # counts as a rebuild in the report.
+    ladder = RestartTracker(
+        RestartPolicy(max_restarts=config.max_pool_rebuilds, reset_after=None)
+    )
+    exhausted = False
     inline = 0
     pool_exec: ProcessPoolExecutor | None = None
     barrier_start = time.perf_counter()
     try:
         while pending:
             _remaining()
-            if rebuilds > config.max_pool_rebuilds:
+            if exhausted:
                 if not config.inline_fallback:
                     raise ShardExecutionError(
                         shards=tuple(
                             (tasks[i].span.row, tasks[i].span.col)
                             for i in sorted(pending)
                         ),
-                        rebuilds=rebuilds,
+                        rebuilds=ladder.total_restarts + 1,
                     )
                 # Degraded mode: run the unfinished shards in-parent.
                 # Kill-type numeric faults are inert here, so a
@@ -766,8 +737,7 @@ def run_sharded(
                 pool_exec = ProcessPoolExecutor(
                     max_workers=min(config.processes, len(pending)),
                     mp_context=ctx,
-                    initializer=_worker_init,
-                    initargs=(start_method != "fork",),
+                    initializer=mark_worker_process,
                 )
             futures = {
                 pool_exec.submit(_execute_shard, task): index
@@ -790,16 +760,16 @@ def run_sharded(
             except FuturesTimeoutError:
                 raise DeadlineExceededError("shard") from None
             if broken:
-                _kill_pool(pool_exec)
+                kill_pool(pool_exec)
                 pool_exec = None
-                rebuilds += 1
+                exhausted = ladder.next_delay() is None
                 # Completed shards' disjoint C panels stand; every
                 # unfinished shard restarts from a zeroed panel.
                 for task in pending.values():
                     _zero_panel(c, task.span)
     finally:
         if pool_exec is not None:
-            _kill_pool(pool_exec)
+            kill_pool(pool_exec)
 
     timers.reduce_seconds += time.perf_counter() - barrier_start
     ordered = [results[index] for index in sorted(results)]
@@ -838,7 +808,7 @@ def run_sharded(
         ],
         ipc_bytes=shards.ipc_elements * element_bytes,
         ipc_lower_bound_bytes=shards.ipc_lower_bound_elements * element_bytes,
-        pool_rebuilds=rebuilds,
+        pool_rebuilds=ladder.total_restarts + exhausted,
         inline_shards=inline,
     )
     return report, merged

@@ -59,7 +59,7 @@ from typing import Any, Callable, Sequence
 
 from repro.runtime.cache import ResultCache
 from repro.runtime.faults import FaultInjector, FaultPlan, mark_worker_process
-from repro.runtime.restart import RestartPolicy, RestartTracker
+from repro.runtime.restart import RestartPolicy, RestartTracker, kill_pool
 from repro.runtime.outcome import RunReport, TaskExecutionError, TaskOutcome
 from repro.runtime.task import ExperimentTask, run_task
 from repro.util import require_positive
@@ -157,22 +157,6 @@ def _run_shard(
     """Worker entry point: execute one shard, keep input indices."""
     injector = None if plan is None else FaultInjector(plan)
     return [(index, _execute_task(task, policy, injector)) for index, task in shard]
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a pool whose workers may be hung or dead.
-
-    ``shutdown(wait=True)`` would block on a hung worker forever, so the
-    teardown is forced: cancel queued work, terminate every worker, and
-    reap them briefly.
-    """
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in procs:
-        proc.join(timeout=2.0)
 
 
 class _PoolDied(Exception):
@@ -463,7 +447,7 @@ class ExperimentRuntime:
             if clean:
                 pool.shutdown(wait=True)
             else:
-                _kill_pool(pool)
+                kill_pool(pool)
 
     def _shard(self, pending: list[IndexedTask]) -> list[list[IndexedTask]]:
         """Deterministic round-robin split by input position.

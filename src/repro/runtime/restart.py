@@ -11,7 +11,7 @@ supervisor for dead or hung worker processes
 reusable object, built on the same :class:`~repro.runtime.executor.RetryPolicy`
 backoff arithmetic the per-task retry path uses.
 
-Two pieces:
+Three pieces:
 
 * :class:`RestartPolicy` — the immutable knobs: how many restarts
   before the terminal state, the backoff curve between them, and an
@@ -21,10 +21,13 @@ Two pieces:
 * :class:`RestartTracker` — one ladder instance's mutable state
   (restart count), owned by whatever is being supervised. ``None``
   from :meth:`RestartTracker.next_delay` *is* the terminal signal.
+* :func:`kill_pool` — the forced teardown of a broken or hung process
+  pool, the "tear it down" step of both pool ladders.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -122,3 +125,19 @@ class RestartTracker:
         if self.policy.backoff.base_delay == 0:
             return 0.0
         return self.policy.backoff.delay(self.seed, self.restarts)
+
+
+def kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear down a process pool whose workers may be hung or dead.
+
+    ``shutdown(wait=True)`` would block on a hung worker forever, so the
+    teardown is forced: cancel queued work, terminate every worker, and
+    reap them briefly.
+    """
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+    for proc in procs:
+        proc.join(timeout=2.0)

@@ -67,7 +67,7 @@ from repro.serve.request import (
     content_seed,
 )
 from repro.serve.server import MultiplyServer, ServerStats
-from repro.serve.soak import run_fleet_soak, run_soak
+from repro.serve.soak import run_soak
 from repro.serve.supervisor import CircuitBreaker, Supervisor, WorkerOptions
 
 __all__ = [
@@ -93,7 +93,6 @@ __all__ = [
     "CircuitBreaker",
     "Supervisor",
     "WorkerOptions",
-    "run_fleet_soak",
     "RetryPolicy",
     "admission_decision",
     "retry_after_hint",

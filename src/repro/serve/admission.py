@@ -19,11 +19,31 @@ The decision is a pure function of its numeric inputs
 (:func:`admission_decision`), which is what the hypothesis suite
 drives: *no* combination of queue depth, capacity, latency estimate
 and clock may admit a request whose deadline has already passed.
+
+:class:`FrontDoor` is the one door both servers stand behind — the
+in-process :class:`~repro.serve.server.MultiplyServer` and the
+multi-process :class:`~repro.serve.fleet.FleetServer`. It owns the
+bounded queue, the counters, the latency window, ``submit()``,
+queued-deadline expiry, the shutdown shed and the lifecycle; a server
+supplies only how admitted work is dispatched and executed.
 """
 
 from __future__ import annotations
 
-from repro.errors import AdmissionError
+import math
+import threading
+import time
+from collections import deque
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.errors import AdmissionError, CakeError, DeadlineExceededError
+from repro.gemm.backends import resolve_backend
+from repro.gemm.parallel import check_multiply_operands
+from repro.gemm.result import GemmRun
+from repro.runtime.deadline import Deadline
+from repro.serve.request import MultiplyRequest, ResponseHandle, ServeReport
 
 #: Fallback per-request service estimate before any latency history
 #: exists (seconds). Only feeds the retry-after hint, never admission.
@@ -91,3 +111,270 @@ def admission_decision(
             retry_after_hint(queue_depth, executors, service_estimate),
         )
     return None
+
+
+def percentile(values, q: float) -> float:
+    """The nearest-rank ``q``-th percentile of a sample (0.0 if empty)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = math.ceil(q / 100.0 * len(ordered))
+    return ordered[min(len(ordered), max(1, rank)) - 1]
+
+
+@dataclass(slots=True)
+class Pending:
+    """One admitted request while a front door holds it."""
+
+    seq: int
+    handle: ResponseHandle
+
+    @property
+    def request(self) -> MultiplyRequest:
+        return self.handle.request
+
+
+class FrontDoor:
+    """The admission-controlled front door both servers share.
+
+    Owns the bounded queue (``_queue``, guarded by ``_cond``, whose
+    lock is re-entrant so a test can freeze the dispatcher and still
+    submit), the counters, the latency window, :meth:`submit`,
+    queued-deadline expiry, the shutdown shed and the lifecycle
+    (:meth:`start`/:meth:`stop`, context manager, :meth:`multiply`).
+    A server supplies:
+
+    * ``_entry(seq, handle)`` — the queue entry for an admitted request;
+    * ``_dispatch_loop()`` — the dispatcher thread's body;
+    * ``_open()`` / ``_close(drain, timeout)`` — bring up and wind down
+      whatever executes the queue;
+    * optionally ``_backlog_locked()`` (the depth admission measures and
+      how many requests drain in parallel) and ``_refusal_locked()``
+      (an error refusing every submit).
+    """
+
+    #: Dispatcher thread-name prefix.
+    name = "cake-serve"
+    #: Counters a server keeps beyond the shared ones.
+    extra_counters: "tuple[str, ...]" = ()
+
+    def __init__(
+        self,
+        *,
+        capacity: int,
+        executors: int,
+        default_deadline: "float | None",
+        stats_window: int,
+    ) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if executors < 1:
+            raise ValueError(f"executors must be >= 1, got {executors}")
+        self.capacity = capacity
+        self.executors = executors
+        self.default_deadline = default_deadline
+        self._cond = threading.Condition()
+        self._queue: list = []
+        self._seq = 0
+        self._running = False
+        self._stopping = False
+        self._drain = True
+        self._dispatcher: "threading.Thread | None" = None
+        self._counters = dict.fromkeys(
+            (
+                "submitted", "admitted", "completed", "failed",
+                "shed_capacity", "shed_deadline", "shed_shutdown",
+                "deadline_exceeded", *self.extra_counters,
+            ),
+            0,
+        )
+        self._latencies: "deque[float]" = deque(maxlen=stats_window)
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def start(self):
+        """Start the execution side and the dispatcher (idempotent)."""
+        with self._cond:
+            if self._running:
+                return self
+            self._running = True
+            self._stopping = False
+            self._drain = True
+        self._open()
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop,
+            name=f"{self.name}-dispatcher",
+            daemon=True,
+        )
+        self._dispatcher.start()
+        return self
+
+    def stop(
+        self, *, drain: bool = True, timeout: "float | None" = None
+    ) -> None:
+        """Stop serving; every admitted handle resolves, none is stranded.
+
+        ``drain=True`` finishes queued work first; ``drain=False``
+        resolves queued requests with ``AdmissionError("shutdown")`` at
+        once. What ``timeout`` bounds, and what happens to requests
+        still executing, is the server's ``_close``.
+        """
+        with self._cond:
+            if not self._running:
+                return
+            self._stopping = True
+            self._drain = drain
+            if not drain:
+                self._shed_locked(self._queue)
+                self._queue.clear()
+            self._cond.notify_all()
+        self._close(drain, timeout)
+        with self._cond:
+            self._running = False
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.stop()
+
+    # -- client surface ------------------------------------------------------
+
+    def submit(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        *,
+        engine: str = "cake",
+        deadline: "float | None" = None,
+        priority: int = 0,
+        verify=False,
+        backend: "str | None" = None,
+        workers: "int | None" = None,
+        processes=None,
+    ) -> ResponseHandle:
+        """Admit one multiply; returns its handle or sheds structured.
+
+        Validation (engine, shape/dtype, backend capability) happens
+        here, synchronously, so a request that can never execute is
+        refused with the same structured errors the engines raise — the
+        queue only ever holds executable work.
+        """
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if engine not in ("cake", "goto"):
+            raise ValueError(
+                f"engine must be 'cake' or 'goto', got {engine!r}"
+            )
+        check_multiply_operands(a, b, backend=resolve_backend(backend))
+        budget = self.default_deadline if deadline is None else deadline
+        with self._cond:
+            self._counters["submitted"] += 1
+            refusal = self._refusal_locked()
+            if refusal is not None:
+                raise refusal
+            depth, parallel = self._backlog_locked()
+            decision = admission_decision(
+                queue_depth=depth,
+                capacity=self.capacity,
+                deadline_budget=budget,
+                executors=parallel,
+                service_estimate=percentile(self._latencies, 50.0),
+                stopping=self._stopping or not self._running,
+            )
+            if decision is not None:
+                self._counters["shed_" + decision.reason] += 1
+                raise decision
+            seq = self._seq
+            self._seq += 1
+            now = time.monotonic()
+            request = MultiplyRequest(
+                a=a, b=b, engine=engine, deadline=budget, priority=priority,
+                verify=verify, backend=backend, workers=workers,
+                processes=processes,
+            )
+            report = ServeReport(
+                request_id=seq, engine=engine, deadline=budget,
+                priority=priority, backend=backend, workers=workers,
+            )
+            handle = ResponseHandle(
+                request,
+                report,
+                None if budget is None else Deadline.after(budget, now=now),
+                now,
+            )
+            self._queue.append(self._entry(seq, handle))
+            self._counters["admitted"] += 1
+            self._cond.notify_all()
+        return handle
+
+    def multiply(self, a: np.ndarray, b: np.ndarray, **kwargs) -> GemmRun:
+        """Submit-and-wait convenience: one blocking round trip."""
+        return self.submit(a, b, **kwargs).result()
+
+    # -- shared machinery ----------------------------------------------------
+
+    def _backlog_locked(self) -> "tuple[int, int]":
+        """(requests ahead of a new one, requests served in parallel)."""
+        return len(self._queue), self.executors
+
+    def _refusal_locked(self) -> "CakeError | None":
+        return None
+
+    def _stats_locked(self) -> dict:
+        """The stats fields every server reports."""
+        return {
+            "queue_depth": len(self._queue),
+            "capacity": self.capacity,
+            "p50_seconds": percentile(self._latencies, 50.0),
+            "p99_seconds": percentile(self._latencies, 99.0),
+            **self._counters,
+        }
+
+    def _finish(
+        self,
+        handle: ResponseHandle,
+        run: "GemmRun | None" = None,
+        error: "BaseException | None" = None,
+    ) -> bool:
+        """Resolve ``handle`` and count the outcome; False if already done."""
+        if not handle.resolve(run=run, error=error):
+            return False
+        with self._cond:
+            if error is None:
+                self._counters["completed"] += 1
+                self._latencies.append(handle.report.total_seconds)
+            elif isinstance(error, DeadlineExceededError):
+                self._counters["deadline_exceeded"] += 1
+            else:
+                self._counters["failed"] += 1
+        return True
+
+    def _expire_queued_locked(self, now: "float | None" = None) -> None:
+        """Resolve queued requests whose deadline passed; free the slots."""
+        now = time.monotonic() if now is None else now
+        kept = []
+        for pending in self._queue:
+            if not pending.handle.expired(now):
+                kept.append(pending)
+            else:
+                self._finish(
+                    pending.handle,
+                    error=pending.handle.deadline_error("queue", now),
+                )
+        if len(kept) < len(self._queue):
+            self._queue[:] = kept
+            self._cond.notify_all()
+
+    def _shed_locked(self, pendings: list) -> None:
+        """Resolve ``pendings`` with ``AdmissionError("shutdown")``."""
+        for pending in pendings:
+            error = AdmissionError(
+                "shutdown",
+                "server stopped before completion",
+                len(pendings),
+                self.capacity,
+                None,
+            )
+            if pending.handle.resolve(error=error):
+                self._counters["shed_shutdown"] += 1

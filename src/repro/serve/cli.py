@@ -135,7 +135,8 @@ def main(argv: list[str] | None = None) -> int:
                 deadline=deadline,
             )
             stats = server.stats()
-        row = {**report.as_dict(), "server": stats.as_dict()}
+        summary = report.as_dict()
+        row = {**summary, "server": stats.as_dict()}
         if args.workers > 0:
             row["workers"] = args.workers
         rows.append(row)
@@ -143,8 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         line = (
             f"clients={clients:<3d} ok={report.ok:<4d} "
             f"shed={report.shed:<3d} expired={report.deadline_exceeded:<3d} "
-            f"p50={1e3 * report.percentile(50):7.1f}ms "
-            f"p99={1e3 * report.percentile(99):7.1f}ms "
+            f"p50={1e3 * summary['p50_seconds']:7.1f}ms "
+            f"p99={1e3 * summary['p99_seconds']:7.1f}ms "
             f"{report.throughput_rps:6.1f} req/s "
         )
         if args.workers > 0:
@@ -177,7 +178,6 @@ def _build_server(args, machine, deadline):
             machine,
             workers=args.workers,
             capacity=args.capacity,
-            worker_capacity=args.capacity,
             executors=args.executors,
             default_deadline=deadline,
         )
@@ -198,7 +198,6 @@ def _serve_forever(args) -> int:
         intel_i9_10900k(),
         workers=workers,
         capacity=args.capacity,
-        worker_capacity=args.capacity,
         executors=args.executors,
         default_deadline=deadline,
     )

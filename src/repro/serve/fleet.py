@@ -28,6 +28,9 @@ process death included. The division of labour:
   — a submit racing shutdown always gets a structured outcome, never a
   hung handle.
 
+Admission, the bounded queue, queued-deadline expiry and the lifecycle
+are the :class:`~repro.serve.admission.FrontDoor` both servers share.
+
 :class:`FleetFrontDoor` exposes a fleet over TCP speaking
 ``cake-serve/v1`` (:mod:`repro.serve.protocol`);
 :class:`FleetClient` is the matching stdlib client.
@@ -39,24 +42,18 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from repro.errors import (
     AdmissionError,
-    CakeError,
-    DeadlineExceededError,
     FleetError,
     ProtocolError,
     WorkerCrashError,
 )
-from repro.gemm.backends import resolve_backend
-from repro.gemm.parallel import check_multiply_operands
-from repro.gemm.result import GemmRun
-from repro.runtime.deadline import Deadline
 from repro.runtime.restart import RestartPolicy
-from repro.serve.admission import admission_decision
+from repro.serve.admission import FrontDoor, Pending
 from repro.serve.protocol import (
     PROTOCOL,
     decode_arrays,
@@ -66,13 +63,7 @@ from repro.serve.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.serve.request import (
-    MultiplyRequest,
-    ResponseHandle,
-    ServeReport,
-    content_seed,
-)
-from repro.serve.server import _VALID_ENGINES, _percentile
+from repro.serve.request import content_seed
 from repro.serve.supervisor import Supervisor, WorkerOptions
 
 
@@ -103,50 +94,38 @@ class FleetStats:
     worker_states: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "live_workers": self.live_workers,
-            "workers_terminal": self.workers_terminal,
-            "queue_depth": self.queue_depth,
-            "in_flight": self.in_flight,
-            "capacity": self.capacity,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed_capacity": self.shed_capacity,
-            "shed_deadline": self.shed_deadline,
-            "shed_shutdown": self.shed_shutdown,
-            "deadline_exceeded": self.deadline_exceeded,
-            "redispatched": self.redispatched,
-            "worker_crashes": self.worker_crashes,
-            "worker_hangs": self.worker_hangs,
-            "worker_restarts": self.worker_restarts,
-            "p50_seconds": self.p50_seconds,
-            "p99_seconds": self.p99_seconds,
-            "worker_states": list(self.worker_states),
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)
-class _FleetPending:
+class _FleetPending(Pending):
     """One admitted request while it is queued or assigned."""
 
-    seq: int
+    #: Content-hash id: re-dispatching the same request keeps the same
+    #: identity, which is what makes duplicate answers from a
+    #: presumed-dead worker safely ignorable.
     req_id: str
-    request: MultiplyRequest
-    handle: ResponseHandle
-    enqueued_at: float
     redispatches: int = 0
 
 
-class FleetServer:
+class FleetServer(FrontDoor):
     """Supervised multi-process multiply service (drop-in ``submit``).
 
-    Duck-type compatible with :class:`~repro.serve.server.MultiplyServer`
-    for ``submit``/``multiply``/``stats``/``start``/``stop``, so the
-    load generator and soak harness drive either interchangeably.
+    Shares :class:`~repro.serve.admission.FrontDoor` with
+    :class:`~repro.serve.server.MultiplyServer` — the same ``submit``,
+    ``multiply``, ``start``/``stop`` and counters — so the load
+    generator and soak harness drive either interchangeably. The fleet
+    adds aggregate-depth admission, slot choice, re-dispatch and the
+    supervisor callbacks.
+
+    Each worker's server queue holds ``max_inflight_per_worker``
+    requests: slot choice never leaves more than that many unresolved
+    on one worker (its queued entries among them), so a worker never
+    sheds for capacity.
     """
+
+    name = "cake-fleet"
+    extra_counters = ("redispatched", "worker_crashes", "worker_hangs")
 
     def __init__(
         self,
@@ -154,7 +133,6 @@ class FleetServer:
         *,
         workers: int = 2,
         capacity: int = 64,
-        worker_capacity: int = 16,
         executors: int = 2,
         max_batch: int = 8,
         cores: "int | None" = None,
@@ -171,29 +149,29 @@ class FleetServer:
         start_method: str = "spawn",
         stats_window: int = 512,
     ) -> None:
+        super().__init__(
+            capacity=capacity,
+            executors=executors,
+            default_deadline=default_deadline,
+            stats_window=stats_window,
+        )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         if max_redispatch < 0:
             raise ValueError(
                 f"max_redispatch must be >= 0, got {max_redispatch}"
             )
-        if not 1 <= max_inflight_per_worker <= worker_capacity:
+        if max_inflight_per_worker < 1:
             raise ValueError(
-                "max_inflight_per_worker must be in "
-                f"[1, worker_capacity={worker_capacity}], "
+                "max_inflight_per_worker must be >= 1, "
                 f"got {max_inflight_per_worker}"
             )
         self.workers = workers
-        self.capacity = capacity
-        self.executors = executors
-        self.default_deadline = default_deadline
         self.max_redispatch = max_redispatch
         self.max_inflight_per_worker = max_inflight_per_worker
         self._options = WorkerOptions(
             machine=machine,
-            capacity=worker_capacity,
+            capacity=max_inflight_per_worker,
             executors=executors,
             max_batch=max_batch,
             cores=cores,
@@ -213,194 +191,64 @@ class FleetServer:
             breaker_cooldown=breaker_cooldown,
             start_method=start_method,
         )
-        self._cond = threading.Condition()
-        self._queue: "list[_FleetPending]" = []
         #: req_id → (slot index, pending); the fleet's in-flight map.
         self._assigned: "dict[str, tuple[int, _FleetPending]]" = {}
-        self._seq = 0
-        self._running = False
-        self._stopping = False
-        self._dispatcher: "threading.Thread | None" = None
-        self._counters = {
-            "submitted": 0,
-            "admitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "shed_capacity": 0,
-            "shed_deadline": 0,
-            "shed_shutdown": 0,
-            "deadline_exceeded": 0,
-            "redispatched": 0,
-            "worker_crashes": 0,
-            "worker_hangs": 0,
-        }
-        self._latencies: "list[float]" = []
-        self._stats_window = stats_window
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- front-door hooks ----------------------------------------------------
 
-    def start(self) -> "FleetServer":
-        with self._cond:
-            if self._running:
-                return self
-            self._running = True
-            self._stopping = False
-        self.supervisor.start()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            name="cake-fleet-dispatcher",
-            daemon=True,
+    def _entry(self, seq: int, handle) -> _FleetPending:
+        request = handle.request
+        return _FleetPending(
+            seq, handle, f"{seq}:{content_seed(request.a, request.b):08x}"
         )
-        self._dispatcher.start()
-        return self
 
-    def stop(self, *, drain: bool = True, timeout: "float | None" = None) -> None:
-        """Stop the fleet; every admitted handle resolves, never hangs.
+    def _backlog_locked(self) -> "tuple[int, int]":
+        """Aggregate depth: fleet queue, assignments, every worker's own."""
+        depth = (
+            len(self._queue)
+            + len(self._assigned)
+            + self.supervisor.pending_total()
+        )
+        return depth, self.workers * self.executors
 
-        ``drain=True`` waits (bounded by ``timeout``, default 30s) for
-        queued and in-flight requests to finish; whatever remains — and
-        everything when ``drain=False`` — is resolved with
+    def _refusal_locked(self) -> "FleetError | None":
+        if self.supervisor.all_terminal() and not self._stopping:
+            return self._no_workers()
+        return None
+
+    def _no_workers(self) -> FleetError:
+        return FleetError(
+            "no-workers",
+            "every worker slot exhausted its restart budget",
+            self.workers,
+        )
+
+    def _open(self) -> None:
+        self.supervisor.start()
+
+    def _close(self, drain: bool, timeout: "float | None") -> None:
+        """Wait (bounded by ``timeout``, default 30 s) for queued and
+        in-flight requests when draining; shed whatever remains with
         ``AdmissionError("shutdown")`` before the workers are torn down.
         """
-        budget = 30.0 if timeout is None else timeout
-        deadline = time.monotonic() + budget
+        deadline = time.monotonic() + (30.0 if timeout is None else timeout)
         with self._cond:
-            if not self._running:
-                return
-            self._stopping = True
-            self._cond.notify_all()
-            if drain:
-                while (self._queue or self._assigned) and (
-                    time.monotonic() < deadline
-                ):
-                    self._cond.wait(timeout=0.05)
-            leftovers = [p for p in self._queue]
-            leftovers.extend(p for _, p in self._assigned.values())
+            while (
+                drain
+                and (self._queue or self._assigned)
+                and time.monotonic() < deadline
+            ):
+                self._cond.wait(timeout=0.05)
+            leftovers = self._queue + [p for _, p in self._assigned.values()]
             self._queue.clear()
             self._assigned.clear()
-            for pending in leftovers:
-                if pending.handle.resolve(
-                    error=AdmissionError(
-                        "shutdown",
-                        "fleet stopped before completion",
-                        len(leftovers),
-                        self.capacity,
-                        None,
-                    )
-                ):
-                    self._counters["shed_shutdown"] += 1
+            self._shed_locked(leftovers)
             self._cond.notify_all()
         self.supervisor.stop()
         if self._dispatcher is not None:
             self._dispatcher.join(5.0)
-        with self._cond:
-            self._running = False
-
-    def __enter__(self) -> "FleetServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
 
     # -- client surface ------------------------------------------------------
-
-    def submit(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        engine: str = "cake",
-        deadline: "float | None" = None,
-        priority: int = 0,
-        verify=False,
-        backend: "str | None" = None,
-        workers: "int | None" = None,
-        processes=None,
-    ) -> ResponseHandle:
-        """Admit one multiply fleet-wide; structured shed otherwise.
-
-        Validation runs here in the parent (same checks as
-        ``MultiplyServer.submit``), so a request that can never execute
-        is refused synchronously instead of burning a worker round trip.
-        """
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if engine not in _VALID_ENGINES:
-            raise ValueError(
-                f"engine must be one of {_VALID_ENGINES}, got {engine!r}"
-            )
-        spec = resolve_backend(backend)
-        check_multiply_operands(a, b, backend=spec)
-        budget = self.default_deadline if deadline is None else deadline
-        aggregate_pending = self.supervisor.pending_total()
-        all_terminal = self.supervisor.all_terminal()
-        with self._cond:
-            self._counters["submitted"] += 1
-            if all_terminal and not self._stopping:
-                raise FleetError(
-                    "no-workers",
-                    "every worker slot exhausted its restart budget",
-                    self.workers,
-                )
-            decision = admission_decision(
-                queue_depth=len(self._queue)
-                + len(self._assigned)
-                + aggregate_pending,
-                capacity=self.capacity,
-                deadline_budget=budget,
-                executors=self.workers * self.executors,
-                service_estimate=self._p50_locked(),
-                stopping=self._stopping or not self._running,
-            )
-            if decision is not None:
-                self._counters["shed_" + decision.reason] += 1
-                raise decision
-            seq = self._seq
-            self._seq += 1
-            now = time.monotonic()
-            request = MultiplyRequest(
-                a=a,
-                b=b,
-                engine=engine,
-                deadline=budget,
-                priority=priority,
-                verify=verify,
-                backend=backend,
-                workers=workers,
-                processes=processes,
-            )
-            report = ServeReport(
-                request_id=seq,
-                engine=engine,
-                deadline=budget,
-                priority=priority,
-                backend=backend,
-                workers=workers,
-            )
-            handle = ResponseHandle(
-                request,
-                report,
-                None if budget is None else Deadline.after(budget, now=now),
-                now,
-            )
-            pending = _FleetPending(
-                seq=seq,
-                # Content-hash id: re-dispatching the same request keeps
-                # the same identity, which is what makes duplicate
-                # answers from a presumed-dead worker safely ignorable.
-                req_id=f"{seq}:{content_seed(a, b):08x}",
-                request=request,
-                handle=handle,
-                enqueued_at=now,
-            )
-            self._queue.append(pending)
-            self._counters["admitted"] += 1
-            self._cond.notify_all()
-        return handle
-
-    def multiply(self, a: np.ndarray, b: np.ndarray, **kwargs) -> GemmRun:
-        """Submit-and-wait convenience: one blocking round trip."""
-        return self.submit(a, b, **kwargs).result()
 
     def stats(self) -> FleetStats:
         snapshot = self.supervisor.snapshot()
@@ -410,19 +258,14 @@ class FleetServer:
         terminal = sum(1 for s in snapshot if s["state"] == "terminal")
         restarts = sum(s["restarts"] for s in snapshot)
         with self._cond:
-            latencies = list(self._latencies)
             return FleetStats(
                 workers=self.workers,
                 live_workers=live,
                 workers_terminal=terminal,
-                queue_depth=len(self._queue),
                 in_flight=len(self._assigned),
-                capacity=self.capacity,
-                p50_seconds=_percentile(latencies, 50.0),
-                p99_seconds=_percentile(latencies, 99.0),
                 worker_restarts=restarts,
                 worker_states=snapshot,
-                **self._counters,
+                **self._stats_locked(),
             )
 
     # -- chaos passthroughs (fault injection for soak/tests) -----------------
@@ -434,11 +277,6 @@ class FleetServer:
         self.supervisor.hang_worker(index, seconds)
 
     # -- dispatch ------------------------------------------------------------
-
-    def _p50_locked(self) -> "float | None":
-        if not self._latencies:
-            return None
-        return _percentile(self._latencies, 50.0)
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -455,15 +293,9 @@ class FleetServer:
                 if self.supervisor.all_terminal():
                     # No worker will ever come back: fail queued work
                     # structurally instead of letting deadlines burn.
+                    error = self.supervisor.slot_error(0) or self._no_workers()
                     for pending in self._queue:
-                        error = self.supervisor.slot_error(0) or FleetError(
-                            "no-workers",
-                            "every worker slot exhausted its restart "
-                            "budget",
-                            self.workers,
-                        )
-                        if pending.handle.resolve(error=error):
-                            self._counters["failed"] += 1
+                        self._finish(pending.handle, error=error)
                     self._queue.clear()
                     self._cond.notify_all()
                     continue
@@ -482,24 +314,6 @@ class FleetServer:
                     if self._assigned.pop(pending.req_id, None) is not None:
                         self._queue.insert(0, pending)
                         self._cond.notify_all()
-
-    def _expire_queued_locked(self, now: float) -> None:
-        kept = []
-        for pending in self._queue:
-            if pending.handle.expired(now):
-                if pending.handle.resolve(
-                    error=DeadlineExceededError(
-                        "queue",
-                        budget=pending.request.deadline,
-                        elapsed=now - pending.enqueued_at,
-                    )
-                ):
-                    self._counters["deadline_exceeded"] += 1
-            else:
-                kept.append(pending)
-        if len(kept) != len(self._queue):
-            self._queue[:] = kept
-            self._cond.notify_all()
 
     def _pick_slot_locked(self, now: float) -> "int | None":
         """Least-loaded READY worker whose breaker admits traffic."""
@@ -556,54 +370,22 @@ class FleetServer:
                 # re-dispatch. First-wins resolution already guarantees
                 # at-most-once-answer; nothing to do.
                 return
-            _, pending = entry
+            handle = entry[1].handle
             self.supervisor.breaker(index).record_success()
-            if status == "ok":
-                run = payload
-                if pending.handle.expired():
-                    if pending.handle.resolve(
-                        error=DeadlineExceededError(
-                            "result-wait",
-                            budget=pending.request.deadline,
-                            elapsed=time.monotonic() - pending.enqueued_at,
-                        )
-                    ):
-                        self._counters["deadline_exceeded"] += 1
-                elif pending.handle.resolve(run=run):
-                    self._counters["completed"] += 1
-                    self._latencies.append(
-                        time.monotonic() - pending.enqueued_at
-                    )
-                    del self._latencies[: -self._stats_window]
+            if status == "ok" and handle.expired():
+                error = handle.deadline_error("result-wait")
+                self._finish(handle, error=error)
+            elif status == "ok":
+                self._finish(handle, run=payload)
+            elif isinstance(payload, AdmissionError) and payload.reason == (
+                "deadline"
+            ):
+                # The worker's own admission shed it for a spent budget:
+                # surface the fleet-level truth (the budget ran out in
+                # transit/queue), not a nested admission.
+                self._finish(handle, error=handle.deadline_error("queue"))
             else:
-                error = payload
-                if isinstance(error, AdmissionError) and error.reason == (
-                    "deadline"
-                ):
-                    # The worker's own admission shed it for a spent
-                    # budget: surface the fleet-level truth (the budget
-                    # ran out in transit/queue), not a nested admission.
-                    error = DeadlineExceededError(
-                        "queue",
-                        budget=pending.request.deadline,
-                        elapsed=time.monotonic() - pending.enqueued_at,
-                    )
-                if isinstance(
-                    error, AdmissionError
-                ) and error.reason == "capacity":
-                    # Worker queue full (fleet raced its own view of
-                    # pending depth): retry on another worker rather
-                    # than failing the client.
-                    if not self._stopping:
-                        self._queue.insert(0, pending)
-                        self._assigned.pop(req_id, None)
-                        self._cond.notify_all()
-                        return
-                if pending.handle.resolve(error=error):
-                    if isinstance(error, DeadlineExceededError):
-                        self._counters["deadline_exceeded"] += 1
-                    else:
-                        self._counters["failed"] += 1
+                self._finish(handle, error=payload)
             self._cond.notify_all()
 
     def _on_worker_down(
@@ -622,36 +404,29 @@ class FleetServer:
                 if slot == index
             ]
             for req_id, pending in victims:
-                self._assigned.pop(req_id, None)
-                if pending.handle.done():
+                del self._assigned[req_id]
+                handle = pending.handle
+                if handle.done():
                     continue
-                if pending.handle.expired():
-                    if pending.handle.resolve(
-                        error=DeadlineExceededError(
-                            "execute",
-                            budget=pending.request.deadline,
-                            elapsed=time.monotonic() - pending.enqueued_at,
-                        )
-                    ):
-                        self._counters["deadline_exceeded"] += 1
-                    continue
-                if (
+                if handle.expired():
+                    error = handle.deadline_error("execute")
+                    self._finish(handle, error=error)
+                elif (
                     pending.redispatches < self.max_redispatch
                     and not self._stopping
                 ):
                     pending.redispatches += 1
                     self._counters["redispatched"] += 1
                     self._queue.insert(0, pending)
-                    continue
-                crash = WorkerCrashError(
-                    worker=error.worker,
-                    pid=error.pid,
-                    exitcode=error.exitcode,
-                    restarts=error.restarts,
-                    request_id=pending.req_id,
-                )
-                if pending.handle.resolve(error=crash):
-                    self._counters["failed"] += 1
+                else:
+                    crash = WorkerCrashError(
+                        worker=error.worker,
+                        pid=error.pid,
+                        exitcode=error.exitcode,
+                        restarts=error.restarts,
+                        request_id=req_id,
+                    )
+                    self._finish(handle, error=crash)
             self._cond.notify_all()
 
 

@@ -1,28 +1,43 @@
-"""Concurrent-client load generation against a MultiplyServer.
+"""Closed-loop clients against a server, with every response audited.
 
-One reusable harness drives three consumers — ``benchmarks/
-bench_serve.py``, the ``cake-bench serve`` experiment, and the
-``cake-serve`` CLI: N client threads each submit R requests drawn from
-a fixed operand set, wait for their responses, and verify **every**
-successful product bit-identical to a reference computed once by a
-direct :func:`~repro.api.cake_matmul`-style engine call. Structured
-errors (:class:`~repro.errors.AdmissionError`,
-:class:`~repro.errors.DeadlineExceededError`) are counted, never
-hidden; anything unstructured or bit-different is a hard failure of
-the serving contract.
+One function, :func:`drive`, runs every client loop in the serving
+layer: the load generator (:func:`run_load`, a fixed number of
+requests per client — ``benchmarks/bench_serve.py``, the
+``cake-bench serve`` experiment and the ``cake-serve`` CLI) and the
+fault-injected soak (:func:`repro.serve.soak.run_soak`, requests until
+a clock runs out while faults fire). N client threads each take their
+next request from a source, submit it to anything with the
+``submit()`` front-door contract — a
+:class:`~repro.serve.server.MultiplyServer` or a
+:class:`~repro.serve.fleet.FleetServer` — block on the handle, and
+sort the outcome, per request label, into exactly one class:
+
+``ok``                 bit-identical to the request's reference product;
+``shed``               refused at submit with an ``AdmissionError``;
+``deadline_exceeded``  resolved with a ``DeadlineExceededError``;
+``structured``         resolved with another ``CakeError``;
+``unstructured``       any other exception — a contract violation;
+``mismatches``         a bit-different product — a silent wrong answer;
+``unresolved``         still pending after the bounded wait — a deadlock.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.errors import AdmissionError, DeadlineExceededError
-from repro.serve.server import MultiplyServer
+from repro.errors import AdmissionError, CakeError, DeadlineExceededError
+from repro.serve.admission import percentile
+
+#: The outcome classes, in the module docstring's order.
+OUTCOMES = (
+    "ok", "shed", "deadline_exceeded", "structured", "unstructured",
+    "mismatches", "unresolved",
+)
 
 
 @dataclass(slots=True)
@@ -30,7 +45,8 @@ class OperandSet:
     """A fixed pool of operand pairs plus their reference products."""
 
     pairs: list[tuple[np.ndarray, np.ndarray]]
-    references: list[np.ndarray]
+    #: Engine name (``"cake"``, ``"goto"``) → reference product per pair.
+    references: dict[str, list[np.ndarray]]
 
     @classmethod
     def figure8_skewed(
@@ -48,10 +64,10 @@ class OperandSet:
         ``variants`` distinct pairs share one shape, so served traffic
         exercises shape-class reuse (one plan, pool-warm packs) while
         still proving responses are not cross-wired between requests.
-        References come from a direct engine call — the bit-identity
-        oracle every response is checked against.
+        References come from direct CAKE and GOTO engine calls — the
+        bit-identity oracle every response is checked against.
         """
-        from repro.api import cake_matmul
+        from repro.api import cake_matmul, goto_matmul
 
         rng = np.random.default_rng(seed)
         m, p, k = max(n // 4, 1), n, 2 * n
@@ -62,28 +78,48 @@ class OperandSet:
             )
             for _ in range(variants)
         ]
-        references = [
-            cake_matmul(a, b, machine=machine, cores=cores).c
-            for a, b in pairs
-        ]
+        references = {
+            name: [fn(a, b, machine=machine, cores=cores).c for a, b in pairs]
+            for name, fn in (("cake", cake_matmul), ("goto", goto_matmul))
+        }
         return cls(pairs=pairs, references=references)
+
+
+class Call(NamedTuple):
+    """One client request: its label, operands, oracle and submit kwargs."""
+
+    label: str
+    a: np.ndarray
+    b: np.ndarray
+    reference: np.ndarray
+    kwargs: dict
 
 
 @dataclass(slots=True)
 class LoadReport:
-    """What one load run produced, per outcome class."""
+    """What one closed loop produced, per outcome class and per label."""
 
     clients: int
-    requests: int
+    requests: int = 0
     ok: int = 0
     shed: int = 0
     deadline_exceeded: int = 0
-    failed: int = 0
+    structured: int = 0
+    unstructured: int = 0
     mismatches: int = 0
     unresolved: int = 0
+    #: Request label → outcome class → count.
+    labels: dict[str, dict[str, int]] = field(default_factory=dict)
     latencies: list[float] = field(default_factory=list)
     errors: dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
+    #: A client thread outlived its bounded join (a wedged client).
+    stuck: bool = False
+
+    @property
+    def failed(self) -> int:
+        """Terminal errors other than sheds and deadlines."""
+        return self.structured + self.unstructured
 
     @property
     def throughput_rps(self) -> float:
@@ -92,15 +128,12 @@ class LoadReport:
             return 0.0
         return self.ok / self.wall_seconds
 
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile of the successful-response latencies."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = min(
-            len(ordered), max(1, math.ceil(q / 100.0 * len(ordered)))
-        )
-        return ordered[rank - 1]
+    def count(self, label: str, outcome: str, error: str | None) -> None:
+        self.requests += 1
+        setattr(self, outcome, getattr(self, outcome) + 1)
+        self.labels.setdefault(label, dict.fromkeys(OUTCOMES, 0))[outcome] += 1
+        if error is not None:
+            self.errors[error] = self.errors.get(error, 0) + 1
 
     def as_dict(self) -> dict:
         return {
@@ -115,84 +148,64 @@ class LoadReport:
             "errors": dict(self.errors),
             "wall_seconds": self.wall_seconds,
             "throughput_rps": self.throughput_rps,
-            "p50_seconds": self.percentile(50.0),
-            "p99_seconds": self.percentile(99.0),
+            "p50_seconds": percentile(self.latencies, 50.0),
+            "p99_seconds": percentile(self.latencies, 99.0),
         }
 
 
-def run_load(
-    server: "MultiplyServer",
-    operands: OperandSet,
+def _audit(server, call: Call, result_timeout: float):
+    """Submit one call: ``(outcome, error name, latency of an ok)``."""
+    started = time.monotonic()
+    try:
+        try:
+            handle = server.submit(call.a, call.b, **call.kwargs)
+        except AdmissionError as err:
+            return "shed", f"submit:{err.reason}", None
+        run = handle.result(timeout=result_timeout)
+    except TimeoutError:
+        return "unresolved", "unresolved-handle", None
+    except DeadlineExceededError as err:
+        return "deadline_exceeded", type(err).__name__, None
+    except CakeError as err:
+        return "structured", type(err).__name__, None
+    except Exception as err:  # noqa: BLE001 - audit every outcome
+        return "unstructured", type(err).__name__, None
+    latency = time.monotonic() - started
+    if not np.array_equal(run.c, call.reference):
+        return "mismatches", "bit-mismatch", None
+    return "ok", None, latency
+
+
+def drive(
+    server,
+    source: Callable[[int, int], "Call | None"],
     *,
     clients: int,
-    requests_per_client: int,
-    deadline: float | None = None,
-    engine: str = "cake",
     result_timeout: float = 120.0,
+    join_timeout: float | None = None,
 ) -> LoadReport:
-    """Drive ``clients`` threads of traffic and audit every response.
+    """Run ``clients`` closed-loop threads and audit every response.
 
-    ``server`` is anything with the ``submit()`` front-door contract —
-    a :class:`~repro.serve.server.MultiplyServer` or a
-    :class:`~repro.serve.fleet.FleetServer` (the multi-process fleet is
-    audited by the same closed loop, bit for bit).
-
-    Each client cycles through the operand set, submits, then blocks
-    on the handle — a closed-loop client, so concurrency equals the
-    thread count. Shed and expired requests count in their own
-    buckets; any other exception, any bit-different product, and any
-    handle still unresolved after ``result_timeout`` is a contract
-    violation recorded in ``failed``/``mismatches``/``unresolved``.
+    ``source(client, i)`` is client ``client``'s ``i``-th request, or
+    ``None`` once that client is done. Each client submits, then blocks
+    on the handle for at most ``result_timeout`` — so concurrency
+    equals the thread count, and a handle still pending after that
+    wait is counted ``unresolved``. A thread still running
+    ``join_timeout`` seconds after the start (``None``: wait forever)
+    marks the report ``stuck``.
     """
-    report = LoadReport(
-        clients=clients, requests=clients * requests_per_client
-    )
+    report = LoadReport(clients=clients)
     lock = threading.Lock()
 
-    def record(name: str) -> None:
-        with lock:
-            report.errors[name] = report.errors.get(name, 0) + 1
-
     def client(worker: int) -> None:
-        for i in range(requests_per_client):
-            index = (worker + i * clients) % len(operands.pairs)
-            a, b = operands.pairs[index]
-            started = time.monotonic()
-            try:
-                handle = server.submit(
-                    a, b, engine=engine, deadline=deadline
-                )
-            except AdmissionError as err:
-                with lock:
-                    report.shed += 1
-                record(f"submit:{err.reason}")
-                continue
-            try:
-                run = handle.result(timeout=result_timeout)
-            except DeadlineExceededError:
-                with lock:
-                    report.deadline_exceeded += 1
-                record("DeadlineExceededError")
-                continue
-            except TimeoutError:
-                with lock:
-                    report.unresolved += 1
-                record("unresolved-handle")
-                continue
-            except Exception as err:  # noqa: BLE001 - audit every outcome
-                with lock:
-                    report.failed += 1
-                record(type(err).__name__)
-                continue
-            latency = time.monotonic() - started
-            if np.array_equal(run.c, operands.references[index]):
-                with lock:
-                    report.ok += 1
+        i = 0
+        while (call := source(worker, i)) is not None:
+            i += 1
+            outcome, error, latency = _audit(server, call, result_timeout)
+            with lock:
+                report.count(call.label, outcome, error)
+                if latency is not None:
                     report.latencies.append(latency)
-            else:
-                with lock:
-                    report.mismatches += 1
-                record("bit-mismatch")
 
     threads = [
         threading.Thread(
@@ -204,6 +217,45 @@ def run_load(
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(
+            None
+            if join_timeout is None
+            else max(0.0, started + join_timeout - time.perf_counter())
+        )
+    report.stuck = any(thread.is_alive() for thread in threads)
     report.wall_seconds = time.perf_counter() - started
     return report
+
+
+def run_load(
+    server,
+    operands: OperandSet,
+    *,
+    clients: int,
+    requests_per_client: int,
+    deadline: float | None = None,
+    engine: str = "cake",
+    result_timeout: float = 120.0,
+) -> LoadReport:
+    """``clients`` threads of ``requests_per_client`` requests each.
+
+    Each client cycles through the operand set with the given engine
+    and per-request ``deadline``; :func:`drive` audits every response.
+    """
+
+    def source(worker: int, i: int) -> "Call | None":
+        if i >= requests_per_client:
+            return None
+        index = (worker + i * clients) % len(operands.pairs)
+        a, b = operands.pairs[index]
+        return Call(
+            engine,
+            a,
+            b,
+            operands.references[engine][index],
+            {"engine": engine, "deadline": deadline},
+        )
+
+    return drive(
+        server, source, clients=clients, result_timeout=result_timeout
+    )

@@ -221,6 +221,17 @@ class ResponseHandle:
         """Whether this request's deadline has passed."""
         return self.deadline is not None and self.deadline.expired(now)
 
+    def deadline_error(
+        self, stage: str, now: float | None = None
+    ) -> DeadlineExceededError:
+        """The error for this request's budget running out at ``stage``."""
+        now = time.monotonic() if now is None else now
+        return DeadlineExceededError(
+            stage,
+            budget=None if self.deadline is None else self.deadline.budget,
+            elapsed=now - self.submitted_at,
+        )
+
     def result(self, timeout: float | None = None) -> GemmRun:
         """Block for the product; raise the structured terminal error.
 
@@ -239,13 +250,7 @@ class ResponseHandle:
             if self.deadline is not None:
                 remaining = self.deadline.remaining(now)
                 if remaining == 0.0:
-                    self.resolve(
-                        error=DeadlineExceededError(
-                            "result-wait",
-                            budget=self.deadline.budget,
-                            elapsed=now - self.submitted_at,
-                        )
-                    )
+                    self.resolve(error=self.deadline_error("result-wait", now))
                     break
                 waits.append(remaining)
             if call_deadline is not None:

@@ -30,37 +30,23 @@ Robustness invariants, each pinned by the serve test suite:
 
 from __future__ import annotations
 
-import math
-import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
-from repro.errors import (
-    AdmissionError,
-    BackendCapabilityError,
-    CakeError,
-    DeadlineExceededError,
-)
+from repro.errors import BackendCapabilityError, CakeError
 from repro.gemm.backends import resolve_backend
-from repro.gemm.parallel import check_multiply_operands
-from repro.gemm.result import GemmRun
 from repro.gemm.sharded import ShardExecutionError, resolve_shards
 from repro.gemm.verify import NumericFaultError
 from repro.machines.presets import intel_i9_10900k
 from repro.machines.spec import MachineSpec
 from repro.packing.pool import BufferPool
-from repro.runtime.deadline import Deadline
 from repro.runtime.executor import RetryPolicy
 from repro.runtime.faults import InjectedFault
-from repro.serve.admission import admission_decision
+from repro.serve.admission import FrontDoor, Pending
 from repro.serve.batching import EngineCache, Rung, degradation_rungs
 from repro.serve.classifier import ShapeClass, classify
-from repro.serve.request import MultiplyRequest, ResponseHandle, ServeReport
 
 #: Failures worth retrying in place: numeric faults heal on recompute,
 #: shard/pool crashes heal on rebuild. Capability and deadline errors
@@ -71,17 +57,6 @@ TRANSIENT_ERRORS = (
     ShardExecutionError,
     BrokenProcessPool,
 )
-
-_VALID_ENGINES = ("cake", "goto")
-
-
-def _percentile(latencies: list[float], q: float) -> float:
-    """The q-th percentile (nearest-rank) of an unsorted sample."""
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,55 +91,30 @@ class ServerStats:
     tunes_completed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "queue_depth": self.queue_depth,
-            "in_flight": self.in_flight,
-            "capacity": self.capacity,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "executed": self.executed,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed_capacity": self.shed_capacity,
-            "shed_deadline": self.shed_deadline,
-            "shed_shutdown": self.shed_shutdown,
-            "deadline_exceeded": self.deadline_exceeded,
-            "retries": self.retries,
-            "degradations": self.degradations,
-            "batches": self.batches,
-            "coalesced": self.coalesced,
-            "p50_seconds": self.p50_seconds,
-            "p99_seconds": self.p99_seconds,
-            "pool": dict(self.pool),
-            "tuned_hits": self.tuned_hits,
-            "tuned_misses": self.tuned_misses,
-            "tunes_pending": self.tunes_pending,
-            "tunes_completed": self.tunes_completed,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)
-class _Pending:
+class _Pending(Pending):
     """One admitted request waiting in (or drained from) the queue."""
 
-    seq: int
-    request: MultiplyRequest
-    handle: ResponseHandle
     shape_class: ShapeClass
     #: Coalescing identity: equal keys may share one engine pass.
     #: ``None`` marks requests that must run solo (verified/sharded).
     profile_key: tuple | None
-    enqueued_at: float
 
 
-class MultiplyServer:
+class MultiplyServer(FrontDoor):
     """An admission-controlled, deadline-aware GEMM front door.
 
     Use as a context manager (``with MultiplyServer() as server:``) or
     call :meth:`start`/:meth:`stop` explicitly. ``submit`` returns a
     :class:`~repro.serve.request.ResponseHandle` immediately (or raises
     :class:`~repro.errors.AdmissionError`); ``handle.result()`` blocks
-    for the product.
+    for the product. Admission, the queue and the lifecycle are the
+    shared :class:`~repro.serve.admission.FrontDoor`; this class adds
+    shape classification, coalescing, the executor threads and the
+    retry/degradation ladder.
 
     Parameters
     ----------
@@ -196,6 +146,10 @@ class MultiplyServer:
         surface in :meth:`stats`.
     """
 
+    extra_counters = (
+        "executed", "retries", "degradations", "batches", "coalesced",
+    )
+
     def __init__(
         self,
         machine: MachineSpec | None = None,
@@ -209,18 +163,17 @@ class MultiplyServer:
         stats_window: int = 512,
         tune: object = False,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if executors < 1:
-            raise ValueError(f"executors must be >= 1, got {executors}")
+        super().__init__(
+            capacity=capacity,
+            executors=executors,
+            default_deadline=default_deadline,
+            stats_window=stats_window,
+        )
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.machine = intel_i9_10900k() if machine is None else machine
-        self.capacity = capacity
-        self.executors = executors
         self.max_batch = max_batch
         self.cores = cores
-        self.default_deadline = default_deadline
         self.retry_policy = (
             RetryPolicy(retries=2, base_delay=0.01, max_delay=0.25)
             if retry_policy is None
@@ -236,193 +189,38 @@ class MultiplyServer:
                 self.machine,
                 tune if isinstance(tune, TuneConfig) else None,
             )
-
-        self._cond = threading.Condition()
-        self._queue: list[_Pending] = []
-        self._seq = 0
         self._in_flight = 0
-        self._running = False
-        self._stopping = False
-        self._drain = True
         self._executor: ThreadPoolExecutor | None = None
-        self._dispatcher: threading.Thread | None = None
-        self._counters = {
-            "submitted": 0,
-            "admitted": 0,
-            "executed": 0,
-            "completed": 0,
-            "failed": 0,
-            "shed_capacity": 0,
-            "shed_deadline": 0,
-            "shed_shutdown": 0,
-            "deadline_exceeded": 0,
-            "retries": 0,
-            "degradations": 0,
-            "batches": 0,
-            "coalesced": 0,
-        }
-        self._latencies: deque[float] = deque(maxlen=stats_window)
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- front-door hooks ----------------------------------------------------
 
-    def start(self) -> "MultiplyServer":
-        """Start the dispatcher and executor threads (idempotent)."""
-        with self._cond:
-            if self._running:
-                return self
-            self._running = True
-            self._stopping = False
-            self._drain = True
+    def _entry(self, seq: int, handle) -> _Pending:
+        request = handle.request
+        shape_class = classify(
+            request.engine, request.a, request.b, cores=self.cores
+        )
+        handle.report.shape_class = shape_class.describe()
+        solo = (
+            request.verify not in (False, None)
+            or request.processes not in (None, 1)
+            or not shape_class.small
+        )
+        key = (shape_class.key, request.backend, request.workers)
+        return _Pending(seq, handle, shape_class, None if solo else key)
+
+    def _open(self) -> None:
         self._executor = ThreadPoolExecutor(
-            max_workers=self.executors, thread_name_prefix="cake-serve"
+            max_workers=self.executors, thread_name_prefix=self.name
         )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            name="cake-serve-dispatcher",
-            daemon=True,
-        )
-        self._dispatcher.start()
-        return self
 
-    def stop(self, *, drain: bool = True, timeout: float | None = None) -> None:
-        """Stop serving; always resolves every admitted handle.
-
-        ``drain=True`` finishes queued work first; ``drain=False``
-        resolves queued requests with ``AdmissionError("shutdown")``
-        and only waits for the in-flight passes. Either way no handle
-        is left unresolved — stop cannot strand a client.
-        """
-        with self._cond:
-            if not self._running:
-                return
-            self._stopping = True
-            self._drain = drain
-            if not drain:
-                for pending in self._queue:
-                    pending.handle.resolve(
-                        error=AdmissionError(
-                            "shutdown",
-                            "server stopped before execution",
-                            len(self._queue),
-                            self.capacity,
-                            None,
-                        )
-                    )
-                    self._counters["shed_shutdown"] += 1
-                self._queue.clear()
-            self._cond.notify_all()
+    def _close(self, drain: bool, timeout: float | None) -> None:
+        """Wait for the dispatcher (``timeout``) and the in-flight passes."""
         if self._dispatcher is not None:
             self._dispatcher.join(timeout)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        with self._cond:
-            self._running = False
-
-    def __enter__(self) -> "MultiplyServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
 
     # -- client surface ------------------------------------------------------
-
-    def submit(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        engine: str = "cake",
-        deadline: float | None = None,
-        priority: int = 0,
-        verify=False,
-        backend: str | None = None,
-        workers: int | None = None,
-        processes=None,
-    ) -> ResponseHandle:
-        """Admit one multiply; returns its handle or sheds structured.
-
-        Validation (shape/dtype/backend capability) happens here,
-        synchronously, so a request that can never execute is refused
-        with the same structured errors the engines raise — the queue
-        only ever holds executable work.
-        """
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if engine not in _VALID_ENGINES:
-            raise ValueError(
-                f"engine must be one of {_VALID_ENGINES}, got {engine!r}"
-            )
-        spec = resolve_backend(backend)
-        check_multiply_operands(a, b, backend=spec)
-        budget = self.default_deadline if deadline is None else deadline
-        with self._cond:
-            self._counters["submitted"] += 1
-            decision = admission_decision(
-                queue_depth=len(self._queue),
-                capacity=self.capacity,
-                deadline_budget=budget,
-                executors=self.executors,
-                service_estimate=self._p50_locked(),
-                stopping=self._stopping or not self._running,
-            )
-            if decision is not None:
-                self._counters["shed_" + decision.reason] += 1
-                raise decision
-            seq = self._seq
-            self._seq += 1
-            now = time.monotonic()
-            request = MultiplyRequest(
-                a=a,
-                b=b,
-                engine=engine,
-                deadline=budget,
-                priority=priority,
-                verify=verify,
-                backend=backend,
-                workers=workers,
-                processes=processes,
-            )
-            shape_class = classify(engine, a, b, cores=self.cores)
-            report = ServeReport(
-                request_id=seq,
-                shape_class=shape_class.describe(),
-                engine=engine,
-                deadline=budget,
-                priority=priority,
-                backend=backend,
-                workers=workers,
-            )
-            handle = ResponseHandle(
-                request,
-                report,
-                None if budget is None else Deadline.after(budget, now=now),
-                now,
-            )
-            solo = (
-                verify not in (False, None)
-                or processes not in (None, 1)
-                or not shape_class.small
-            )
-            pending = _Pending(
-                seq=seq,
-                request=request,
-                handle=handle,
-                shape_class=shape_class,
-                profile_key=(
-                    None
-                    if solo
-                    else (shape_class.key, backend, workers)
-                ),
-                enqueued_at=now,
-            )
-            self._queue.append(pending)
-            self._counters["admitted"] += 1
-            self._cond.notify_all()
-        return handle
-
-    def multiply(self, a: np.ndarray, b: np.ndarray, **kwargs) -> GemmRun:
-        """Submit-and-wait convenience: one blocking round trip."""
-        return self.submit(a, b, **kwargs).result()
 
     def pending_count(self) -> int:
         """Queued + in-flight requests — the fleet heartbeat payload.
@@ -438,42 +236,14 @@ class MultiplyServer:
         """A consistent snapshot of queue/health/latency counters."""
         tuner = self.plans.counters() if self.plans is not None else {}
         with self._cond:
-            latencies = list(self._latencies)
             return ServerStats(
-                queue_depth=len(self._queue),
                 in_flight=self._in_flight,
-                capacity=self.capacity,
-                p50_seconds=_percentile(latencies, 50.0),
-                p99_seconds=_percentile(latencies, 99.0),
                 pool=self.pool.stats(),
-                **self._counters,
+                **self._stats_locked(),
                 **tuner,
             )
 
     # -- dispatcher ----------------------------------------------------------
-
-    def _p50_locked(self) -> float | None:
-        if not self._latencies:
-            return None
-        return _percentile(list(self._latencies), 50.0)
-
-    def _expire_queued_locked(self) -> None:
-        """Resolve queued requests whose deadline passed; free the slots."""
-        now = time.monotonic()
-        expired = [p for p in self._queue if p.handle.expired(now)]
-        if not expired:
-            return
-        for pending in expired:
-            self._queue.remove(pending)
-            deadline = pending.handle.deadline
-            if pending.handle.resolve(
-                error=DeadlineExceededError(
-                    "queue",
-                    budget=None if deadline is None else deadline.budget,
-                    elapsed=now - pending.enqueued_at,
-                )
-            ):
-                self._counters["deadline_exceeded"] += 1
 
     def _take_batch_locked(self) -> list[_Pending]:
         """Pop the highest-priority request plus coalescable classmates."""
@@ -522,21 +292,17 @@ class MultiplyServer:
             )
 
     def _batch_done(self, future, batch: list[_Pending]) -> None:
-        error = future.exception()
         for pending in batch:
             if not pending.handle.done():
                 # _run_one resolves every handle itself; reaching here
                 # means a dispatcher bug — fail structured rather than
                 # strand the client.
-                pending.handle.resolve(
-                    error=error
-                    if error is not None
-                    else CakeError("request dropped by the dispatcher")
+                error = future.exception() or CakeError(
+                    "request dropped by the dispatcher"
                 )
+                self._finish(pending.handle, error=error)
         with self._cond:
             self._in_flight -= 1
-            if error is not None:
-                self._counters["failed"] += len(batch)
             self._cond.notify_all()
 
     # -- execution -----------------------------------------------------------
@@ -545,29 +311,31 @@ class MultiplyServer:
         for pending in batch:
             self._run_one(pending, batch_size=len(batch))
 
-    def _count(self, name: str, amount: int = 1) -> None:
+    def _count(self, name: str) -> None:
         with self._cond:
-            self._counters[name] += amount
+            self._counters[name] += 1
+
+    def _degrade(self, report, rung: Rung, to: Rung, err: Exception) -> None:
+        report.degradations.append(
+            {
+                "from": rung.describe(),
+                "to": to.describe(),
+                "reason": type(err).__name__,
+            }
+        )
+        self._count("degradations")
 
     def _run_one(self, pending: _Pending, *, batch_size: int) -> None:
         handle = pending.handle
         report = handle.report
         request = pending.request
         deadline = handle.deadline
-        now = time.monotonic()
-        report.queue_seconds = now - pending.enqueued_at
+        report.queue_seconds = time.monotonic() - handle.submitted_at
         report.batch_size = batch_size
         if handle.done():
             return
-        if handle.expired(now):
-            if handle.resolve(
-                error=DeadlineExceededError(
-                    "queue",
-                    budget=None if deadline is None else deadline.budget,
-                    elapsed=now - pending.enqueued_at,
-                )
-            ):
-                self._count("deadline_exceeded")
+        if handle.expired():
+            self._finish(handle, error=handle.deadline_error("queue"))
             return
         self._count("executed")
 
@@ -588,16 +356,8 @@ class MultiplyServer:
             )
         while True:
             rung = rungs[rung_index]
-            now = time.monotonic()
-            if handle.expired(now):
-                if handle.resolve(
-                    error=DeadlineExceededError(
-                        "execute",
-                        budget=deadline.budget if deadline else None,
-                        elapsed=now - handle.submitted_at,
-                    )
-                ):
-                    self._count("deadline_exceeded")
+            if handle.expired():
+                self._finish(handle, error=handle.deadline_error("execute"))
                 return
             override = tuned_plan
             if override is not None and rung_index > 0:
@@ -618,29 +378,16 @@ class MultiplyServer:
             started = time.perf_counter()
             try:
                 run = engine.multiply(request.a, request.b)
-            except DeadlineExceededError as err:
-                report.execute_seconds += time.perf_counter() - started
-                if handle.resolve(error=err):
-                    self._count("deadline_exceeded")
-                return
             except BackendCapabilityError as err:
                 report.execute_seconds += time.perf_counter() - started
-                oracle = Rung(1, rung.workers, "numpy")
-                if rung.backend != "numpy" and oracle != rung:
-                    report.degradations.append(
-                        {
-                            "from": rung.describe(),
-                            "to": oracle.describe(),
-                            "reason": type(err).__name__,
-                        }
-                    )
-                    self._count("degradations")
+                if rung.backend != "numpy":
+                    oracle = Rung(1, rung.workers, "numpy")
+                    self._degrade(report, rung, oracle, err)
                     rungs = rungs[: rung_index + 1] + [oracle]
                     rung_index += 1
                     attempt_on_rung = 0
                     continue
-                if handle.resolve(error=err):
-                    self._count("failed")
+                self._finish(handle, error=err)
                 return
             except TRANSIENT_ERRORS as err:
                 report.execute_seconds += time.perf_counter() - started
@@ -655,43 +402,23 @@ class MultiplyServer:
                         time.sleep(delay)
                     continue
                 if rung_index + 1 < len(rungs):
-                    report.degradations.append(
-                        {
-                            "from": rung.describe(),
-                            "to": rungs[rung_index + 1].describe(),
-                            "reason": type(err).__name__,
-                        }
-                    )
-                    self._count("degradations")
+                    self._degrade(report, rung, rungs[rung_index + 1], err)
                     rung_index += 1
                     attempt_on_rung = 0
                     continue
-                if handle.resolve(error=err):
-                    self._count("failed")
+                self._finish(handle, error=err)
                 return
             except Exception as err:  # noqa: BLE001 - fail structured, never strand
                 report.execute_seconds += time.perf_counter() - started
-                if handle.resolve(error=err):
-                    self._count("failed")
+                self._finish(handle, error=err)
                 return
             report.execute_seconds += time.perf_counter() - started
             report.backend = run.backend
             report.workers = run.workers
             report.processes = run.processes
-            now = time.monotonic()
-            if handle.expired(now):
+            if handle.expired():
                 # The product arrived after the budget: discard it.
-                if handle.resolve(
-                    error=DeadlineExceededError(
-                        "execute",
-                        budget=deadline.budget if deadline else None,
-                        elapsed=now - handle.submitted_at,
-                    )
-                ):
-                    self._count("deadline_exceeded")
-                return
-            if handle.resolve(run=run):
-                with self._cond:
-                    self._counters["completed"] += 1
-                    self._latencies.append(now - handle.submitted_at)
+                self._finish(handle, error=handle.deadline_error("execute"))
+            else:
+                self._finish(handle, run=run)
             return

@@ -1,12 +1,14 @@
 """Differential test over the engines' execution configuration space.
 
-Threads, processes, verification and the plan override's execution
-fields are execution details: for a fixed engine, backend and override,
-every combination must return the bits of the serial, unverified,
-single-process run, and the same schedule-derived counters. Hypothesis
-draws the cells on prime and ragged shapes with ``cores=1``, so plans
-have several blocks (CAKE) or ``mc`` strips (GOTO) to shard and thread
-over. The serve and fleet layers are out of scope here.
+Threads, processes, verification, the plan override's execution
+fields and serving are execution details: for a fixed engine, backend
+and override, every combination must return the bits of the serial,
+unverified, single-process run, and the same schedule-derived counters.
+Hypothesis draws the cells on prime and ragged shapes with ``cores=1``,
+so plans have several blocks (CAKE) or ``mc`` strips (GOTO) to shard and
+thread over. A served cell goes through one in-process
+``MultiplyServer`` (analytic plan, one process); the fleet's
+bit-identity is covered by ``tests/serve/test_fleet.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.gemm import CakeGemm, GotoGemm
 from repro.gemm.plan import PlanOverride
 from repro.machines import intel_i9_10900k
+from repro.serve import MultiplyServer
 
 ENGINES = {"cake": CakeGemm, "goto": GotoGemm}
 OVERRIDES = {
@@ -26,13 +29,15 @@ OVERRIDES = {
 }
 
 
-@settings(max_examples=25)
+# One cell in four is served: 40 examples keep about 30 engine-level cells.
+@settings(max_examples=40)
 @given(
     engine=st.sampled_from(sorted(ENGINES)),
     backend=st.sampled_from(["numpy", "blas-group"]),
     workers=st.sampled_from([1, 2]),
     processes=st.sampled_from([1, 2]),
     verify=st.booleans(),
+    served=st.sampled_from([False, False, False, True]),
     override=st.sampled_from(sorted(OVERRIDES)),
     m=st.sampled_from([7, 61, 211, 307, 449, 503]),
     n=st.sampled_from([5, 97, 211, 401, 457]),
@@ -40,21 +45,35 @@ OVERRIDES = {
     seed=st.integers(0, 2**16),
 )
 def test_every_cell_matches_its_serial_run(
-    engine, backend, workers, processes, verify, override, m, n, k, seed
+    engine, backend, workers, processes, verify, served, override, m, n, k,
+    seed,
 ):
+    if served:
+        # The server plans analytically and executes in-process here.
+        override, processes = "none", 1
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
     machine = intel_i9_10900k()
     common = {"cores": 1, "backend": backend, "plan": OVERRIDES[override]}
     serial = ENGINES[engine](machine, **common).multiply(a, b)
-    run = ENGINES[engine](
-        machine,
-        workers=workers,
-        processes=processes,
-        verify=verify,
-        **common,
-    ).multiply(a, b)
+    if served:
+        with MultiplyServer(machine, cores=1) as server:
+            handle = server.submit(
+                a, b, engine=engine, backend=backend, workers=workers,
+                verify=verify,
+            )
+            run = handle.result(timeout=120.0)
+        assert handle.report.attempts == 1
+        assert handle.report.degradations == []
+    else:
+        run = ENGINES[engine](
+            machine,
+            workers=workers,
+            processes=processes,
+            verify=verify,
+            **common,
+        ).multiply(a, b)
     assert np.array_equal(run.c, serial.c)
     assert run.counters.without_ipc() == serial.counters
     assert run.time == serial.time

@@ -14,11 +14,16 @@ surface a structured error — never a silently partial C.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.errors import ConfigurationError
 from repro.gemm import CakeGemm, GotoGemm
 from repro.gemm.sharded import (
@@ -298,6 +303,44 @@ class TestBitIdentity:
         assert np.array_equal(run.c, serial.c)
         assert run.shards is not None
         assert run.shards.start_method == "spawn"
+
+    @pytest.mark.skipif(
+        "spawn" not in mp.get_all_start_methods(),
+        reason="spawn start method unavailable",
+    )
+    def test_spawn_workers_leave_the_tracker_clean(self):
+        # Spawn workers share the parent's resource tracker: a worker
+        # that unregisters its attach deletes the parent's registration,
+        # and the parent's unlink then prints a tracker traceback. The
+        # child interpreter exits with the tracker, so its stderr holds
+        # every such report.
+        code = (
+            "import numpy as np\n"
+            "from repro.gemm import CakeGemm\n"
+            "from repro.gemm.sharded import ShardConfig\n"
+            "from repro.machines import intel_i9_10900k\n"
+            "rng = np.random.default_rng(0)\n"
+            "a = rng.standard_normal((300, 170))\n"
+            "b = rng.standard_normal((170, 420))\n"
+            "config = ShardConfig(processes=2, start_method='spawn')\n"
+            "run = CakeGemm(intel_i9_10900k(), cores=1, processes=config)"
+            ".multiply(a, b)\n"
+            "assert run.shards.rows * run.shards.cols > 1\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
 
     def test_float32_stays_float32(self, intel, operands):
         a, b = (x.astype(np.float32) for x in operands)

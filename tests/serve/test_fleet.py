@@ -34,7 +34,7 @@ from repro.serve.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.serve.soak import run_fleet_soak
+from repro.serve.soak import run_soak
 
 RESULT_TIMEOUT = 60.0
 
@@ -72,7 +72,6 @@ def fleet(machine):
         machine,
         workers=2,
         capacity=32,
-        worker_capacity=32,
         cores=1,
         heartbeat_interval=0.1,
         heartbeat_timeout=1.0,
@@ -200,7 +199,6 @@ class TestBoundedRestarts:
             machine,
             workers=1,
             capacity=8,
-            worker_capacity=8,
             cores=1,
             heartbeat_interval=0.1,
             heartbeat_timeout=1.0,
@@ -259,7 +257,6 @@ class TestGracefulDrain:
             machine,
             workers=1,
             capacity=16,
-            worker_capacity=16,
             cores=1,
             heartbeat_interval=0.1,
             heartbeat_timeout=1.0,
@@ -387,10 +384,10 @@ class TestFrontDoor:
 
 class TestFleetSoakSmoke:
     def test_short_kill_injected_soak_is_clean(self):
-        report = run_fleet_soak(
+        report = run_soak(
+            fleet=2,
             seconds=4.0,
             clients=2,
-            workers=2,
             n=96,
             kill_every=1.5,
             hang_every=3.0,
