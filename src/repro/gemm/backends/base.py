@@ -163,16 +163,17 @@ def execute_group(backend: Backend, group, faults=None) -> None:
     ABFT recovery ladder's recompute rung — both must issue *exactly*
     the calls the clean path would, so a reproducible backend recomputes
     the same bits. Fault injection lands per strip after the numeric
-    update, keyed ``(group.index, strip)``, identically in group mode
-    (the strip views alias the panel) and strip mode.
+    update, keyed ``(group.index, strip)`` with the serial run's strip
+    index (``group.first_strip`` onward), identically in group mode (the
+    strip views alias the panel) and strip mode.
     """
     if group_eligible(backend, group):
         backend.matmul_group(group.operand_a, group.tasks[0].b, group.panel)
         if faults is not None:
-            for strip, task in enumerate(group.tasks):
+            for strip, task in enumerate(group.tasks, group.first_strip):
                 faults.corrupt(group.index, strip, task.c)
         return
-    for strip, task in enumerate(group.tasks):
+    for strip, task in enumerate(group.tasks, group.first_strip):
         backend.matmul_strip(task.a, task.b, task.c)
         if faults is not None:
             faults.corrupt(group.index, strip, task.c)

@@ -74,6 +74,9 @@ class BackendSpec:
 
 _REGISTRY: dict[str, BackendSpec] = {}
 _DEFAULT_BACKEND = "numpy"
+#: Bumped by every registration; forked processes hold the registry of
+#: their fork instant, so warm shard pools are keyed by it.
+_GENERATION = 0
 
 
 def default_backend() -> str:
@@ -107,10 +110,17 @@ def register_backend(spec: BackendSpec, *, replace: bool = False) -> BackendSpec
     Registering is all a new backend must do to be covered by the
     conformance suite and selectable by name everywhere.
     """
+    global _GENERATION
     if spec.name in _REGISTRY and not replace:
         raise ValueError(f"backend {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
+    _GENERATION += 1
     return spec
+
+
+def registry_generation() -> int:
+    """How many registrations the registry has seen (a change counter)."""
+    return _GENERATION
 
 
 def registered_backends() -> tuple[str, ...]:

@@ -39,15 +39,23 @@ from repro.gemm.parallel import (
     PhaseTimers,
     build_groups,
     check_multiply_operands,
+    core_strips,
     execute_groups,
     resolve_workers,
 )
 from repro.gemm.plan import PLAN_MEMO_MAXSIZE, CakePlan, GotoPlan, PlanOverride
 from repro.gemm.result import GemmRun, degenerate_run
-from repro.gemm.sharded import ShardConfig, plan_shards, resolve_shards, run_sharded
-from repro.gemm.verify import VerifyConfig, resolve_verify
+from repro.gemm.sharded import (
+    ShardConfig,
+    ShardReport,
+    plan_shards,
+    resolve_shards,
+    run_sharded,
+    shard_arena,
+)
+from repro.gemm.verify import VerifyConfig, VerifyReport, resolve_verify
 from repro.machines.spec import MachineSpec
-from repro.packing.pack import pack_a, pack_b
+from repro.packing.pack import PackedA, PackedB, pack_a, pack_b
 from repro.packing.pool import BufferPool, SharedBufferPool
 from repro.schedule.space import ComputationSpace
 
@@ -221,26 +229,11 @@ class GemmEngine:
 
         verifying = self.verify is not None and self.verify.enabled
         timers = PhaseTimers()
-        # Sharded runs pack into a shared-memory arena (workers attach
-        # the segments zero-copy) and compute checksum material inside
-        # each shard instead of at pack time.
-        arena = SharedBufferPool() if self.shards is not None else None
-        pool = self._pool if arena is None else arena
-        grid = plan.grid()
-        block = grid.nominal
-        pack_start = time.perf_counter()
-        packed_a = pack_a(
-            a, block.m, block.k, pool=pool, exact=self.exact_pack,
-            checksums=verifying and arena is None,
-        )
-        packed_b = pack_b(
-            b, block.k, block.n, pool=pool, exact=self.exact_pack,
-            checksums=verifying and arena is None,
-        )
-        timers.pack_seconds = time.perf_counter() - pack_start
-
         shard_report = None
-        if arena is None:
+        if self.shards is None:
+            packed_a, packed_b = self._pack(
+                a, b, plan, self._pool, verifying, timers
+            )
             c = np.zeros((m, n), dtype=dtype)
             built = build_groups(
                 order, plan, packed_a, packed_b, c,
@@ -267,40 +260,18 @@ class GemmEngine:
             if built.leased:
                 self._pool.release(*built.leased)
         else:
-            assert self.shards is not None
-            try:
-                c = arena.lease((m, n), dtype)
-                c[...] = 0
-                m_sizes, n_sizes, _ = grid.size_arrays()
-                shards = plan_shards(
-                    self.shards.processes,
-                    self._shard_rows(order, m_sizes.tolist()),
-                    n_sizes.tolist(),
-                    k,
+            # Sharded runs pack into the process-wide shared-memory arena
+            # (workers attach the segments zero-copy) and compute checksum
+            # material inside each shard instead of at pack time.
+            with shard_arena() as arena:
+                packed_a, packed_b = self._pack(
+                    a, b, plan, arena, False, timers
                 )
-                counters.ipc_bytes = (
-                    shards.ipc_elements * self.machine.element_bytes
+                c, shard_report, report = self._run_sharded(
+                    arena, plan, order, strips, packed_a, packed_b,
+                    dtype, workers, timers,
                 )
-                shard_report, report = run_sharded(
-                    plan=plan,
-                    order=order,
-                    strips=strips,
-                    shards=shards,
-                    packed_a=packed_a,
-                    packed_b=packed_b,
-                    pool=arena,
-                    c=c,
-                    config=self.shards,
-                    workers=workers,
-                    backend=self.backend.name,
-                    verify=self.verify,
-                    exact_tiles=self.exact_tiles,
-                    timers=timers,
-                    element_bytes=self.machine.element_bytes,
-                )
-                c = c.copy()  # off the arena before it is destroyed
-            finally:
-                arena.destroy()
+            counters.ipc_bytes = shard_report.ipc_bytes
 
         return GemmRun(
             engine=self.name,
@@ -321,18 +292,99 @@ class GemmEngine:
             shards=shard_report,
         )
 
+    def _pack(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        plan: "CakePlan | GotoPlan",
+        pool: BufferPool,
+        checksums: bool,
+        timers: PhaseTimers,
+    ) -> tuple[PackedA, PackedB]:
+        """Pack both operands in the plan grid's block shape, timed."""
+        block = plan.grid().nominal
+        start = time.perf_counter()
+        packed_a = pack_a(
+            a, block.m, block.k, pool=pool, exact=self.exact_pack,
+            checksums=checksums,
+        )
+        packed_b = pack_b(
+            b, block.k, block.n, pool=pool, exact=self.exact_pack,
+            checksums=checksums,
+        )
+        timers.pack_seconds = time.perf_counter() - start
+        return packed_a, packed_b
+
+    def _run_sharded(
+        self,
+        arena: SharedBufferPool,
+        plan: "CakePlan | GotoPlan",
+        order: Sequence[GroupSlot],
+        strips: int,
+        packed_a: PackedA,
+        packed_b: PackedB,
+        dtype: np.dtype,
+        workers: int,
+        timers: PhaseTimers,
+    ) -> tuple[np.ndarray, ShardReport, "VerifyReport | None"]:
+        """Shard the packed product over the warm runtime's processes.
+
+        The segments go back to the arena only after a fully successful
+        run; on any other exit they are closed and unlinked, so a
+        straggling worker of a torn-down pool never writes into a reused
+        C.
+        """
+        assert self.shards is not None
+        m_sizes, n_sizes, _ = plan.grid().size_arrays()
+        shards = plan_shards(
+            self.shards.processes,
+            self._shard_rows(order, m_sizes.tolist(), strips),
+            n_sizes.tolist(),
+            plan.space.k,
+        )
+        c = arena.lease((shards.m, shards.n), dtype)
+        segments = [*packed_a.buffers, *packed_b.buffers, c]
+        try:
+            shard_report, report = run_sharded(
+                plan=plan,
+                order=order,
+                strips=strips,
+                shards=shards,
+                packed_a=packed_a,
+                packed_b=packed_b,
+                pool=arena,
+                c=c,
+                config=self.shards,
+                workers=workers,
+                backend=self.backend.name,
+                verify=self.verify,
+                exact_tiles=self.exact_tiles,
+                timers=timers,
+                element_bytes=self.machine.element_bytes,
+            )
+            product = c.copy()  # off the arena before its segments go back
+        except BaseException:
+            arena.discard(*segments)
+            raise
+        arena.release(*segments)
+        return product, shard_report, report
+
     def _shard_rows(
-        self, order: Sequence[GroupSlot], m_sizes: list[int]
+        self, order: Sequence[GroupSlot], m_sizes: list[int], strips: int
     ) -> list[int]:
         """The row extents a shard grid may cut between: whole backend calls.
 
-        A per-strip backend call never crosses a block row, so every
-        block-row boundary is a legal cut. A ``grouped`` backend
-        multiplies a group's rows in one call, so shards may only cut
-        between the groups' row ranges — CAKE's block rows, but for GOTO
-        the whole of M (its shards then split along N only).
+        A per-strip backend call multiplies one strip: ``strips``-way
+        pieces of a block row (``core_strips``) — CAKE's per-core strips,
+        GOTO's ``mc`` strips — so every strip boundary is a legal cut. A
+        ``grouped`` backend multiplies a group's rows in one call, so
+        shards may only cut between the groups' row ranges — CAKE's
+        block rows, but for GOTO the whole of M (its shards then split
+        along N only).
         """
         if not self.backend.capabilities.grouped:
-            return m_sizes
+            return [
+                rows for size in m_sizes for rows in core_strips(size, strips)
+            ]
         runs = sorted({(slot.mi0, slot.mi1) for slot in order})
         return [sum(m_sizes[r0:r1]) for r0, r1 in runs]

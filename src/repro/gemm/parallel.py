@@ -141,6 +141,8 @@ class StripGroup(NamedTuple):
     pack-time absolute-value sums ``(|X|.sum(axis=0), |X|.sum(axis=1))``
     — with them the verifier's tolerance band costs O(m + n) vector
     arithmetic per group instead of a fresh ``|A|``/``|B|`` scan.
+    ``first_strip`` is the serial run's index of ``tasks[0]`` within the
+    whole group: 0 unless a shard holds only the later strips of it.
     """
 
     tasks: Sequence[StripTask]
@@ -157,6 +159,7 @@ class StripGroup(NamedTuple):
     operand_a: np.ndarray | None = None
     mag_a: tuple[np.ndarray, np.ndarray] | None = None
     mag_b: tuple[np.ndarray, np.ndarray] | None = None
+    first_strip: int = 0
 
 
 @dataclass(slots=True)
@@ -229,10 +232,12 @@ class BuiltGroups(NamedTuple):
 class _BlockSums:
     """ABFT checksum and magnitude material of one packed operand's blocks.
 
-    Pack-time vectors when the operand was packed with ``checksums=True``;
-    otherwise computed from the block on first use and cached (shard
-    workers derive their own from the attached blocks instead of shipping
-    the parent's). ``fresh`` counts the elements computed here.
+    Pack-time vectors when the operand was packed with ``checksums=True``
+    and the whole block is asked for; otherwise computed from the block
+    (or its ``rows``, for a shard's part of a CB block) on first use and
+    cached — shard workers derive their own from the attached blocks
+    instead of shipping the parent's. ``fresh`` counts the elements
+    computed here.
     """
 
     def __init__(
@@ -248,16 +253,18 @@ class _BlockSums:
         self.fresh = 0
 
     def __call__(
-        self, i: int, j: int
+        self, i: int, j: int, rows: tuple[int, int] | None = None
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        if self.packed.checksums is not None:
+        if rows is None and self.packed.checksums is not None:
             return self.packed.checksum(i, j), self.packed.magnitude(i, j)
-        hit = self.cache.get((i, j))
+        hit = self.cache.get((i, j, rows))
         if hit is None:
             block = self.block_at(i, j)
+            if rows is not None:
+                block = block[rows[0] : rows[1]]
             ab = np.abs(block)
             hit = (block.sum(axis=self.axis), (ab.sum(axis=0), ab.sum(axis=1)))
-            self.cache[(i, j)] = hit
+            self.cache[(i, j, rows)] = hit
             self.fresh += hit[0].size + ab.shape[0] + ab.shape[1]
         return hit
 
@@ -279,74 +286,106 @@ def build_groups(
 
     The one builder behind every execution path. The in-process engines
     call it with ``span=None``; a shard worker passes its
-    :class:`~repro.gemm.sharded.ShardSpan` and gets only the groups (and,
-    for groups spanning several block rows, only the rows) inside its C
-    panel. Group indices are positions in the whole ``order`` — the
+    :class:`~repro.gemm.sharded.ShardSpan` and gets only the strips inside
+    its C panel. Group indices are positions in the whole ``order`` — the
     fault-injection and verification keys — so a shard's groups carry
     the numbers the serial run gives them.
 
     Each block row of a group is split into ``core_strips(rows, strips)``
     strip tasks: one per modelled core (or the override's granularity)
-    for CAKE, the ``mc`` strip itself (``strips=1``) for GOTO. A group's
-    stacked A operand is the packed block itself when the group covers
-    one block row; for several it is concatenated (leased from ``pool``)
-    only when something reads it — the verifier, or a ``grouped`` backend
-    executing the group as one call.
+    for CAKE, the ``mc`` strip itself (``strips=1``) for GOTO. A span
+    may end between two strips of a block row (the shard grid cuts at
+    every whole-backend-call boundary); the shard then gets a partial
+    group — its strips, their C panel rows, A operand rows and ABFT sums —
+    whose ``first_strip`` is the serial index of its first strip. A
+    group's stacked A operand is the packed block (rows) itself when the
+    group covers one block row; for several it is concatenated (leased
+    from ``pool``) only when something reads it — the verifier, or a
+    ``grouped`` backend executing the group as one call.
     """
     grid = plan.grid()
     m_sizes, n_sizes, _ = (sizes.tolist() for sizes in grid.size_arrays())
     m_off, n_off, _ = (offsets.tolist() for offsets in grid.offset_arrays())
-    row_lo, row_hi, col_lo, col_hi = 0, grid.mb, 0, grid.nb
+    top, bottom, col_lo, col_hi = 0, m_off[-1] + m_sizes[-1], 0, grid.nb
     if span is not None:
-        row_lo = bisect_left(m_off, span.m0)
-        row_hi = bisect_left(m_off, span.m0 + span.m_extent)
+        top, bottom = span.m0, span.m0 + span.m_extent
         col_lo = bisect_left(n_off, span.n0)
         col_hi = bisect_left(n_off, span.n0 + span.n_extent)
+    # Each block row's strips inside the span, as (index in the row,
+    # first row, rows) — the span ends between strips — and the number
+    # of strips before each block row.
+    in_span: list[list[tuple[int, int, int]]] = []
+    strips_before = [0]
+    for row, size in enumerate(m_sizes):
+        heights = core_strips(size, strips)
+        here, y = [], 0
+        for s, rows in enumerate(heights):
+            if top <= m_off[row] + y < bottom:
+                here.append((s, y, rows))
+            y += rows
+        in_span.append(here)
+        strips_before.append(strips_before[-1] + len(heights))
     a_sums = _BlockSums(packed_a, packed_a.block, axis=0)
     b_sums = _BlockSums(packed_b, packed_b.panel, axis=1)
     # A-side material per (rows, ki): shared by every ni of a GOTO slice.
-    a_sides: dict[tuple[int, int, int], tuple] = {}
-    started: set[tuple[int, int, int]] = set()
+    a_sides: dict[tuple, tuple] = {}
+    started: set[tuple] = set()
     leased: list[np.ndarray] = []
     groups: list[StripGroup] = []
     for index, slot in enumerate(order):
-        r0, r1 = max(slot.mi0, row_lo), min(slot.mi1, row_hi)
         ni, ki = slot.ni, slot.ki
-        if r0 >= r1 or not col_lo <= ni < col_hi:
+        if not col_lo <= ni < col_hi:
             continue
         b_panel = packed_b.panel(ki, ni)
         n0, n1 = n_off[ni], n_off[ni] + n_sizes[ni]
         tasks: list[StripTask] = []
-        for row in range(r0, r1):
-            block = packed_a.block(row, ki)
-            lo = 0
-            for rows in core_strips(m_sizes[row], strips):
-                top = m_off[row] + lo
-                c_strip = c[top : top + rows, n0:n1]
-                tasks.append(StripTask(block[lo : lo + rows], b_panel, c_strip))
-                lo += rows
+        # (block row, first row, end row) of each block row in the span.
+        pieces: list[tuple[int, int, int]] = []
+        for row in range(slot.mi0, slot.mi1):
+            here = in_span[row]
+            if not here:
+                continue
+            if not tasks:
+                first_strip = strips_before[row] - strips_before[slot.mi0]
+                first_strip += here[0][0]
+            block, at = packed_a.block(row, ki), m_off[row]
+            for _, y, rows in here:
+                c_strip = c[at + y : at + y + rows, n0:n1]
+                tasks.append(StripTask(block[y : y + rows], b_panel, c_strip))
+            pieces.append((row, here[0][1], here[-1][1] + here[-1][2]))
+        if not tasks:
+            continue
+        (row0, lo, _), (row1, _, hi) = pieces[0], pieces[-1]
 
-        side = a_sides.get((r0, r1, ki))
+        side = a_sides.get((row0, lo, row1, hi, ki))
         if side is None:
             operand_a = cs_a = mag_a = None
-            if r1 - r0 == 1:
-                operand_a = packed_a.block(r0, ki)
+            if row0 == row1:
+                operand_a = packed_a.block(row0, ki)
+                if hi - lo < m_sizes[row0]:
+                    operand_a = operand_a[lo:hi]
             elif verifying or grouped:
-                operand_a = packed_a.column(ki, pool=pool, start=r0, stop=r1)
+                # Several block rows only come from GOTO's one-strip rows,
+                # which the span never cuts: they are whole.
+                operand_a = packed_a.column(
+                    ki, pool=pool, start=row0, stop=row1 + 1
+                )
                 if pool is not None:
                     leased.append(operand_a)
             if verifying:
-                cs_a, (col, row_mag) = a_sums(r0, ki)
-                if r1 - r0 > 1:
-                    cs_a, col, row_parts = cs_a.copy(), col.copy(), [row_mag]
-                    for row in range(r0 + 1, r1):
-                        s_cs, (s_col, s_row) = a_sums(row, ki)
+                sums = [
+                    a_sums(row, ki, (lo, hi) if hi - lo < m_sizes[row] else None)
+                    for row, lo, hi in pieces
+                ]
+                cs_a, (col, row_mag) = sums[0]
+                if len(sums) > 1:
+                    cs_a, col = cs_a.copy(), col.copy()
+                    for s_cs, (s_col, _) in sums[1:]:
                         cs_a += s_cs
                         col += s_col
-                        row_parts.append(s_row)
-                    row_mag = np.concatenate(row_parts)
+                    row_mag = np.concatenate([mags[1] for _, mags in sums])
                 mag_a = (col, row_mag)
-            side = a_sides[(r0, r1, ki)] = (operand_a, cs_a, mag_a)
+            side = a_sides[(row0, lo, row1, hi, ki)] = (operand_a, cs_a, mag_a)
         operand_a, cs_a, mag_a = side
         cs_b = mag_b = None
         if verifying:
@@ -355,8 +394,8 @@ def build_groups(
         label = slot.label
         if span is not None:
             label = f"{label} [shard ({span.row}, {span.col})]"
-        fresh = (r0, r1, ni) not in started
-        started.add((r0, r1, ni))
+        fresh = (row0, lo, row1, hi, ni) not in started
+        started.add((row0, lo, row1, hi, ni))
         groups.append(
             StripGroup(
                 tasks=tasks,
@@ -365,11 +404,12 @@ def build_groups(
                 label=label,
                 checksum_a=cs_a,
                 checksum_b=cs_b,
-                panel=c[m_off[r0] : m_off[r1 - 1] + m_sizes[r1 - 1], n0:n1],
+                panel=c[m_off[row0] + lo : m_off[row1] + hi, n0:n1],
                 fresh_panel=fresh,
                 operand_a=operand_a,
                 mag_a=mag_a,
                 mag_b=mag_b,
+                first_strip=first_strip,
             )
         )
     return BuiltGroups(groups, leased, a_sums.fresh + b_sums.fresh)
@@ -450,8 +490,9 @@ def _timed_strip(
     """Execute one strip through the backend, returning its wall time.
 
     Injected corruption lands right after the numeric update — the seam
-    a soft error or bad thread would hit — keyed ``(group, strip)`` so
-    the same strips corrupt for any worker count.
+    a soft error or bad thread would hit — keyed ``(group, strip)`` by
+    the serial run's indices, so the same strips corrupt for any worker
+    and process count.
     """
     start = time.perf_counter()
     backend.matmul_strip(task.a, task.b, task.c)
@@ -542,7 +583,9 @@ def run_strip_groups(
                     pool_ctx.submit(
                         _timed_strip, backend, task, group.index, strip, faults
                     )
-                    for strip, task in enumerate(group.tasks)
+                    for strip, task in enumerate(
+                        group.tasks, group.first_strip
+                    )
                 ]
                 barrier_start = time.perf_counter()
                 # Propagate worker exceptions eagerly; sum kernel seconds.

@@ -3,18 +3,18 @@
 The paper's constant-bandwidth blocks compose across memory levels: the
 same geometry that tiles one core's cache hierarchy tiles a pool of
 *processes* one level up. This module is that next level — it partitions
-the M x N grid of CB blocks into a near-square **shard grid**, gives each
-shard to a worker process, and runs the existing threaded strip-group
-executor (:mod:`repro.gemm.parallel`, with any registered backend)
-inside each shard.
+the M x N grid of C into a near-square **shard grid**, gives each shard
+to a worker process, and runs the existing threaded strip-group executor
+(:mod:`repro.gemm.parallel`, with any registered backend) inside each
+shard.
 
 Transport is ``multiprocessing.shared_memory``: the parent packs A and B
-once through a :class:`~repro.packing.pool.SharedBufferPool`, then ships
-only *segment names* — workers attach the packed buffers zero-copy and
-rebuild the identical block-view grids with
-:func:`repro.packing.pack.grid_views`. C is a single shared output
-buffer; every shard writes its disjoint row x column panel, so no two
-processes ever touch the same byte of C.
+once into the process-wide shared-memory arena (a
+:class:`~repro.packing.pool.SharedBufferPool`), then ships only *segment
+names* — workers attach the packed buffers zero-copy and rebuild the
+identical block-view grids with :func:`repro.packing.pack.grid_views`.
+C is a single shared output buffer; every shard writes its disjoint
+row x column panel, so no two processes ever touch the same byte of C.
 
 Bit-identity
 ------------
@@ -29,11 +29,17 @@ because of two rules:
   with the engines' own :func:`~repro.gemm.parallel.build_groups` over
   the *global* loop order, restricted to its span, so it issues the
   serial run's calls on identically-shaped operands. The shard grid may
-  therefore only cut between the row ranges one call covers: CB block
-  rows for CAKE, ``mc`` strips for GOTO on per-strip backends, and no
-  row cut at all for GOTO on ``grouped`` backends (one call multiplies
+  therefore cut at every boundary between whole backend calls, and
+  only there: between the per-core ``mc``-row strips of a CB block for
+  CAKE on per-strip backends (a CB block is p strips sharing one B
+  panel, Sec. 4.2, so a shard may hold part of a block); between block
+  rows for CAKE on ``grouped`` backends (one call multiplies the whole
+  block); between ``mc`` strips for GOTO on per-strip backends; and
+  nowhere in M for GOTO on ``grouped`` backends (one call multiplies
   the whole M column of a slice; BLAS may block a different M extent
-  differently), which then shard along N only.
+  differently), which then shard along N only. A strip keeps its
+  serial-run index in a shard (``StripGroup.first_strip``), so fault
+  keys, error reports and the verify counts match the in-process run.
 
 The conformance suite and the differential test assert this per backend.
 
@@ -51,11 +57,40 @@ this executor occupies (K unsplit). By AM-GM the measured traffic is
 minimized — and meets the bound within block-quantization slack — when
 ``M/pr = N/pc``, i.e. the shard grid is near-square in *element* space.
 :func:`plan_shards` therefore maximizes usable parallelism first (the
-largest ``P' <= P`` with a factor pair that fits the block grid), then
+largest ``P' <= P`` with a factor pair that fits the cut grid), then
 picks the factor pair minimizing ``pc*M + pr*N``. The achieved traffic
 is recorded in ``TrafficCounters.ipc_bytes`` and reported against the
-bound in :class:`ShardReport`; benches assert it stays within
-:data:`IPC_SLACK_FACTOR`.
+bound in :class:`ShardReport`. It stays within :data:`IPC_SLACK_FACTOR`
+of the bound only when the plan has an N panel boundary where the
+near-square grid wants a column cut. A plan with a single N panel can
+only be cut in rows, which replicates B: 1.54x at 256x2048 . 2048x1024
+on two processes of the 10-core CAKE plan, and the same for GOTO, whose
+``nc`` spans all of N on that shape. The tests, the sharded bench and
+the sharded experiment assert the slack at ``cores=1``, whose small CAKE
+blocks leave several N panels to cut.
+
+The warm runtime
+----------------
+
+Shard processes and shared-memory segments outlive one multiply:
+
+* **Pools.** A process-wide cache holds idle worker pools keyed by start
+  method, process count and the backend registry's generation
+  (:func:`~repro.gemm.backends.registry.registry_generation`, bumped by
+  every registration, so a forked pool never predates a backend it is
+  asked to run). A multiply leases one pool exclusively and returns it
+  only if every future completed. A broken, timed-out or raising call
+  tears its pool down with :func:`~repro.runtime.restart.kill_pool`
+  instead; an idle pool found dead at lease time is replaced without
+  charging the caller's ``max_pool_rebuilds``. Pools retire after
+  :data:`POOL_IDLE_SECONDS` idle, and at exit; every worker also exits
+  by itself once its parent dies.
+* **Arena.** One process-wide :class:`~repro.packing.pool.SharedBufferPool`
+  recycles packed-operand and C segments by shape, keeping at most
+  :data:`ARENA_RETAINED_BYTES` idle (eviction closes and unlinks). A
+  multiply returns its segments only after it fully succeeded; on any
+  other exit it destroys them, so a straggling worker never writes into
+  a reused C. The arena retires with the last pool.
 
 Fault tolerance
 ---------------
@@ -75,21 +110,30 @@ usual ladder and unrecoverable ones propagate as
 
 from __future__ import annotations
 
+import atexit
 import math
 import multiprocessing as mp
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from concurrent.futures import as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Callable, NamedTuple, Sequence
+from multiprocessing.connection import wait as wait_ready
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import CakeError, ConfigurationError, DeadlineExceededError
-from repro.gemm.backends.registry import backend_spec, registered_backends
+from repro.gemm.backends.registry import (
+    backend_spec,
+    registered_backends,
+    registry_generation,
+)
 from repro.gemm.parallel import (
     GroupSlot,
     PhaseTimers,
@@ -118,6 +162,15 @@ from repro.util import require_nonnegative, require_positive, split_even
 #: slip through. Benches assert ``bound <= ipc_bytes <= 1.5 * bound``.
 IPC_SLACK_FACTOR = 1.5
 
+#: Seconds a warm shard pool may sit idle before it retires; the arena
+#: retires with the last pool (or this long after its last multiply if
+#: no pool is left).
+POOL_IDLE_SECONDS = 1.0
+#: Bytes of idle shared-memory segments the arena keeps for reuse.
+ARENA_RETAINED_BYTES = 64 * 1024 * 1024
+#: How often a shard worker checks that its parent is still alive.
+PARENT_POLL_SECONDS = 0.2
+
 
 # -- configuration -------------------------------------------------------------
 
@@ -143,7 +196,10 @@ class ShardConfig:
     start_method:
         ``multiprocessing`` start method; ``None`` picks ``fork`` where
         available (cheap, inherits the imported interpreter) and
-        ``spawn`` otherwise.
+        ``spawn`` otherwise. Fork workers run every backend registered
+        before the pool forked (a registration retires the warm pools
+        from use); spawn workers import the package afresh, so they see
+        only the backends registered at import time.
     deadline:
         Absolute ``time.monotonic()`` instant by which the run must
         finish, or ``None`` for no bound. When the instant passes while
@@ -227,7 +283,7 @@ def resolve_shards(
 
 @dataclass(frozen=True, slots=True)
 class ShardSpan:
-    """One shard's slice of the CB block grid, in blocks and elements.
+    """One shard's slice of C, in cut indices and elements.
 
     ``mi0:mi1`` / ``ni0:ni1`` are half-open index ranges into the row and
     column extents :func:`plan_shards` was given; ``m0``/``n0`` and the
@@ -341,11 +397,11 @@ def plan_shards(
 
     ``row_extents``/``col_extents`` are the element heights/widths the
     shard grid may cut between — the row ranges of whole backend calls
-    (CAKE: CB block rows; GOTO: ``mc`` strips, or all of M on grouped
-    backends) and the plan's N panels. They are split into balanced
-    contiguous runs — every shard gets at least one row and one column,
-    so the spans tile the grid exactly (asserted by hypothesis in the
-    tests).
+    (CAKE: per-core strips, or CB block rows on grouped backends; GOTO:
+    ``mc`` strips, or all of M on grouped backends) and the plan's N
+    panels. They are split into balanced contiguous runs — every shard
+    gets at least one row and one column, so the spans tile the grid
+    exactly (asserted by hypothesis in the tests).
     """
     mb, nb = len(row_extents), len(col_extents)
     m, n = int(sum(row_extents)), int(sum(col_extents))
@@ -551,27 +607,33 @@ def _attach_parts(
 def _run_attached(
     task: _ShardTask, attach: Callable[[SegmentSpec], np.ndarray]
 ) -> dict:
-    """The shard body: rebuild views, build groups, run the executor.
+    """The shard body: zero its C panel, rebuild views, build groups, run.
 
-    Every array built here (packed views, C views, verifier state) is
-    local to this frame, so when it returns only the segment handles
-    remain and :func:`_execute_shard` can close the mappings cleanly.
-    Checksum material is computed here from the attached blocks
-    (shipping the parent's would double the descriptor surface for no
-    gain — the identities are self-consistent within the worker).
+    The shard starts from a zeroed panel on every attempt (a rebuilt
+    pool's or the inline fallback's included), so the parent never
+    zero-fills C. Every array built here (packed views, C views,
+    verifier state) is local to this frame, so when it returns only the
+    segment handles remain and :func:`_execute_shard` can close the
+    mappings cleanly. Checksum material is computed here from the
+    attached blocks (shipping the parent's would double the descriptor
+    surface for no gain — the identities are self-consistent within the
+    worker).
     """
     verifying = task.verify is not None and task.verify.enabled
     spec = backend_spec(task.backend)
     block = task.plan.grid().nominal
     a_parts = _attach_parts(task.a_handle, attach)
     b_parts = _attach_parts(task.b_handle, attach)
+    c = attach(task.c_segment)
+    span = task.span
+    c[span.m0 : span.m0 + span.m_extent, span.n0 : span.n0 + span.n_extent] = 0
     built = build_groups(
         task.order,
         task.plan,
         PackedA(grid_views(a_parts), block.m, block.k, parts=a_parts),
         PackedB(grid_views(b_parts), block.k, block.n, parts=b_parts),
-        attach(task.c_segment),
-        span=task.span,
+        c,
+        span=span,
         strips=task.strips,
         verifying=verifying,
         grouped=spec.capabilities.grouped,
@@ -620,15 +682,225 @@ def _execute_shard(task: _ShardTask) -> dict:
                 pass  # frames still view the mapping; process exit frees it
 
 
+def _watch_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_SECONDS)
+    os._exit(0)
+
+
+def _worker_init() -> None:
+    """Pool initializer: a disposable worker that dies with its parent.
+
+    An idle worker blocks on its task queue, which stays open after the
+    parent dies (the sibling workers hold its other end), so a warm pool
+    would outlive a killed parent. Each worker instead polls its parent
+    pid, which changes when it is reparented, and exits on its own.
+    """
+    mark_worker_process()
+    threading.Thread(
+        target=_watch_parent,
+        args=(os.getppid(),),
+        name="cake-shard-parent-watch",
+        daemon=True,
+    ).start()
+
+
+def _unlink_segments(names: Sequence[str]) -> None:
+    """Unlink a retiring arena's segments from inside a worker.
+
+    See :func:`_retire`: the unlink must reach the resource tracker, and
+    a worker's connection to it outlives the parent's.
+    """
+    for name in names:
+        try:
+            segment = shared_memory.SharedMemory(name=name)
+        except FileNotFoundError:
+            continue
+        segment.close()
+        segment.unlink()
+
+
+# -- the warm runtime ----------------------------------------------------------
+
+
+def _alive(pool: ProcessPoolExecutor) -> bool:
+    """Whether no worker of an idle pool has died."""
+    if getattr(pool, "_broken", False):
+        return False
+    procs = (getattr(pool, "_processes", None) or {}).values()
+    return not wait_ready([proc.sentinel for proc in procs], timeout=0)
+
+
+def _retire(
+    pools: Sequence[ProcessPoolExecutor], arena: SharedBufferPool | None
+) -> None:
+    """Shut retiring pools down; destroy a retiring arena first.
+
+    The arena's segments are unlinked through a live retiring worker when
+    there is one: a supervisor that reaps this process tree may already
+    have closed the parent's resource-tracker connection, and an unlink
+    from the parent would then start a second tracker for it to kill.
+    The parent's own unlinks skip the segments a worker already removed.
+    """
+    if arena is not None:
+        names = arena.segment_names()
+        live = next((pool for pool in pools if _alive(pool)), None)
+        if names and live is not None:
+            try:
+                live.submit(_unlink_segments, names).result(timeout=5.0)
+            except Exception:  # noqa: BLE001 - the parent unlinks the rest
+                pass
+        arena.destroy()
+    for pool in pools:
+        if _alive(pool):
+            pool.shutdown(wait=True)
+        else:
+            kill_pool(pool)
+
+
+#: (start method, worker processes, backend registry generation).
+PoolKey = tuple[str, int, int]
+
+
+class _WarmRuntime:
+    """The process-wide warm shard pools and shared-memory arena.
+
+    Everything is guarded by ``lock``. ``idle`` holds each key's pools
+    waiting for a lease with the instant each was returned; ``sessions``
+    counts multiplies holding the arena. One daemon thread retires what
+    idled for :data:`POOL_IDLE_SECONDS` and exits when nothing is left.
+    A retirement and a pool's fork (on its first submit) never overlap
+    (``fork_lock``): retiring unregisters segments or a spawn pool's
+    semaphores with the resource tracker, and a worker forked while
+    another thread holds the tracker's lock waits on it forever.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.fork_lock = threading.Lock()
+        self.idle: dict[PoolKey, list[tuple[ProcessPoolExecutor, float]]] = {}
+        self.sessions = 0
+        self.arena: SharedBufferPool | None = None
+        self.arena_used = 0.0
+        self.retirer: threading.Thread | None = None
+
+    @contextmanager
+    def arena_session(self) -> Iterator[SharedBufferPool]:
+        with self.lock:
+            if self.arena is None:
+                self.arena = SharedBufferPool(ARENA_RETAINED_BYTES)
+            arena = self.arena
+            self.sessions += 1
+        try:
+            yield arena
+        finally:
+            with self.lock:
+                self.sessions -= 1
+                self.arena_used = time.monotonic()
+                self._ensure_retirer()
+
+    def lease(self, key: PoolKey) -> ProcessPoolExecutor:
+        """An idle pool for ``key`` or a new one; a dead one is replaced."""
+        while True:
+            with self.lock:
+                bucket = self.idle.get(key)
+                pool = bucket.pop()[0] if bucket else None
+            if pool is None:
+                start_method, processes, _ = key
+                return ProcessPoolExecutor(
+                    max_workers=processes,
+                    mp_context=mp.get_context(start_method),
+                    initializer=_worker_init,
+                )
+            if _alive(pool):
+                return pool
+            kill_pool(pool)
+
+    def give_back(self, key: PoolKey, pool: ProcessPoolExecutor) -> None:
+        with self.lock:
+            self.idle.setdefault(key, []).append((pool, time.monotonic()))
+            self._ensure_retirer()
+
+    def _ensure_retirer(self) -> None:
+        """Start the retiring thread unless it runs (``lock`` held)."""
+        if self.retirer is None:
+            self.retirer = threading.Thread(
+                target=self._retire_idle, name="cake-shard-retire", daemon=True
+            )
+            self.retirer.start()
+
+    def _due(
+        self, now: float, everything: bool = False
+    ) -> tuple[
+        list[ProcessPoolExecutor], SharedBufferPool | None, float | None
+    ]:
+        """Take what is due to retire (``lock`` held) and the next due time."""
+        due: list[ProcessPoolExecutor] = []
+        wake: float | None = None
+        for key in list(self.idle):
+            keep = []
+            for pool, since in self.idle[key]:
+                if everything or now - since >= POOL_IDLE_SECONDS:
+                    due.append(pool)
+                else:
+                    keep.append((pool, since))
+                    at = since + POOL_IDLE_SECONDS
+                    wake = at if wake is None else min(wake, at)
+            if keep:
+                self.idle[key] = keep
+            else:
+                del self.idle[key]
+        arena = None
+        if self.arena is not None and not self.sessions and not self.idle:
+            if everything or due or now - self.arena_used >= POOL_IDLE_SECONDS:
+                arena, self.arena = self.arena, None
+            else:
+                wake = self.arena_used + POOL_IDLE_SECONDS
+        return due, arena, wake
+
+    def _retire_idle(self) -> None:
+        while True:
+            with self.lock:
+                due, arena, wake = self._due(time.monotonic())
+                if wake is None and not due and arena is None:
+                    self.retirer = None
+                    return
+            with self.fork_lock:
+                _retire(due, arena)
+            if wake is not None:
+                time.sleep(max(wake - time.monotonic(), 0.0))
+
+    def shutdown(self) -> None:
+        """Retire every idle pool and the arena now (at interpreter exit)."""
+        with self.lock:
+            due, arena, _ = self._due(time.monotonic(), everything=True)
+        with self.fork_lock:
+            _retire(due, arena)
+
+
+_RUNTIME = _WarmRuntime()
+atexit.register(_RUNTIME.shutdown)
+if hasattr(os, "register_at_fork"):
+    # A forked child owns none of its parent's pools or segments.
+    os.register_at_fork(after_in_child=_RUNTIME.__init__)
+
+
+def shard_arena():
+    """Hold the process-wide shared-memory arena for one sharded multiply.
+
+    A context manager yielding the arena; it does not retire while held.
+    The caller releases its buffers to it after a fully successful run
+    and discards them otherwise
+    (:meth:`~repro.packing.pool.SharedBufferPool.discard`).
+    """
+    return _RUNTIME.arena_session()
+
+
 # -- orchestrator --------------------------------------------------------------
 
 
 def _default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
-def _zero_panel(c: np.ndarray, span: ShardSpan) -> None:
-    c[span.m0 : span.m0 + span.m_extent, span.n0 : span.n0 + span.n_extent] = 0
 
 
 def run_sharded(
@@ -654,12 +926,13 @@ def run_sharded(
     ``plan``/``order``/``strips`` are the engine's group-builder inputs
     (each worker builds its span's groups from them); ``shards`` is the
     shard grid. ``packed_a``/``packed_b`` must have been packed through
-    ``pool`` (a :class:`~repro.packing.pool.SharedBufferPool`) and ``c``
-    leased from it, zero-filled. On return, ``c`` holds the product —
-    the caller copies it out before destroying the arena. Worker phase
-    timers are summed into ``timers``; per-shard breakdowns, rebuild
-    counts and the IPC-vs-bound comparison come back in the
-    :class:`ShardReport`.
+    ``pool`` (the arena of :func:`shard_arena`) and ``c`` leased from
+    it; each shard zeroes its own panel. On return, ``c`` holds the
+    product — the caller copies it out before releasing its segments.
+    The worker pool is leased from the warm runtime and returned only if
+    every shard completed in it. Worker phase timers are summed into
+    ``timers``; per-shard breakdowns, rebuild counts and the IPC-vs-bound
+    comparison come back in the :class:`ShardReport`.
     """
     if backend not in registered_backends():
         raise ConfigurationError(
@@ -687,7 +960,6 @@ def run_sharded(
         for span in shards.spans
     }
     start_method = config.start_method or _default_start_method()
-    ctx = mp.get_context(start_method)
 
     def _remaining() -> float | None:
         """Seconds left on the config deadline; raises once it passes."""
@@ -709,6 +981,7 @@ def run_sharded(
     exhausted = False
     inline = 0
     pool_exec: ProcessPoolExecutor | None = None
+    pool_key: PoolKey = (start_method, 0, 0)
     barrier_start = time.perf_counter()
     try:
         while pending:
@@ -728,48 +1001,48 @@ def run_sharded(
                 # correct C (or raises through the verify ladder).
                 for index in sorted(pending):
                     _remaining()
-                    task = pending.pop(index)
-                    _zero_panel(c, task.span)
-                    results[index] = _execute_shard(task)
+                    results[index] = _execute_shard(pending.pop(index))
                     inline += 1
                 break
             if pool_exec is None:
-                pool_exec = ProcessPoolExecutor(
-                    max_workers=min(config.processes, len(pending)),
-                    mp_context=ctx,
-                    initializer=mark_worker_process,
+                pool_key = (
+                    start_method,
+                    min(config.processes, len(pending)),
+                    registry_generation(),
                 )
-            futures = {
-                pool_exec.submit(_execute_shard, task): index
-                for index, task in sorted(pending.items())
-            }
+                pool_exec = _RUNTIME.lease(pool_key)
             broken = False
             try:
-                # The timeout bounds the whole barrier wait: a worker
-                # that hangs (not just crashes) past the deadline is
-                # killed via the finally-clause teardown rather than
-                # stranding this call forever.
+                # A warm pool can also break between its lease and the
+                # submit. The timeout bounds the whole barrier wait: a
+                # worker that hangs (not just crashes) past the deadline
+                # is killed by the teardown below rather than stranding
+                # this call forever.
+                with _RUNTIME.fork_lock:  # a new pool forks here
+                    futures = {
+                        pool_exec.submit(_execute_shard, task): index
+                        for index, task in sorted(pending.items())
+                    }
                 for future in as_completed(futures, timeout=_remaining()):
                     index = futures[future]
-                    try:
-                        results[index] = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        break
+                    results[index] = future.result()
                     pending.pop(index)
+            except BrokenProcessPool:
+                broken = True
             except FuturesTimeoutError:
                 raise DeadlineExceededError("shard") from None
             if broken:
+                # Completed shards' disjoint C panels stand; every
+                # unfinished shard restarts (from a zeroed panel).
                 kill_pool(pool_exec)
                 pool_exec = None
                 exhausted = ladder.next_delay() is None
-                # Completed shards' disjoint C panels stand; every
-                # unfinished shard restarts from a zeroed panel.
-                for task in pending.values():
-                    _zero_panel(c, task.span)
-    finally:
+    except BaseException:
         if pool_exec is not None:
             kill_pool(pool_exec)
+        raise
+    if pool_exec is not None:
+        _RUNTIME.give_back(pool_key, pool_exec)
 
     timers.reduce_seconds += time.perf_counter() - barrier_start
     ordered = [results[index] for index in sorted(results)]

@@ -236,6 +236,10 @@ def resolve_verify(verify: "bool | VerifyConfig | None") -> VerifyConfig | None:
 class VerifyReport:
     """What verification observed and did during one run.
 
+    ``blocks`` and ``verified`` count strip groups of the serial run: a
+    group split across shards counts once, in the shard holding its
+    first strip. ``mismatches``, ``retries`` and the recoveries count
+    checks, so they count each part of a split group that failed.
     ``checksum_elements`` is the extra operand surface the run carried
     (A column checksums + B row checksums); :meth:`checksum_bytes`
     converts it with the machine's element width so the paper's
@@ -416,10 +420,11 @@ class GroupVerifier:
         start = time.perf_counter()
         failure = self._verify_group(group, snap)
         self.timers.verify_seconds += time.perf_counter() - start
-        self.report.blocks += 1
+        counted = group.first_strip == 0
+        self.report.blocks += counted
         replayable = backend is None or backend.capabilities.deterministic
         if failure is None:
-            self.report.verified += 1
+            self.report.verified += counted
             if replayable:
                 self._history.setdefault(
                     self._panel_key(group), []
@@ -433,6 +438,7 @@ class GroupVerifier:
             )
         finally:
             self.timers.recover_seconds += time.perf_counter() - start
+        self.report.verified += counted
         if replayable:
             self._history.setdefault(self._panel_key(group), []).append(group)
 
@@ -459,7 +465,6 @@ class GroupVerifier:
             self.report.retries += 1
             recheck = self._verify_group(group, snap)
             if recheck is None:
-                self.report.verified += 1
                 self.report.retry_recoveries += 1
                 return
             failure = recheck
@@ -478,7 +483,6 @@ class GroupVerifier:
                 )
             oracle_failure = self._verify_group(group, snap)
             if oracle_failure is None:
-                self.report.verified += 1
                 self.report.oracle_recoveries += 1
                 return
             failure = oracle_failure
@@ -616,7 +620,7 @@ class GroupVerifier:
             return IdentityFailure("column", None, bad[1], bad[2]), None
 
         # Row identity over all strips at once; a failing row localizes
-        # to the strip that owns it.
+        # to the strip that owns it (numbered as in the serial run).
         row_after = c_full.sum(axis=1)
         row_mag = prior.row_mag + row_upd
         cs_b = group.checksum_b
@@ -624,7 +628,7 @@ class GroupVerifier:
             residual = (row_after - prior.rowsum) - a_full @ cs_b
             bad = self._worst(residual, atol + rtol * row_mag)
             if bad is not None:
-                strip = self._strip_of(tasks, bad[0])
+                strip = group.first_strip + self._strip_of(tasks, bad[0])
                 return IdentityFailure("row", strip, bad[1], bad[2]), None
 
         return None, _PanelState(col_after, row_after, col_mag, row_mag)

@@ -93,10 +93,12 @@ class BufferPool:
 
     def release(self, *buffers: np.ndarray) -> None:
         """Return buffers to the pool (caller must drop its references)."""
+        dropped: list[np.ndarray] = []
         with self._lock:
             for buf in buffers:
                 if buf.nbytes > self.max_retained_bytes or buf.size == 0:
-                    continue  # too big to retain / nothing to reuse
+                    dropped.append(buf)  # too big to retain / nothing to reuse
+                    continue
                 key = self._key(buf.shape, buf.dtype)
                 self._free.setdefault(key, []).append(buf)
                 self._free.move_to_end(key)
@@ -107,6 +109,15 @@ class BufferPool:
                 if not bucket:
                     del self._free[key]
                 self._retained_bytes -= victim.nbytes
+                dropped.append(victim)
+        self.discard(*dropped)
+
+    def discard(self, *buffers: np.ndarray) -> None:
+        """Give up buffers for good instead of retaining them.
+
+        Plain memory needs nothing (the caller drops its references);
+        :class:`SharedBufferPool` closes and unlinks their segments.
+        """
 
     @property
     def retained_bytes(self) -> int:
@@ -188,9 +199,10 @@ class SharedBufferPool(BufferPool):
 
     The pool owns its segments: it keeps a strong reference to every
     (buffer, segment) pair so buffer ids stay stable for
-    :meth:`segment_of` lookups, and :meth:`destroy` closes **and
-    unlinks** them all. The creating process must call :meth:`destroy`
-    when the run is done; workers only ever attach.
+    :meth:`segment_of` lookups. A segment is closed **and unlinked** when
+    the retention cap evicts it, when :meth:`discard` gives it up, and
+    by :meth:`destroy`, which the creating process must call when it is
+    done with the pool; workers only ever attach.
     """
 
     def __init__(self, max_retained_bytes: int = DEFAULT_MAX_RETAINED_BYTES):
@@ -228,25 +240,46 @@ class SharedBufferPool(BufferPool):
             dtype_str=buf.dtype.str,
         )
 
+    def segment_names(self) -> list[str]:
+        """The OS names of every segment the pool currently owns."""
+        with self._segments_lock:
+            return [segment.name for _, segment in self._segments.values()]
+
+    def discard(self, *buffers: np.ndarray) -> None:
+        """Close and unlink the segments behind ``buffers``.
+
+        Buffers the pool does not own (zero-element leases) are ignored.
+        A discarded buffer must not be used again.
+        """
+        with self._segments_lock:
+            segments = [
+                self._segments.pop(id(buf))[1]
+                for buf in buffers
+                if self._segments.get(id(buf), (None,))[0] is buf
+            ]
+        _close_and_unlink(segments)
+
     def destroy(self) -> None:
         """Close and unlink every segment; the pool is unusable after.
 
         Buffers handed out by :meth:`lease` become invalid — callers
         must have copied any results they keep (the sharded executor
-        copies C out of the arena before destroying it).
+        copies C out of the arena before giving its segments back).
         """
         self.clear()
         with self._segments_lock:
-            pairs = list(self._segments.values())
+            segments = [segment for _, segment in self._segments.values()]
             self._segments.clear()
-        while pairs:
-            buf, segment = pairs.pop()
-            del buf  # drop this reference; callers may still hold views
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - views still exported
-                pass  # mapping lives until those views die; unlink anyway
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
+        _close_and_unlink(segments)
+
+
+def _close_and_unlink(segments: "list[shared_memory.SharedMemory]") -> None:
+    for segment in segments:
+        try:
+            segment.close()
+        except BufferError:  # pragma: no cover - views still exported
+            pass  # mapping lives until those views die; unlink anyway
+        try:
+            segment.unlink()
+        except FileNotFoundError:  # already unlinked (by a retiring worker)
+            pass

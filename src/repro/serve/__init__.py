@@ -67,7 +67,6 @@ from repro.serve.request import (
     content_seed,
 )
 from repro.serve.server import MultiplyServer, ServerStats
-from repro.serve.soak import run_soak
 from repro.serve.supervisor import CircuitBreaker, Supervisor, WorkerOptions
 
 __all__ = [
@@ -112,3 +111,15 @@ __all__ = [
     "ServerStats",
     "run_soak",
 ]
+
+
+def __getattr__(name: str):
+    # ``run_soak`` loads lazily: ``python -m repro.serve.soak`` imports this
+    # package before running the module, and an eager import here makes
+    # runpy warn that the module was imported first — in the parent and
+    # again in every spawned shard worker.
+    if name == "run_soak":
+        from repro.serve.soak import run_soak
+
+        return run_soak
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

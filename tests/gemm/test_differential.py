@@ -6,8 +6,9 @@ and override, every combination must return the bits of the serial,
 unverified, single-process run, and the same schedule-derived counters.
 Hypothesis draws the cells on prime and ragged shapes with ``cores=1``,
 so plans have several blocks (CAKE) or ``mc`` strips (GOTO) to shard and
-thread over. A served cell goes through one in-process
-``MultiplyServer`` (analytic plan, one process); the fleet's
+thread over, or ``cores=4``, whose CAKE blocks are four per-core strips
+the shard grid may cut between. A served cell goes through one
+in-process ``MultiplyServer`` (analytic plan, one process); the fleet's
 bit-identity is covered by ``tests/serve/test_fleet.py``.
 """
 
@@ -33,6 +34,7 @@ OVERRIDES = {
 @settings(max_examples=40)
 @given(
     engine=st.sampled_from(sorted(ENGINES)),
+    cores=st.sampled_from([1, 4]),
     backend=st.sampled_from(["numpy", "blas-group"]),
     workers=st.sampled_from([1, 2]),
     processes=st.sampled_from([1, 2]),
@@ -45,8 +47,8 @@ OVERRIDES = {
     seed=st.integers(0, 2**16),
 )
 def test_every_cell_matches_its_serial_run(
-    engine, backend, workers, processes, verify, served, override, m, n, k,
-    seed,
+    engine, cores, backend, workers, processes, verify, served, override, m,
+    n, k, seed,
 ):
     if served:
         # The server plans analytically and executes in-process here.
@@ -55,10 +57,10 @@ def test_every_cell_matches_its_serial_run(
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
     machine = intel_i9_10900k()
-    common = {"cores": 1, "backend": backend, "plan": OVERRIDES[override]}
+    common = {"cores": cores, "backend": backend, "plan": OVERRIDES[override]}
     serial = ENGINES[engine](machine, **common).multiply(a, b)
     if served:
-        with MultiplyServer(machine, cores=1) as server:
+        with MultiplyServer(machine, cores=cores) as server:
             handle = server.submit(
                 a, b, engine=engine, backend=backend, workers=workers,
                 verify=verify,

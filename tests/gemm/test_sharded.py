@@ -289,6 +289,34 @@ class TestBitIdentity:
         assert np.array_equal(sharded.c, inprocess.c)
         assert sharded.counters.without_ipc() == inprocess.counters
 
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize(
+        "override",
+        [None, PlanOverride(schedule="naive")],
+        ids=["none", "naive"],
+    )
+    def test_strip_cuts_match_the_inprocess_run(
+        self, intel, rng, verify, override
+    ):
+        # cores=4 makes each CB block four per-core strips; on a per-strip
+        # backend the shard grid cuts between them, so the 2x1 grid here
+        # splits each of the three blocks (one block row, one N panel,
+        # three K panels) across both shards.
+        a = rng.standard_normal((300, 700))
+        b = rng.standard_normal((700, 840))
+        inprocess, sharded = (
+            CakeGemm(
+                intel, cores=4, plan=override, verify=verify, processes=p
+            ).multiply(a, b)
+            for p in (1, 2)
+        )
+        assert (sharded.shards.rows, sharded.shards.cols) == (2, 1)
+        assert np.array_equal(sharded.c, inprocess.c)
+        assert sharded.counters.without_ipc() == inprocess.counters
+        if verify:
+            assert sharded.verify.blocks == inprocess.verify.blocks
+            assert sharded.verify.verified == inprocess.verify.verified
+
     @pytest.mark.skipif(
         "spawn" not in mp.get_all_start_methods(),
         reason="spawn start method unavailable",
@@ -385,6 +413,31 @@ class TestVerifiedSharded:
             sharded.verify.checksum_elements
             >= serial.verify.checksum_elements
         )
+
+    def test_a_block_split_at_strips_verifies_like_the_serial_run(
+        self, intel, operands
+    ):
+        # cores=4 gives SHAPE's single CB block four strips, and the 2x1
+        # shard grid cuts it between strips 1 and 2. The fault keys on the
+        # serial strip index, so it fires in the second shard, and the
+        # block both shards verify counts once.
+        a, b = operands
+        plan = NumericFaultPlan(
+            rules=(NumericFaultRule(block=0, strip=3, kind="scale"),)
+        )
+        inprocess, sharded = (
+            CakeGemm(
+                intel, cores=4, processes=p, verify=VerifyConfig(inject=plan)
+            ).multiply(a, b)
+            for p in (1, 2)
+        )
+        assert (sharded.shards.rows, sharded.shards.cols) == (2, 1)
+        assert np.array_equal(sharded.c, inprocess.c)
+        assert inprocess.verify.mismatches == 1
+        for name in ("mismatches", "retry_recoveries", "blocks", "verified"):
+            assert getattr(sharded.verify, name) == getattr(
+                inprocess.verify, name
+            ), name
 
 
 # -- IPC accounting ------------------------------------------------------------

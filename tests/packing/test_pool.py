@@ -100,6 +100,25 @@ class TestDestroy:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=spec.name)
 
+    def test_discard_unlinks_only_the_given_segments(self, pool):
+        kept, dropped = (pool.lease((4, 4), np.float64) for _ in range(2))
+        gone = pool.segment_of(dropped).name
+        pool.discard(dropped, np.empty(0))  # unowned buffers are ignored
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=gone)
+        assert pool.segment_names() == [pool.segment_of(kept).name]
+
+    def test_eviction_unlinks_the_evicted_segment(self):
+        pool = SharedBufferPool(max_retained_bytes=200)
+        first = pool.lease((4, 4), np.float64)  # 128 bytes each
+        second = pool.lease((4, 4), np.float64)
+        evicted = pool.segment_of(first).name
+        pool.release(first, second)  # over the cap: the oldest goes
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=evicted)
+        assert pool.segment_names() == [pool.segment_of(second).name]
+        pool.destroy()
+
 
 class TestInProcessPoolUnchanged:
     def test_zero_byte_lease_short_circuits(self):

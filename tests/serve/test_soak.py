@@ -6,11 +6,16 @@ answer, an unstructured failure or no success at all, 2 on a deadlock.
 The fleet soak is exercised in ``tests/serve/test_fleet.py``.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.runtime.deadline import Deadline
 from repro.serve import soak
 from repro.serve.request import MultiplyRequest, ResponseHandle, ServeReport
@@ -41,6 +46,26 @@ def test_short_single_server_soak_is_clean(tmp_path):
         v["requests"] for v in report["variants"].values()
     )
     assert report["server"]["completed"] == report["ok"]
+
+
+def test_the_soak_module_runs_without_runpy_warnings():
+    # ``python -m repro.serve.soak`` imports ``repro.serve`` first; if the
+    # package imported the soak module eagerly, runpy would warn in the
+    # parent and again in every spawned shard worker.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.serve.soak", "--seconds", "3"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 class _StrandingServer:
