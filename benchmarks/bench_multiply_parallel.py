@@ -45,6 +45,7 @@ import time
 
 import numpy as np
 
+from repro.gemm.budget import usable_cores
 from repro.gemm.cake import CakeGemm
 from repro.gemm.goto import GotoGemm
 from repro.machines import intel_i9_10900k
@@ -66,13 +67,6 @@ FULL_SCALE_WORKERS = 4
 REPEATS = 2
 
 
-def _host_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _timed_multiply(engine, a, b):
     best, run = float("inf"), None
     for _ in range(REPEATS):
@@ -87,7 +81,8 @@ def _bench_shape(machine, label, m, n, k, rows):
     a = rng.standard_normal((m, k)).astype(np.float32)
     b = rng.standard_normal((k, n)).astype(np.float32)
 
-    serial = CakeGemm(machine, exact_pack=True)  # the pre-engine legacy path
+    # The pre-engine legacy path; workers=1, not the budget's default.
+    serial = CakeGemm(machine, workers=1, exact_pack=True)
     serial_run, serial_s = _timed_multiply(serial, a, b)
     rows.append(
         {
@@ -120,7 +115,7 @@ def _bench_shape(machine, label, m, n, k, rows):
 
     # One GOTO row at the top worker count: both engines share the
     # executor; this keeps the shared path measured release to release.
-    goto_serial = GotoGemm(machine, exact_pack=True)
+    goto_serial = GotoGemm(machine, workers=1, exact_pack=True)
     goto_serial_run, goto_serial_s = _timed_multiply(goto_serial, a, b)
     goto = GotoGemm(machine, workers=max(WORKER_COUNTS))
     goto_run, goto_s = _timed_multiply(goto, a, b)
@@ -139,7 +134,7 @@ def _bench_shape(machine, label, m, n, k, rows):
 
 def test_multiply_parallel(benchmark):
     machine = intel_i9_10900k()
-    host_cores = _host_cores()
+    host_cores = usable_cores()
     rows: list[dict] = []
     speedups: dict[str, dict[int, float]] = {}
 

@@ -117,8 +117,10 @@ def cake_matmul(
         CB aspect factor; ``None`` derives it from DRAM bandwidth per
         Section 3.2.
     workers:
-        Host threads for numeric execution (default: serial). The
-        product is bit-identical for any worker count.
+        Host threads for numeric execution (default: the core budget's
+        share, :mod:`repro.gemm.budget` — one per usable core once a
+        strip is large enough to pay for a thread). The product is
+        bit-identical for any worker count.
     verify:
         ABFT verified execution (:mod:`repro.gemm.verify`): every block's
         C update is checksum-validated and self-healed on mismatch, or

@@ -66,11 +66,13 @@ class CakeGemm(GemmEngine):
         for debugging the walk block by block. :meth:`multiply` always
         reports the batch analyzer's (memoized) accounting.
     workers:
-        Host threads for numeric execution (``None`` or 1: inline
-        serial). Within each CB block the per-core strips run
-        concurrently on disjoint C row panels; the product is
-        bit-identical to the serial path for any worker count
-        (see :mod:`repro.gemm.parallel`).
+        Host threads for numeric execution (1: inline serial). Within
+        each CB block the per-core strips run concurrently on disjoint C
+        row panels; the product is bit-identical to the serial path for
+        any worker count (see :mod:`repro.gemm.parallel`). ``None``
+        leaves the count to the core budget (:mod:`repro.gemm.budget`):
+        a thread per usable core, up to the strips of a block, once a
+        strip is large enough to pay for a thread.
     exact_pack:
         Pack operands with the original nested-loop packer instead of
         the vectorized strided copy. Bit-identical buffers (asserted by

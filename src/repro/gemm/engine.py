@@ -33,6 +33,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.gemm import budget
 from repro.gemm.backends import Backend, resolve_backend
 from repro.gemm.parallel import (
     GroupSlot,
@@ -76,6 +77,22 @@ def plan_accounting(
     return engine._analyze_plan(plan, schedule)
 
 
+@lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
+def strip_work(plan: "CakePlan | GotoPlan", slot: GroupSlot, strips: int) -> int:
+    """The strip tasks of ``slot``'s group that are worth a thread.
+
+    What the core budget sizes a multiply's default workers from;
+    memoized like :func:`plan_accounting` and cleared with it.
+    """
+    m_sizes, n_sizes, k_sizes = plan.grid().size_arrays()
+    depth = 2.0 * int(k_sizes[slot.ki]) * int(n_sizes[slot.ni])
+    return budget.worth_a_thread(
+        depth * rows
+        for row in range(slot.mi0, slot.mi1)
+        for rows in core_strips(int(m_sizes[row]), strips)
+    )
+
+
 class GemmEngine:
     """What CAKE and GOTO share; see the module docstring.
 
@@ -107,8 +124,8 @@ class GemmEngine:
         self.cores = cores
         self.exact_tiles = exact_tiles
         self.exact_walk = exact_walk
-        self.workers = resolve_workers(workers)
-        self._workers_explicit = workers is not None
+        #: Explicit engine threads; ``None`` leaves them to the core budget.
+        self.workers = None if workers is None else resolve_workers(workers)
         self.override = plan
         self.tuned = tuned
         if plan is not None and tuned:
@@ -141,6 +158,45 @@ class GemmEngine:
     def plan_for(self, m: int, n: int, k: int) -> "CakePlan | GotoPlan":
         """The plan this engine would use for an ``m x k . k x n`` product."""
         return self._plan(ComputationSpace(m, n, k), self.override)
+
+    def workers_for(self, m: int, n: int, k: int) -> int:
+        """The engine threads a multiply of this shape would run with.
+
+        Like :meth:`plan_for`, tuned plans are not resolved; the core
+        budget is read in the calling context.
+        """
+        plan = self.plan_for(m, n, k)
+        order, strips = self._loop_order(plan, self.override)
+        return self._workers(plan, order, strips, self.override)
+
+    def _workers(
+        self,
+        plan: "CakePlan | GotoPlan",
+        order: Sequence[GroupSlot],
+        strips: int,
+        override: "PlanOverride | None",
+    ) -> int:
+        """Engine threads for a multiply: explicit, tuned, or budgeted.
+
+        An explicit ``workers=`` outranks the override's thread count,
+        which outranks the core budget (:mod:`repro.gemm.budget`). The
+        budget gives a grouped backend one thread; a per-strip one gets
+        up to a thread per strip task of the plan's first group that is
+        large enough to pay for one.
+        """
+        if self.workers is not None:
+            return self.workers
+        if override is not None and override.workers is not None:
+            return resolve_workers(override.workers)
+        if self.backend.capabilities.grouped:
+            return 1
+        return budget.default_workers(
+            strip_work(plan, order[0], strips), self._processes
+        )
+
+    @property
+    def _processes(self) -> int:
+        return 1 if self.shards is None else self.shards.processes
 
     def _tuned_override(
         self, space: ComputationSpace, dtype: np.dtype
@@ -201,7 +257,7 @@ class GemmEngine:
             return degenerate_run(
                 self.name, self.machine, m, n, k, dtype,
                 cores=self.cores or self.machine.cores,
-                workers=self.workers,
+                workers=self.workers or 1,
                 backend=self.backend.name,
             )
         space = ComputationSpace(m, n, k)
@@ -209,15 +265,7 @@ class GemmEngine:
         plan = self._plan(space, override)
         schedule = self._schedule(override)
         order, strips = self._loop_order(plan, override)
-        # Execution-only override fields: an explicit workers= argument
-        # always outranks the override's thread count.
-        workers = self.workers
-        if (
-            override is not None
-            and override.workers is not None
-            and not self._workers_explicit
-        ):
-            workers = resolve_workers(override.workers)
+        workers = self._workers(plan, order, strips, override)
 
         accounting = plan_accounting(type(self), plan, schedule)
         counters = dataclasses.replace(accounting.counters)
@@ -242,19 +290,20 @@ class GemmEngine:
                 grouped=self.backend.capabilities.grouped,
                 pool=self._pool,
             )
-            report = execute_groups(
-                built.groups,
-                plan.kernel,
-                verify=self.verify,
-                checksum_elements=packed_a.checksum_elements
-                + packed_b.checksum_elements,
-                workers=workers,
-                backend=self.backend.create(
-                    kernel=plan.kernel, exact_tiles=self.exact_tiles
-                ),
-                exact_tiles=self.exact_tiles,
-                timers=timers,
-            )
+            with budget.blas_lease() as blas_threads:
+                report = execute_groups(
+                    built.groups,
+                    plan.kernel,
+                    verify=self.verify,
+                    checksum_elements=packed_a.checksum_elements
+                    + packed_b.checksum_elements,
+                    workers=workers,
+                    backend=self.backend.create(
+                        kernel=plan.kernel, exact_tiles=self.exact_tiles
+                    ),
+                    exact_tiles=self.exact_tiles,
+                    timers=timers,
+                )
             packed_a.release_to(self._pool)
             packed_b.release_to(self._pool)
             if built.leased:
@@ -272,6 +321,7 @@ class GemmEngine:
                     dtype, workers, timers,
                 )
             counters.ipc_bytes = shard_report.ipc_bytes
+            blas_threads = shard_report.blas_threads
 
         return GemmRun(
             engine=self.name,
@@ -285,6 +335,7 @@ class GemmEngine:
             plan_summary=plan_summary,
             c=c,
             workers=workers,
+            blas_threads=blas_threads,
             backend=self.backend.name,
             phase_seconds=timers.as_dict(),
             verify=report,

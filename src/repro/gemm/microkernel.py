@@ -11,9 +11,13 @@ register tile of C. Here the same tiling is executed with NumPy. Two modes:
   panel product with one vectorised call — the fast path, per the HPC
   guide's "vectorise the inner loop" idiom.
 
-Both accumulate into the caller's C buffer *in place* (no temporaries),
-matching the in-place partial-result accumulation the paper's schedule
-relies on.
+Both accumulate into the caller's C buffer, as the paper's schedule
+accumulates partial results in place, but ``c += a @ b`` is not
+temporary-free: the product is built in a temporary the size of the C
+panel and then added. The oracle keeps that arithmetic on purpose: its
+bits define the reference every other backend is checked against. The
+``blas-group`` backend is the one that accumulates through ``?gemm``
+with ``beta=1`` (:mod:`repro.gemm.backends.blas_group`).
 
 :meth:`MicroKernel.panel_tile_cycles` is the timing side: the number of
 model cycles the panel costs, counting ragged edge tiles as full tiles

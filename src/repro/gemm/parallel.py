@@ -59,9 +59,10 @@ profile the engine:
 * ``compute`` — per-strip kernel time, **summed across workers** (with
   ``w`` workers on ``w`` idle cores this exceeds the elapsed wall time
   by up to ``w``; the ratio is the achieved parallelism);
-* ``reduce`` — orchestrator time blocked on group barriers waiting for
-  workers to finish (load imbalance + GIL contention indicator; zero on
-  the inline ``workers=1`` path);
+* ``reduce`` — orchestrator time blocked on group barriers, after its
+  own run of strips, waiting for the other workers to finish (load
+  imbalance + GIL contention indicator; zero on the inline
+  ``workers=1`` path);
 * ``verify`` / ``recover`` — ABFT checksum validation and recovery-ladder
   time when the run executes verified (:mod:`repro.gemm.verify`); zero
   otherwise.
@@ -416,7 +417,11 @@ def build_groups(
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Normalize an engine's ``workers`` parameter (``None`` -> serial)."""
+    """Validate an explicit worker count (``None`` -> 1, serial).
+
+    The engines leave ``workers=None`` to the core budget
+    (:mod:`repro.gemm.budget`) instead of calling this with it.
+    """
     if workers is None:
         return 1
     require_positive("workers", workers)
@@ -501,6 +506,19 @@ def _timed_strip(
     return time.perf_counter() - start
 
 
+def _timed_strips(
+    backend: Backend,
+    group: StripGroup,
+    strips: Sequence[tuple[int, StripTask]],
+    faults: "NumericFaultInjector | None",
+) -> float:
+    """Execute a run of one group's ``(serial index, task)`` strips in order."""
+    return sum(
+        _timed_strip(backend, task, group.index, strip, faults)
+        for strip, task in strips
+    )
+
+
 def _timed_group(
     backend: Backend,
     group: StripGroup,
@@ -535,10 +553,13 @@ def run_strip_groups(
     (:mod:`repro.gemm.backends`); ``None`` means the per-strip NumPy
     oracle built from ``kernel``/``exact_tiles`` — the pre-backend
     behaviour, bit for bit. ``workers=1`` runs every strip inline (no
-    pool, no thread hop); ``workers>1`` fans each group's strips over a
-    thread pool. Both paths issue identical backend calls in a
-    per-C-row identical order, so for a fixed backend the numeric
-    result is bit-for-bit the same for any worker count.
+    pool, no thread hop); ``workers>1`` cuts each group's strips into
+    ``workers`` contiguous runs, runs the first on this thread and hands
+    the others to a pool of ``workers - 1`` threads: one hand-off per
+    extra worker and barrier, not one per strip. Both paths issue
+    identical backend calls in a per-C-row identical order, so for a
+    fixed backend the numeric result is bit-for-bit the same for any
+    worker count.
 
     ``grouped`` backends short-circuit the fan-out: a group carrying
     its group-contiguous views executes as **one** backend call on this
@@ -566,7 +587,7 @@ def run_strip_groups(
         pool_ctx = None
     else:
         pool_ctx = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cake-gemm"
+            max_workers=workers - 1, thread_name_prefix="cake-gemm"
         )
     try:
         for index, raw in enumerate(groups):
@@ -579,14 +600,19 @@ def run_strip_groups(
             if pool_ctx is None or group_eligible(backend, group):
                 timers.compute_seconds += _timed_group(backend, group, faults)
             else:
+                strips = list(enumerate(group.tasks, group.first_strip))
+                cuts = [-(-i * len(strips) // workers) for i in range(workers + 1)]
                 futures = [
                     pool_ctx.submit(
-                        _timed_strip, backend, task, group.index, strip, faults
+                        _timed_strips, backend, group,
+                        strips[cuts[i] : cuts[i + 1]], faults,
                     )
-                    for strip, task in enumerate(
-                        group.tasks, group.first_strip
-                    )
+                    for i in range(1, workers)
+                    if cuts[i] < cuts[i + 1]
                 ]
+                timers.compute_seconds += _timed_strips(
+                    backend, group, strips[: cuts[1]], faults
+                )
                 barrier_start = time.perf_counter()
                 # Propagate worker exceptions eagerly; sum kernel seconds.
                 timers.compute_seconds += sum(f.result() for f in futures)

@@ -115,8 +115,9 @@ class PlanOverride:
         coarser strips trade scheduling overhead for larger kernel
         calls.
     ``workers``
-        Host threads for the numeric executor; applies only when the
-        engine was not given an explicit ``workers`` argument (an
+        Host threads for the numeric executor, in place of the core
+        budget's default (:mod:`repro.gemm.budget`); applies only when
+        the engine was not given an explicit ``workers`` argument (an
         explicit request, e.g. a serve degradation rung, always wins).
     ``schedule``
         Block-order variant name (:mod:`repro.schedule.variants`). Only
@@ -459,10 +460,11 @@ def plan_cache_info() -> dict[str, object]:
 
 
 def clear_plan_memos() -> None:
-    """Drop every memoized plan and plan accounting (tests; never needed
-    for correctness)."""
-    from repro.gemm.engine import plan_accounting  # lazy: pkg cycle
+    """Drop every memoized plan, plan accounting and strip work (tests;
+    never needed for correctness)."""
+    from repro.gemm.engine import plan_accounting, strip_work  # lazy: pkg cycle
 
     _cake_plan.cache_clear()
     _goto_plan.cache_clear()
     plan_accounting.cache_clear()
+    strip_work.cache_clear()

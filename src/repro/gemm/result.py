@@ -55,6 +55,9 @@ class GemmRun:
         Host threads the numeric executor ran with (1 for the inline
         serial path and for analytic-only runs). Distinct from ``cores``,
         which is the *modelled* core count the plan and pricing use.
+    blas_threads:
+        BLAS threads the numerics ran under (:mod:`repro.gemm.budget`),
+        or ``None`` when the BLAS is unmanaged or nothing executed.
     backend:
         Name of the compute backend the numerics executed through
         (:mod:`repro.gemm.backends`): ``"numpy"`` (the per-strip
@@ -100,6 +103,7 @@ class GemmRun:
     plan_summary: dict[str, float] = field(default_factory=dict)
     c: np.ndarray | None = None
     workers: int = 1
+    blas_threads: int | None = None
     backend: str = "numpy"
     phase_seconds: dict[str, float] | None = None
     verify: "VerifyReport | None" = None

@@ -129,6 +129,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import CakeError, ConfigurationError, DeadlineExceededError
+from repro.gemm.budget import blas_lease, blas_threads_now, pin_blas_thread
 from repro.gemm.backends.registry import (
     backend_spec,
     registered_backends,
@@ -490,6 +491,8 @@ class ShardReport:
     ipc_lower_bound_bytes: float = 0.0
     pool_rebuilds: int = 0
     inline_shards: int = 0
+    #: BLAS threads the shards ran under (``None``: BLAS unmanaged).
+    blas_threads: int | None = None
 
     @property
     def processes(self) -> int:
@@ -516,6 +519,7 @@ class ShardReport:
             "ipc_slack": self.slack,
             "pool_rebuilds": self.pool_rebuilds,
             "inline_shards": self.inline_shards,
+            "blas_threads": self.blas_threads,
             "shards": list(self.shard_phase_seconds),
         }
 
@@ -657,6 +661,7 @@ def _run_attached(
         "groups": len(built.groups),
         "phases": timers.as_dict(),
         "workers": timers.workers,
+        "blas_threads": blas_threads_now(),
         "verify": None if report is None else report.as_dict(),
     }
 
@@ -689,14 +694,18 @@ def _watch_parent(parent: int) -> None:
 
 
 def _worker_init() -> None:
-    """Pool initializer: a disposable worker that dies with its parent.
+    """Pool initializer: a one-BLAS-thread worker that dies with its parent.
 
-    An idle worker blocks on its task queue, which stays open after the
-    parent dies (the sibling workers hold its other end), so a warm pool
-    would outlive a killed parent. Each worker instead polls its parent
-    pid, which changes when it is reparented, and exits on its own.
+    The core budget runs every engine thread over one BLAS thread
+    (:mod:`repro.gemm.budget`); a shard worker sets that once, for its
+    whole life. An idle worker blocks on its task queue, which stays
+    open after the parent dies (the sibling workers hold its other end),
+    so a warm pool would outlive a killed parent. Each worker instead
+    polls its parent pid, which changes when it is reparented, and
+    exits on its own.
     """
     mark_worker_process()
+    pin_blas_thread()
     threading.Thread(
         target=_watch_parent,
         args=(os.getppid(),),
@@ -925,7 +934,8 @@ def run_sharded(
 
     ``plan``/``order``/``strips`` are the engine's group-builder inputs
     (each worker builds its span's groups from them); ``shards`` is the
-    shard grid. ``packed_a``/``packed_b`` must have been packed through
+    shard grid; ``workers`` is each shard's engine threads.
+    ``packed_a``/``packed_b`` must have been packed through
     ``pool`` (the arena of :func:`shard_arena`) and ``c`` leased from
     it; each shard zeroes its own panel. On return, ``c`` holds the
     product — the caller copies it out before releasing its segments.
@@ -995,14 +1005,16 @@ def run_sharded(
                         ),
                         rebuilds=ladder.total_restarts + 1,
                     )
-                # Degraded mode: run the unfinished shards in-parent.
-                # Kill-type numeric faults are inert here, so a
-                # persistently-killing plan still converges to the
-                # correct C (or raises through the verify ladder).
-                for index in sorted(pending):
-                    _remaining()
-                    results[index] = _execute_shard(pending.pop(index))
-                    inline += 1
+                # Degraded mode: run the unfinished shards in-parent,
+                # over one BLAS thread like a shard worker. Kill-type
+                # numeric faults are inert here, so a persistently-killing
+                # plan still converges to the correct C (or raises
+                # through the verify ladder).
+                with blas_lease():
+                    for index in sorted(pending):
+                        _remaining()
+                        results[index] = _execute_shard(pending.pop(index))
+                        inline += 1
                 break
             if pool_exec is None:
                 pool_key = (
@@ -1083,5 +1095,10 @@ def run_sharded(
         ipc_lower_bound_bytes=shards.ipc_lower_bound_elements * element_bytes,
         pool_rebuilds=ladder.total_restarts + exhausted,
         inline_shards=inline,
+        blas_threads=max(
+            (res["blas_threads"] for res in ordered
+             if res["blas_threads"] is not None),
+            default=None,
+        ),
     )
     return report, merged

@@ -21,11 +21,12 @@ lookup, pool-warm packs, no cross-thread handoff between them.
 **Degradation ladder.** When retries on the requested configuration
 keep failing, the server steps the request down a fixed ladder rather
 than failing it outright: drop process sharding (sharded → threaded),
-drop threading (threaded → serial), and finally drop a fast backend to
-the trusted numpy oracle. Each rung is a strictly simpler execution
-with strictly fewer failure modes; the last rung — serial oracle — is
-the code path every other one is bit-identical to, so degradation
-never changes the answer, only the speed. A
+drop threading (threaded → serial, an explicit ``workers=1``: ``None``
+is the core budget's default, which may be threaded), and finally drop
+a fast backend to the trusted numpy oracle. Each rung is a strictly
+simpler execution with strictly fewer failure modes; the last rung —
+serial oracle — is the code path every other one is bit-identical to,
+so degradation never changes the answer, only the speed. A
 :class:`~repro.errors.BackendCapabilityError` jumps straight to the
 oracle rung (capability gaps do not heal with retries).
 """
@@ -56,7 +57,7 @@ class Rung:
     def describe(self) -> str:
         shards = resolve_shards(self.processes)
         processes = 1 if shards is None else shards.processes
-        workers = self.workers if self.workers else 1
+        workers = self.workers or "budget"
         backend = self.backend or "default"
         return f"processes={processes} workers={workers} backend={backend}"
 
@@ -75,19 +76,20 @@ def degradation_rungs(request: MultiplyRequest) -> list[Rung]:
 
     # Degraded rungs pin processes to an explicit 1 (not None): None
     # re-resolves to the process-wide default, which may itself be
-    # sharded when `cake-bench --processes` set it.
+    # sharded when `cake-bench --processes` set it. Serial rungs say
+    # workers=1 for the same reason: None is the core budget's default.
     if resolve_shards(request.processes) is not None:
         push(Rung(1, request.workers, request.backend))
     if request.workers is not None and request.workers > 1:
-        push(Rung(1, None, request.backend))
+        push(Rung(1, 1, request.backend))
     if request.backend not in (None, "numpy"):
-        push(Rung(1, None, "numpy"))
+        push(Rung(1, 1, "numpy"))
     return rungs
 
 
 def oracle_rung() -> Rung:
     """The ladder's terminal rung: serial, in-process, numpy oracle."""
-    return Rung(1, None, "numpy")
+    return Rung(1, 1, "numpy")
 
 
 class EngineCache:

@@ -52,6 +52,7 @@ from repro.errors import (
     ProtocolError,
     WorkerCrashError,
 )
+from repro.gemm import budget
 from repro.runtime.restart import RestartPolicy
 from repro.serve.admission import FrontDoor, Pending
 from repro.serve.protocol import (
@@ -177,6 +178,8 @@ class FleetServer(FrontDoor):
             cores=cores,
             default_deadline=default_deadline,
             retry_policy=retry_policy,
+            # Each request then gets cores // (workers * executors).
+            host_cores=max(1, budget.cores() // workers),
         )
         self.supervisor = Supervisor(
             workers,

@@ -79,7 +79,9 @@ class MultiplyRequest:
     backend:
         Registered backend name, or ``None`` for the process default.
     workers:
-        Threads inside the executing engine (``None``: serial).
+        Threads inside the executing engine (``None``: the core budget's
+        default within the executor's share of the host,
+        :mod:`repro.gemm.budget`).
     processes:
         Shard processes (``None``/1: in-process). A per-request
         :class:`~repro.gemm.sharded.ShardConfig` deadline is derived

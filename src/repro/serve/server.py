@@ -36,6 +36,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.errors import BackendCapabilityError, CakeError
+from repro.gemm import budget
 from repro.gemm.backends import resolve_backend
 from repro.gemm.sharded import ShardExecutionError, resolve_shards
 from repro.gemm.verify import NumericFaultError
@@ -124,7 +125,10 @@ class MultiplyServer(FrontDoor):
     capacity:
         Bounded queue limit; submits beyond it are shed.
     executors:
-        Concurrent engine passes (dispatcher worker threads).
+        Concurrent engine passes (dispatcher worker threads). Each
+        executor's requests share ``cores // executors`` of the host's
+        usable cores (:mod:`repro.gemm.budget`), which is what a
+        request's ``workers=None`` resolves within.
     max_batch:
         Most same-class small requests coalesced into one engine pass.
     cores:
@@ -179,6 +183,8 @@ class MultiplyServer(FrontDoor):
             if retry_policy is None
             else retry_policy
         )
+        #: The host cores one executor's requests may use.
+        self.request_cores = max(1, budget.cores() // executors)
         self.pool = BufferPool()
         self.engines = EngineCache(self.machine, self.pool)
         self.plans = None
@@ -308,8 +314,9 @@ class MultiplyServer(FrontDoor):
     # -- execution -----------------------------------------------------------
 
     def _run_batch(self, batch: list[_Pending]) -> None:
-        for pending in batch:
-            self._run_one(pending, batch_size=len(batch))
+        with budget.core_share(self.request_cores):
+            for pending in batch:
+                self._run_one(pending, batch_size=len(batch))
 
     def _count(self, name: str) -> None:
         with self._cond:

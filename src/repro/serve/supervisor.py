@@ -61,7 +61,9 @@ class WorkerOptions:
 
     ``machine=None`` resolves to the default machine *inside* the
     worker; a custom :class:`~repro.machine.MachineSpec` is a frozen
-    dataclass and pickles fine across spawn.
+    dataclass and pickles fine across spawn. ``host_cores`` is the
+    worker's share of the host's usable cores (``None``: all of them);
+    its server divides the share among its executors.
     """
 
     machine: object = None
@@ -72,6 +74,7 @@ class WorkerOptions:
     default_deadline: "float | None" = None
     retry_policy: object = None
     result_timeout: float = 300.0
+    host_cores: "int | None" = None
 
 
 def worker_main(conn, index: int, options: WorkerOptions) -> None:
@@ -88,17 +91,19 @@ def worker_main(conn, index: int, options: WorkerOptions) -> None:
     * ``("die",)`` → ``os._exit`` (fault injection: hard crash).
     * ``("stop",)`` → drain=False server stop, then exit.
     """
+    from repro.gemm.budget import core_share
     from repro.serve.server import MultiplyServer
 
-    server = MultiplyServer(
-        options.machine,
-        capacity=options.capacity,
-        executors=options.executors,
-        max_batch=options.max_batch,
-        cores=options.cores,
-        default_deadline=options.default_deadline,
-        retry_policy=options.retry_policy,
-    )
+    with core_share(options.host_cores):
+        server = MultiplyServer(
+            options.machine,
+            capacity=options.capacity,
+            executors=options.executors,
+            max_batch=options.max_batch,
+            cores=options.cores,
+            default_deadline=options.default_deadline,
+            retry_policy=options.retry_policy,
+        )
     server.start()
     send_lock = threading.Lock()
 

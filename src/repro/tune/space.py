@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.gemm import budget
 from repro.gemm.plan import MAX_ALPHA, CakePlan, GotoPlan, PlanOverride
 
 #: CB aspect factors tried for CAKE candidates (``None`` keeps the
@@ -166,10 +166,10 @@ def execution_variants(engine: str) -> list[tuple[int | None, int | None]]:
     ``strips`` decouples host execution granularity from the modelled
     core count (CAKE only — GOTO's granularity is its ``mc`` strip
     split); ``workers`` adds a threaded variant only when the host has
-    more than one CPU, since threads on a single core just add
-    scheduling overhead.
+    more than one usable core (:func:`repro.gemm.budget.usable_cores`),
+    since threads on a single core just add scheduling overhead.
     """
-    host = os.cpu_count() or 1
+    host = budget.usable_cores()
     strips_options: list[int | None] = [None]
     if engine == "cake":
         strips_options.append(1)

@@ -14,9 +14,12 @@ The pipeline per :class:`~repro.tune.space.TuneKey`:
 3. **Timed validation** — the surviving shapes are crossed with the
    host execution variants (``strips``/``workers`` — invisible to the
    model, which prices modelled cores) and executed on synthesized
-   operands, best-of-``repeats`` wall clock. Every candidate's C is
-   asserted **bit-identical** to the analytic plan's; a mismatch
-   rejects the candidate, never degrades the contract.
+   operands, best-of-``repeats`` wall clock. A ``workers`` variant
+   equal to what the core budget (:mod:`repro.gemm.budget`) already
+   resolves for the shape is skipped, so no configuration is timed
+   twice. Every candidate's C is asserted **bit-identical** to the
+   analytic plan's; a mismatch rejects the candidate, never degrades
+   the contract.
 4. **Persist** — the fastest valid candidate (or the analytic marker
    when nothing beats it) lands in the versioned plan cache.
 
@@ -229,6 +232,10 @@ class PlanTuner:
                 candidate = replace(shape, strips=strips, workers=workers)
                 if candidate == PlanOverride():
                     continue  # that IS the analytic baseline
+                if workers is not None and workers == self._engine(
+                    key, replace(candidate, workers=None)
+                ).workers_for(key.m, key.n, key.k):
+                    continue  # the core budget already runs this count
                 engine = self._engine(key, candidate)
                 c, seconds = self._timed(engine, a, b)
                 exact = bool(np.array_equal(c, analytic_c))

@@ -267,6 +267,15 @@ class TestExecutorUnit:
         with pytest.raises(ValueError):
             run_strip_groups(bad, kernel, workers=2)
 
+    def test_exception_in_a_handed_off_run_propagates(self, rng):
+        # Two strips on two workers: the calling thread runs the first,
+        # the pool the second, whose error must still surface.
+        kernel = MicroKernel(mr=2, nr=2, kc=4)
+        good = StripTask(np.zeros((2, 4)), np.zeros((4, 2)), np.zeros((2, 2)))
+        bad = StripTask(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            run_strip_groups([[good, bad]], kernel, workers=2)
+
     def test_timers_accumulate(self, rng):
         kernel = MicroKernel(mr=2, nr=2, kc=6)
         timers = PhaseTimers()

@@ -118,7 +118,10 @@ class TestBackpressure:
         # this thread) and fill the queue to capacity: the next submit
         # must shed with reason="capacity" and an aggregate-backlog
         # retry_after, and every frozen request must still resolve
-        # after release.
+        # after release. The backlog also counts each worker's
+        # heartbeat-reported queue, which can still show the previous
+        # test's last request for one heartbeat: wait until it is idle.
+        assert _wait_until(lambda: fleet.supervisor.pending_total() == 0)
         handles = []
         with fleet._cond:
             free = fleet.capacity - len(fleet._queue) - len(fleet._assigned)

@@ -225,8 +225,8 @@ class TestDegradation:
         ] == [
             (2, 4, "blas-group"),  # as requested
             (1, 4, "blas-group"),  # drop sharding
-            (1, None, "blas-group"),  # drop threading
-            (1, None, "numpy"),  # drop the fast backend
+            (1, 1, "blas-group"),  # drop threading
+            (1, 1, "numpy"),  # drop the fast backend
         ]
         assert rungs[-1] == oracle_rung()
 
@@ -302,7 +302,7 @@ class TestDegradation:
             class FlakyEngines:
                 def engine_for(self, request, shape_class, rung,
                                deadline_at=None, override=None):
-                    if rung.workers is not None:
+                    if rung.workers != 1:
                         return Failing()  # the threaded rung never works
                     return inner.engine_for(
                         request, shape_class, rung, deadline_at,

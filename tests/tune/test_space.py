@@ -88,3 +88,13 @@ class TestCandidateGrid:
             assert workers is None or workers >= 1
         # GOTO has no strips knob (granularity is its mc split).
         assert all(s is None for s, _ in execution_variants("goto"))
+
+    def test_execution_variants_read_the_usable_cores(self, monkeypatch):
+        """Affinity, not os.cpu_count(), decides the threaded variant."""
+        from repro.gemm import budget
+
+        monkeypatch.setattr(budget, "usable_cores", lambda: 1)
+        assert execution_variants("cake") == [(None, None), (1, None)]
+        monkeypatch.setattr(budget, "usable_cores", lambda: 3)
+        assert (3, 3) in execution_variants("cake")
+        assert (None, 3) in execution_variants("goto")

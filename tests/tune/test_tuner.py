@@ -157,3 +157,27 @@ class TestTunedEngines:
             assert "override" not in off.plan_summary
         finally:
             set_default_tune(None)
+
+    def test_budgeted_worker_count_is_never_timed_twice(
+        self, intel, tmp_path, monkeypatch
+    ):
+        """A workers variant equal to the core budget's own resolution is
+        the workers=None variant again, so the tuner skips it."""
+        from repro.gemm import budget
+        from repro.gemm.plan import PlanOverride
+
+        monkeypatch.setattr(budget, "usable_cores", lambda: 2)
+        tuner = PlanTuner(
+            intel, TuneConfig(cache_root=tmp_path, repeats=1, top_k=2)
+        )
+        result = tuner.tune(key(m=384, n=384, k=384, dtype="<f8"))
+        timed = [c.override for c in result.candidates if c.timed_seconds]
+        assert timed
+        for override in timed:
+            if override["workers"] is None:
+                continue
+            default = CakeGemm(
+                intel, plan=PlanOverride(**{**override, "workers": None}),
+                tuned=False,
+            ).workers_for(384, 384, 384)
+            assert override["workers"] != default, override
