@@ -132,7 +132,7 @@ class DeadlineExceededError(CakeError):
         execution started), ``"execute"`` (expired while an engine ran
         it), ``"shard"`` (the sharded executor's deadline fired and the
         pool was killed), or ``"result-wait"`` (the waiter's clock
-        expired before the dispatcher resolved the handle).
+        expired before the server resolved the handle).
     budget:
         The request's deadline budget in seconds, when known.
     elapsed:

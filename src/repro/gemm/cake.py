@@ -207,20 +207,20 @@ class CakeGemm(GemmEngine):
     @classmethod
     def _loop_order(
         cls, plan: CakePlan, override: "PlanOverride | None"
-    ) -> tuple[list[GroupSlot], int]:
+    ) -> tuple[tuple[GroupSlot, ...], int]:
         """One group per CB block, in the K-first (or override's) order.
 
         Each block's M extent splits into one strip per modelled core,
         or into the override's ``strips`` — a host-granularity knob that
         leaves the priced core count alone.
         """
-        order = [
+        order = tuple(
             GroupSlot(
                 c.mi, c.mi + 1, c.ni, c.ki, (c.mi, c.ni, c.ki),
                 f"cake block (mi={c.mi}, ni={c.ni}, ki={c.ki})",
             )
             for c in plan.schedule(cls._schedule(override))
-        ]
+        )
         strips = plan.cores
         if override is not None and override.strips is not None:
             strips = override.strips

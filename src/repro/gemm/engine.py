@@ -20,7 +20,10 @@ assembly. A concrete engine supplies only
 
 So a multiply is plan → loop order → ``build_groups`` → executor, and
 its counters, modelled time and bound tallies are a copy of one memoized
-batch-analyzer run per executed plan (:func:`plan_accounting`).
+batch-analyzer run per executed plan (:func:`plan_accounting`). The
+loop order (:func:`loop_order`), the plan's grid and the strip layout
+are memoized per plan too, so a repeated shape only binds views onto
+its own buffers.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from functools import lru_cache
-from typing import ClassVar, Sequence
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -77,20 +80,44 @@ def plan_accounting(
     return engine._analyze_plan(plan, schedule)
 
 
-@lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
-def strip_work(plan: "CakePlan | GotoPlan", slot: GroupSlot, strips: int) -> int:
-    """The strip tasks of ``slot``'s group that are worth a thread.
+class LoopOrder(NamedTuple):
+    """An engine's loop order over one plan (:func:`loop_order`).
 
-    What the core budget sizes a multiply's default workers from;
-    memoized like :func:`plan_accounting` and cleared with it.
+    Shared by every thread multiplying with the plan, so it holds only
+    tuples.
     """
+
+    #: The strip groups, in execution order.
+    slots: tuple[GroupSlot, ...]
+    #: Strip tasks per block row of a group.
+    strips: int
+    #: Strip tasks of the first group that are worth a thread: what the
+    #: core budget sizes a multiply's default workers from.
+    work: int
+
+
+@lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
+def loop_order(
+    engine: "type[GemmEngine]",
+    plan: "CakePlan | GotoPlan",
+    override: "PlanOverride | None",
+) -> LoopOrder:
+    """``engine``'s loop order over ``plan``, memoized.
+
+    The override's execution fields (``schedule``, ``strips``) are all
+    the hook reads beyond the plan. Bounded like the plan memos and
+    cleared with them (:func:`repro.gemm.plan.clear_plan_memos`).
+    """
+    slots, strips = engine._loop_order(plan, override)
     m_sizes, n_sizes, k_sizes = plan.grid().size_arrays()
-    depth = 2.0 * int(k_sizes[slot.ki]) * int(n_sizes[slot.ni])
-    return budget.worth_a_thread(
+    first = slots[0]
+    depth = 2.0 * int(k_sizes[first.ki]) * int(n_sizes[first.ni])
+    work = budget.worth_a_thread(
         depth * rows
-        for row in range(slot.mi0, slot.mi1)
+        for row in range(first.mi0, first.mi1)
         for rows in core_strips(int(m_sizes[row]), strips)
     )
+    return LoopOrder(slots, strips, work)
 
 
 class GemmEngine:
@@ -166,15 +193,11 @@ class GemmEngine:
         budget is read in the calling context.
         """
         plan = self.plan_for(m, n, k)
-        order, strips = self._loop_order(plan, self.override)
-        return self._workers(plan, order, strips, self.override)
+        order = loop_order(type(self), plan, self.override)
+        return self._workers(order, self.override)
 
     def _workers(
-        self,
-        plan: "CakePlan | GotoPlan",
-        order: Sequence[GroupSlot],
-        strips: int,
-        override: "PlanOverride | None",
+        self, order: LoopOrder, override: "PlanOverride | None"
     ) -> int:
         """Engine threads for a multiply: explicit, tuned, or budgeted.
 
@@ -190,9 +213,7 @@ class GemmEngine:
             return resolve_workers(override.workers)
         if self.backend.capabilities.grouped:
             return 1
-        return budget.default_workers(
-            strip_work(plan, order[0], strips), self._processes
-        )
+        return budget.default_workers(order.work, self._processes)
 
     @property
     def _processes(self) -> int:
@@ -264,8 +285,8 @@ class GemmEngine:
         override = self._tuned_override(space, dtype)
         plan = self._plan(space, override)
         schedule = self._schedule(override)
-        order, strips = self._loop_order(plan, override)
-        workers = self._workers(plan, order, strips, override)
+        order = loop_order(type(self), plan, override)
+        workers = self._workers(order, override)
 
         accounting = plan_accounting(type(self), plan, schedule)
         counters = dataclasses.replace(accounting.counters)
@@ -284,8 +305,8 @@ class GemmEngine:
             )
             c = np.zeros((m, n), dtype=dtype)
             built = build_groups(
-                order, plan, packed_a, packed_b, c,
-                strips=strips,
+                order.slots, plan, packed_a, packed_b, c,
+                strips=order.strips,
                 verifying=verifying,
                 grouped=self.backend.capabilities.grouped,
                 pool=self._pool,
@@ -317,8 +338,8 @@ class GemmEngine:
                     a, b, plan, arena, False, timers
                 )
                 c, shard_report, report = self._run_sharded(
-                    arena, plan, order, strips, packed_a, packed_b,
-                    dtype, workers, timers,
+                    arena, plan, order, packed_a, packed_b, dtype,
+                    workers, timers,
                 )
             counters.ipc_bytes = shard_report.ipc_bytes
             blas_threads = shard_report.blas_threads
@@ -370,8 +391,7 @@ class GemmEngine:
         self,
         arena: SharedBufferPool,
         plan: "CakePlan | GotoPlan",
-        order: Sequence[GroupSlot],
-        strips: int,
+        order: LoopOrder,
         packed_a: PackedA,
         packed_b: PackedB,
         dtype: np.dtype,
@@ -389,7 +409,7 @@ class GemmEngine:
         m_sizes, n_sizes, _ = plan.grid().size_arrays()
         shards = plan_shards(
             self.shards.processes,
-            self._shard_rows(order, m_sizes.tolist(), strips),
+            self._shard_rows(order, m_sizes.tolist()),
             n_sizes.tolist(),
             plan.space.k,
         )
@@ -398,8 +418,8 @@ class GemmEngine:
         try:
             shard_report, report = run_sharded(
                 plan=plan,
-                order=order,
-                strips=strips,
+                order=order.slots,
+                strips=order.strips,
                 shards=shards,
                 packed_a=packed_a,
                 packed_b=packed_b,
@@ -420,9 +440,7 @@ class GemmEngine:
         arena.release(*segments)
         return product, shard_report, report
 
-    def _shard_rows(
-        self, order: Sequence[GroupSlot], m_sizes: list[int], strips: int
-    ) -> list[int]:
+    def _shard_rows(self, order: LoopOrder, m_sizes: list[int]) -> list[int]:
         """The row extents a shard grid may cut between: whole backend calls.
 
         A per-strip backend call multiplies one strip: ``strips``-way
@@ -435,7 +453,9 @@ class GemmEngine:
         """
         if not self.backend.capabilities.grouped:
             return [
-                rows for size in m_sizes for rows in core_strips(size, strips)
+                rows
+                for size in m_sizes
+                for rows in core_strips(size, order.strips)
             ]
-        runs = sorted({(slot.mi0, slot.mi1) for slot in order})
+        runs = sorted({(slot.mi0, slot.mi1) for slot in order.slots})
         return [sum(m_sizes[r0:r1]) for r0, r1 in runs]

@@ -67,7 +67,7 @@ class GotoGemm(GemmEngine):
     @staticmethod
     def _loop_order(
         plan: GotoPlan, override: "PlanOverride | None"
-    ) -> tuple[list[GroupSlot], int]:
+    ) -> tuple[tuple[GroupSlot, ...], int]:
         """One group per ``(nc, kc)`` slice, N outer, across every ``mc`` strip.
 
         Each strip of a slice updates a disjoint C row panel, so all its
@@ -75,11 +75,11 @@ class GotoGemm(GemmEngine):
         every C element's accumulation order that of the serial nest.
         """
         grid = plan.grid()
-        order = [
+        order = tuple(
             GroupSlot(
                 0, grid.mb, ni, ki, (ni, ki), f"goto slice (ni={ni}, ki={ki})"
             )
             for ni in range(grid.nb)
             for ki in range(grid.kb)
-        ]
+        )
         return order, 1

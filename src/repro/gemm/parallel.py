@@ -91,6 +91,7 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -103,6 +104,7 @@ from repro.gemm.backends.base import (
 )
 from repro.gemm.backends.numpy_backend import NumpyBackend
 from repro.gemm.microkernel import MicroKernel
+from repro.gemm.plan import PLAN_MEMO_MAXSIZE
 from repro.gemm.verify import GroupVerifier, VerifyConfig, VerifyReport
 from repro.util import ceil_div, require_positive, split_length
 
@@ -230,6 +232,62 @@ class BuiltGroups(NamedTuple):
     checksum_elements: int
 
 
+class StripLayout(NamedTuple):
+    """The plan geometry :func:`build_groups` carves one span's strips from.
+
+    Built once per ``(plan, strips, span)`` by :func:`strip_layout` and
+    shared by every thread that builds groups from it, so it holds only
+    tuples.
+    """
+
+    m_sizes: tuple[int, ...]
+    n_sizes: tuple[int, ...]
+    m_off: tuple[int, ...]
+    n_off: tuple[int, ...]
+    #: The block columns ``col_lo:col_hi`` inside the span.
+    col_lo: int
+    col_hi: int
+    #: Per block row, its strips inside the span as ``(index in the row,
+    #: first row, rows)``: the span may end between two strips.
+    in_span: tuple[tuple[tuple[int, int, int], ...], ...]
+    #: Strips before each block row, counting whole rows.
+    strips_before: tuple[int, ...]
+
+
+@lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
+def strip_layout(
+    plan: "CakePlan | GotoPlan", strips: int, span: "ShardSpan | None"
+) -> StripLayout:
+    """``plan``'s block rows cut into ``strips`` strips each, inside ``span``.
+
+    Memoized like the plans, and cleared with them
+    (:func:`repro.gemm.plan.clear_plan_memos`).
+    """
+    grid = plan.grid()
+    m_sizes, n_sizes, _ = (tuple(x.tolist()) for x in grid.size_arrays())
+    m_off, n_off, _ = (tuple(x.tolist()) for x in grid.offset_arrays())
+    top, bottom, col_lo, col_hi = 0, m_off[-1] + m_sizes[-1], 0, grid.nb
+    if span is not None:
+        top, bottom = span.m0, span.m0 + span.m_extent
+        col_lo = bisect_left(n_off, span.n0)
+        col_hi = bisect_left(n_off, span.n0 + span.n_extent)
+    in_span = []
+    strips_before = [0]
+    for row, size in enumerate(m_sizes):
+        heights = core_strips(size, strips)
+        here, y = [], 0
+        for s, rows in enumerate(heights):
+            if top <= m_off[row] + y < bottom:
+                here.append((s, y, rows))
+            y += rows
+        in_span.append(tuple(here))
+        strips_before.append(strips_before[-1] + len(heights))
+    return StripLayout(
+        m_sizes, n_sizes, m_off, n_off, col_lo, col_hi,
+        tuple(in_span), tuple(strips_before),
+    )
+
+
 class _BlockSums:
     """ABFT checksum and magnitude material of one packed operand's blocks.
 
@@ -303,29 +361,15 @@ def build_groups(
     group covers one block row; for several it is concatenated (leased
     from ``pool``) only when something reads it — the verifier, or a
     ``grouped`` backend executing the group as one call.
+
+    The geometry comes from :func:`strip_layout`, built once per plan;
+    a call only binds views onto its own packed buffers and C, and
+    gathers the checksum material.
     """
-    grid = plan.grid()
-    m_sizes, n_sizes, _ = (sizes.tolist() for sizes in grid.size_arrays())
-    m_off, n_off, _ = (offsets.tolist() for offsets in grid.offset_arrays())
-    top, bottom, col_lo, col_hi = 0, m_off[-1] + m_sizes[-1], 0, grid.nb
-    if span is not None:
-        top, bottom = span.m0, span.m0 + span.m_extent
-        col_lo = bisect_left(n_off, span.n0)
-        col_hi = bisect_left(n_off, span.n0 + span.n_extent)
-    # Each block row's strips inside the span, as (index in the row,
-    # first row, rows) — the span ends between strips — and the number
-    # of strips before each block row.
-    in_span: list[list[tuple[int, int, int]]] = []
-    strips_before = [0]
-    for row, size in enumerate(m_sizes):
-        heights = core_strips(size, strips)
-        here, y = [], 0
-        for s, rows in enumerate(heights):
-            if top <= m_off[row] + y < bottom:
-                here.append((s, y, rows))
-            y += rows
-        in_span.append(here)
-        strips_before.append(strips_before[-1] + len(heights))
+    (
+        m_sizes, n_sizes, m_off, n_off, col_lo, col_hi, in_span,
+        strips_before,
+    ) = strip_layout(plan, strips, span)
     a_sums = _BlockSums(packed_a, packed_a.block, axis=0)
     b_sums = _BlockSums(packed_b, packed_b.panel, axis=1)
     # A-side material per (rows, ki): shared by every ni of a GOTO slice.

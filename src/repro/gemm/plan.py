@@ -289,8 +289,11 @@ class CakePlan:
         )
 
     def grid(self) -> BlockGrid:
-        """Partition the problem space with this plan's CB block."""
-        return BlockGrid(self.space, self.block)
+        """Partition the problem space with this plan's CB block.
+
+        Built once per plan (:func:`_plan_grid`) and shared.
+        """
+        return _plan_grid(self)
 
     def schedule(self, name: str = "k-first") -> list[BlockCoord]:
         """The block order: Algorithm 2's K-first, or a named variant
@@ -406,14 +409,20 @@ class GotoPlan:
             nr=self.machine.nr,
         )
 
+    @property
+    def block(self) -> CBBlock:
+        """The nominal tile: ``mc x nc x kc``."""
+        return CBBlock(m=self.mc, n=self.nc, k=self.kc)
+
     def grid(self) -> BlockGrid:
         """The loop nest's tiles: ``mc`` strips x ``nc`` panels x ``kc`` slices.
 
         The same partition (ragged at the high edges) the Figure 5 nest
         walks, as a block grid like a :class:`CakePlan`'s, so both engines
-        pack and build their strip groups through one code path.
+        pack and build their strip groups through one code path. Built
+        once per plan (:func:`_plan_grid`) and shared.
         """
-        return BlockGrid(self.space, CBBlock(m=self.mc, n=self.nc, k=self.kc))
+        return _plan_grid(self)
 
 
 @lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
@@ -446,25 +455,45 @@ def _goto_plan(
     )
 
 
-def plan_cache_info() -> dict[str, object]:
-    """Hit/miss/size counters for the plan memos and the per-plan
-    accounting memo (:func:`repro.gemm.engine.plan_accounting`)."""
-    from repro.gemm.engine import plan_accounting  # lazy: pkg cycle
+@lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
+def _plan_grid(plan: "CakePlan | GotoPlan") -> BlockGrid:
+    """Either plan's block grid, memoized: an engine asks for it several
+    times per multiply (packing, the loop order, the strip layout)."""
+    return BlockGrid(plan.space, plan.block)
+
+
+def _plan_memos() -> dict:
+    """Every per-plan memo by report name, each an ``lru_cache`` bounded
+    by :data:`PLAN_MEMO_MAXSIZE`."""
+    from repro.gemm.engine import loop_order, plan_accounting  # lazy: pkg cycle
+    from repro.gemm.parallel import strip_layout  # lazy: pkg cycle
 
     return {
+        "cake": _cake_plan,
+        "goto": _goto_plan,
+        "grid": _plan_grid,
+        "accounting": plan_accounting,
+        "loop_order": loop_order,
+        "strip_layout": strip_layout,
+    }
+
+
+def plan_cache_info() -> dict[str, object]:
+    """Hit/miss/size counters for the plan memos and the per-plan memos
+    built from them: grid, accounting
+    (:func:`repro.gemm.engine.plan_accounting`), loop order and strip
+    layout."""
+    return {
         "maxsize": PLAN_MEMO_MAXSIZE,
-        "cake": _cake_plan.cache_info()._asdict(),
-        "goto": _goto_plan.cache_info()._asdict(),
-        "accounting": plan_accounting.cache_info()._asdict(),
+        **{
+            name: memo.cache_info()._asdict()
+            for name, memo in _plan_memos().items()
+        },
     }
 
 
 def clear_plan_memos() -> None:
-    """Drop every memoized plan, plan accounting and strip work (tests;
+    """Drop every memoized plan and everything memoized per plan (tests;
     never needed for correctness)."""
-    from repro.gemm.engine import plan_accounting, strip_work  # lazy: pkg cycle
-
-    _cake_plan.cache_clear()
-    _goto_plan.cache_clear()
-    plan_accounting.cache_clear()
-    strip_work.cache_clear()
+    for memo in _plan_memos().values():
+        memo.cache_clear()

@@ -2,7 +2,7 @@
 
 A deadline is a single absolute instant on ``time.monotonic()``'s
 clock. Every layer that enforces one — the serve front door shedding
-already-expired requests, the dispatcher discarding stale work, the
+already-expired requests, the server's executors discarding stale work, the
 sharded executor bounding its futures wait, the client blocking on a
 response handle — converts to this form once at submit time and then
 compares against the same clock, so a request's budget is spent exactly

@@ -111,12 +111,14 @@ class BlockGrid:
     def __init__(self, space: ComputationSpace, block: CBBlock) -> None:
         self.space = space
         self.nominal = block
-        self._m_sizes = split_length(space.m, min(block.m, space.m))
-        self._n_sizes = split_length(space.n, min(block.n, space.n))
-        self._k_sizes = split_length(space.k, min(block.k, space.k))
-        self._m_offsets = prefix_offsets(self._m_sizes)
-        self._n_offsets = prefix_offsets(self._n_sizes)
-        self._k_offsets = prefix_offsets(self._k_sizes)
+        # Tuples: plans memoize their grid, so one grid is shared by
+        # every thread multiplying with that plan.
+        self._m_sizes = tuple(split_length(space.m, min(block.m, space.m)))
+        self._n_sizes = tuple(split_length(space.n, min(block.n, space.n)))
+        self._k_sizes = tuple(split_length(space.k, min(block.k, space.k)))
+        self._m_offsets = tuple(prefix_offsets(self._m_sizes))
+        self._n_offsets = tuple(prefix_offsets(self._n_sizes))
+        self._k_offsets = tuple(prefix_offsets(self._k_sizes))
 
     # -- grid shape ---------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 ROADMAP item 1's serving layer. Clients submit multiply requests to a
 :class:`~repro.serve.server.MultiplyServer` and get future-like
-handles back; a dispatcher classifies requests by shape class
+handles back; the server classifies requests by shape class
 (:mod:`repro.serve.classifier`), coalesces compatible small problems
 into shared plan + :class:`~repro.packing.pool.BufferPool` reuse
 (:mod:`repro.serve.batching`), and executes them on the existing

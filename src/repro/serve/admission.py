@@ -24,8 +24,9 @@ and clock may admit a request whose deadline has already passed.
 in-process :class:`~repro.serve.server.MultiplyServer` and the
 multi-process :class:`~repro.serve.fleet.FleetServer`. It owns the
 bounded queue, the counters, the latency window, ``submit()``,
-queued-deadline expiry, the shutdown shed and the lifecycle; a server
-supplies only how admitted work is dispatched and executed.
+queued-deadline expiry, the shutdown shed, the dispatch threads and
+the lifecycle; a server supplies only what its dispatch threads do with
+admitted work.
 """
 
 from __future__ import annotations
@@ -138,22 +139,26 @@ class FrontDoor:
     """The admission-controlled front door both servers share.
 
     Owns the bounded queue (``_queue``, guarded by ``_cond``, whose
-    lock is re-entrant so a test can freeze the dispatcher and still
-    submit), the counters, the latency window, :meth:`submit`,
-    queued-deadline expiry, the shutdown shed and the lifecycle
+    lock is re-entrant so a test can freeze dispatch and still submit),
+    the counters, the latency window, :meth:`submit`, queued-deadline
+    expiry, the shutdown shed, the dispatch threads and the lifecycle
     (:meth:`start`/:meth:`stop`, context manager, :meth:`multiply`).
-    A server supplies:
+    Queued deadlines expire wherever a thread already holds ``_cond``:
+    on a dispatch thread's periodic wake, and in :meth:`submit` before
+    it sheds for capacity. A server supplies:
 
     * ``_entry(seq, handle)`` — the queue entry for an admitted request;
-    * ``_dispatch_loop()`` — the dispatcher thread's body;
-    * ``_open()`` / ``_close(drain, timeout)`` — bring up and wind down
-      whatever executes the queue;
-    * optionally ``_backlog_locked()`` (the depth admission measures and
-      how many requests drain in parallel) and ``_refusal_locked()``
+    * ``_dispatch_loop()`` — the body of each dispatch thread, which
+      :meth:`start` starts ``_dispatch_threads()`` of (default one);
+    * ``_close(drain, timeout)`` — wind down the dispatch threads and
+      whatever they execute on;
+    * optionally ``_open()`` (bring up what the dispatch threads
+      execute on), ``_backlog_locked()`` (the depth admission measures
+      and how many requests drain in parallel) and ``_refusal_locked()``
       (an error refusing every submit).
     """
 
-    #: Dispatcher thread-name prefix.
+    #: Dispatch thread-name prefix.
     name = "cake-serve"
     #: Counters a server keeps beyond the shared ones.
     extra_counters: "tuple[str, ...]" = ()
@@ -179,7 +184,7 @@ class FrontDoor:
         self._running = False
         self._stopping = False
         self._drain = True
-        self._dispatcher: "threading.Thread | None" = None
+        self._dispatchers: "list[threading.Thread]" = []
         self._counters = dict.fromkeys(
             (
                 "submitted", "admitted", "completed", "failed",
@@ -193,7 +198,7 @@ class FrontDoor:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self):
-        """Start the execution side and the dispatcher (idempotent)."""
+        """Start the execution side and the dispatch threads (idempotent)."""
         with self._cond:
             if self._running:
                 return self
@@ -201,12 +206,16 @@ class FrontDoor:
             self._stopping = False
             self._drain = True
         self._open()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            name=f"{self.name}-dispatcher",
-            daemon=True,
-        )
-        self._dispatcher.start()
+        self._dispatchers = [
+            threading.Thread(
+                target=self._dispatch_loop,
+                name=f"{self.name}-dispatch-{i}",
+                daemon=True,
+            )
+            for i in range(self._dispatch_threads())
+        ]
+        for thread in self._dispatchers:
+            thread.start()
         return self
 
     def stop(
@@ -274,12 +283,24 @@ class FrontDoor:
             if refusal is not None:
                 raise refusal
             depth, parallel = self._backlog_locked()
+            if depth >= self.capacity:
+                # While every dispatch thread is busy nothing else
+                # expires the queue: a request whose deadline passed
+                # must not cost a live one its slot.
+                self._expire_queued_locked()
+                depth, parallel = self._backlog_locked()
             decision = admission_decision(
                 queue_depth=depth,
                 capacity=self.capacity,
                 deadline_budget=budget,
                 executors=parallel,
-                service_estimate=percentile(self._latencies, 50.0),
+                # Only a capacity shed reads the estimate (a sort of the
+                # latency window), so only a full queue pays for it.
+                service_estimate=(
+                    percentile(self._latencies, 50.0)
+                    if depth >= self.capacity
+                    else None
+                ),
                 stopping=self._stopping or not self._running,
             )
             if decision is not None:
@@ -313,6 +334,13 @@ class FrontDoor:
         return self.submit(a, b, **kwargs).result()
 
     # -- shared machinery ----------------------------------------------------
+
+    def _dispatch_threads(self) -> int:
+        """How many threads run ``_dispatch_loop``: one router by default."""
+        return 1
+
+    def _open(self) -> None:
+        """Bring up what the dispatch threads execute on (default: nothing)."""
 
     def _backlog_locked(self) -> "tuple[int, int]":
         """(requests ahead of a new one, requests served in parallel)."""

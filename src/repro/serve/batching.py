@@ -1,6 +1,6 @@
 """Engine reuse, request coalescing, and the degradation ladder.
 
-Three mechanisms live here, all in service of the dispatcher:
+Three mechanisms live here, all in service of the executors:
 
 **Engine cache.** Plain requests (no verification, no sharding) of the
 same shape class and execution profile reuse one engine object. The
@@ -13,7 +13,7 @@ configs carry per-request state: injection plans, shard deadlines);
 construction is cheap because the plan cache absorbs the expensive
 part.
 
-**Coalescing.** The dispatcher drains up to ``max_batch`` same-class,
+**Coalescing.** An executor takes up to ``max_batch`` same-class,
 same-profile small requests from the queue in one scoop and runs them
 back-to-back on one executor thread through one engine: one plan
 lookup, pool-warm packs, no cross-thread handoff between them.
@@ -121,7 +121,7 @@ class EngineCache:
         Sharded rungs get a fresh engine whose
         :class:`~repro.gemm.sharded.ShardConfig` carries the request's
         absolute deadline, so a hung shard worker is killed by the
-        shard executor itself rather than stranding a dispatcher
+        shard executor itself rather than stranding a serve executor
         thread. ``override`` is the class's tuned
         :class:`~repro.gemm.plan.PlanOverride` (resolved off the
         request path by :class:`~repro.tune.PlanService`); it is part

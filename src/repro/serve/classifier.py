@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 #: Requests whose total operand+output surface (elements of A, B and C)
-#: is at or below this are "small": eligible for dispatcher coalescing
+#: is at or below this are "small": eligible for executor coalescing
 #: into one engine pass per class. Larger problems run solo — their
 #: execution dominates queueing overheads, and they are the ones worth
 #: sharding instead. 2^22 elements is a ~1024^2-ish problem in float32.

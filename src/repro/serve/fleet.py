@@ -68,6 +68,15 @@ from repro.serve.request import content_seed
 from repro.serve.supervisor import Supervisor, WorkerOptions
 
 
+#: What a worker's report says about executing a request, copied into
+#: the fleet's: the request id, status, deadline and total time stay the
+#: fleet's own.
+WORKER_REPORT_FIELDS = (
+    "shape_class", "attempts", "retries", "degradations",
+    "execute_seconds", "backend", "workers", "processes",
+)
+
+
 @dataclass(frozen=True, slots=True)
 class FleetStats:
     """A consistent snapshot of fleet-level health and throughput."""
@@ -248,8 +257,8 @@ class FleetServer(FrontDoor):
             self._shed_locked(leftovers)
             self._cond.notify_all()
         self.supervisor.stop()
-        if self._dispatcher is not None:
-            self._dispatcher.join(5.0)
+        for thread in self._dispatchers:
+            thread.join(5.0)
 
     # -- client surface ------------------------------------------------------
 
@@ -365,7 +374,7 @@ class FleetServer(FrontDoor):
     def _on_worker_message(self, index: int, msg) -> None:
         if msg[0] != "result":
             return
-        req_id, status, payload = msg[1], msg[2], msg[3]
+        req_id, status, payload, worker_report = msg[1:5]
         with self._cond:
             entry = self._assigned.pop(req_id, None)
             if entry is None:
@@ -374,6 +383,9 @@ class FleetServer(FrontDoor):
                 # at-most-once-answer; nothing to do.
                 return
             handle = entry[1].handle
+            if worker_report is not None and not handle.done():
+                for name in WORKER_REPORT_FIELDS:
+                    setattr(handle.report, name, worker_report[name])
             self.supervisor.breaker(index).record_success()
             if status == "ok" and handle.expired():
                 error = handle.deadline_error("result-wait")

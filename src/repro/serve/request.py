@@ -4,13 +4,13 @@ A client interacts with the server through exactly two objects: the
 :class:`MultiplyRequest` it submits (operands plus the service contract
 — deadline, priority, verification, backend) and the
 :class:`ResponseHandle` it gets back, a future-like object whose
-``result()`` blocks until the dispatcher resolves it with a
+``result()`` blocks until the server resolves it with a
 :class:`~repro.gemm.result.GemmRun` or a structured error. Every handle
 also carries a :class:`ServeReport` recording what the server actually
 did — queueing time, attempts, retries, and each degradation-ladder
 step — so a response is auditable without trusting logs.
 
-Resolution is **first-wins and final**: the dispatcher racing a
+Resolution is **first-wins and final**: an executor racing a
 client-side deadline can never overwrite an already-resolved handle, so
 a request that expired can never later surface a stale product.
 """
@@ -155,11 +155,11 @@ class ServeReport:
 class ResponseHandle:
     """A future for one admitted request.
 
-    ``result()`` blocks until the dispatcher resolves the handle — with
+    ``result()`` blocks until the server resolves the handle — with
     a :class:`~repro.gemm.result.GemmRun` or a structured error — or
     until the request's deadline passes, whichever is first. Expiry on
     the waiter's side resolves the handle itself (first-wins), so a
-    client is never stranded by a dispatcher that got wedged: the
+    client is never stranded by an executor that got wedged: the
     deadline is enforced by the party holding the clock, not the party
     being timed.
     """

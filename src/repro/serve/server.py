@@ -1,13 +1,20 @@
-"""The multiply server: admission, dispatch, execution, degradation.
+"""The multiply server: admission, execution, degradation.
 
 ``MultiplyServer`` is a thread-based (stdlib-only) front door over the
 existing GEMM engines. The lifecycle of one request::
 
-    submit ──admit──▶ queue ──classify/coalesce──▶ execute ──▶ resolve
-       │                 │                            │
-       └─ AdmissionError └─ DeadlineExceededError     ├─ retry (backoff)
-          (shed)            (expired while queued)    ├─ degrade (ladder)
-                                                      └─ structured error
+    submit ──admit──▶ queue ──executor takes a batch──▶ execute ──▶ resolve
+       │                 │                                 │
+       └─ AdmissionError └─ DeadlineExceededError          ├─ retry (backoff)
+          (shed)            (expired while queued)         ├─ degrade (ladder)
+                                                           └─ structured error
+
+One hop: the client's ``submit()`` queues the request, and one of
+``executors`` threads takes it off the queue — coalesced with queued
+classmates — and runs the engine pass itself. No dispatcher thread or
+pool sits between the queue and the engine, so a small request waits
+on no extra thread wake-up, which matters most when every thread of a
+loaded server contends for one interpreter lock.
 
 Robustness invariants, each pinned by the serve test suite:
 
@@ -31,7 +38,6 @@ Robustness invariants, each pinned by the serve test suite:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
@@ -114,8 +120,8 @@ class MultiplyServer(FrontDoor):
     :class:`~repro.errors.AdmissionError`); ``handle.result()`` blocks
     for the product. Admission, the queue and the lifecycle are the
     shared :class:`~repro.serve.admission.FrontDoor`; this class adds
-    shape classification, coalescing, the executor threads and the
-    retry/degradation ladder.
+    shape classification, coalescing, the executor loop its dispatch
+    threads run and the retry/degradation ladder.
 
     Parameters
     ----------
@@ -125,10 +131,11 @@ class MultiplyServer(FrontDoor):
     capacity:
         Bounded queue limit; submits beyond it are shed.
     executors:
-        Concurrent engine passes (dispatcher worker threads). Each
-        executor's requests share ``cores // executors`` of the host's
-        usable cores (:mod:`repro.gemm.budget`), which is what a
-        request's ``workers=None`` resolves within.
+        Concurrent engine passes: the threads that take batches off the
+        queue and run them. Each executor's requests share
+        ``cores // executors`` of the host's usable cores
+        (:mod:`repro.gemm.budget`), which is what a request's
+        ``workers=None`` resolves within.
     max_batch:
         Most same-class small requests coalesced into one engine pass.
     cores:
@@ -196,7 +203,6 @@ class MultiplyServer(FrontDoor):
                 tune if isinstance(tune, TuneConfig) else None,
             )
         self._in_flight = 0
-        self._executor: ThreadPoolExecutor | None = None
 
     # -- front-door hooks ----------------------------------------------------
 
@@ -214,17 +220,26 @@ class MultiplyServer(FrontDoor):
         key = (shape_class.key, request.backend, request.workers)
         return _Pending(seq, handle, shape_class, None if solo else key)
 
-    def _open(self) -> None:
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.executors, thread_name_prefix=self.name
-        )
+    def _dispatch_threads(self) -> int:
+        return self.executors
 
     def _close(self, drain: bool, timeout: float | None) -> None:
-        """Wait for the dispatcher (``timeout``) and the in-flight passes."""
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        """Wait for the executors; every pass already running finishes.
+
+        ``timeout`` bounds the drain of queued work: whatever is still
+        queued when it runs out is shed with ``AdmissionError("shutdown")``.
+        """
+        limit = None if timeout is None else time.monotonic() + timeout
+        for thread in self._dispatchers:
+            thread.join(
+                None if limit is None else max(0.0, limit - time.monotonic())
+            )
+        with self._cond:
+            self._shed_locked(self._queue)
+            self._queue.clear()
+            self._cond.notify_all()
+        for thread in self._dispatchers:
+            thread.join()
 
     # -- client surface ------------------------------------------------------
 
@@ -249,7 +264,7 @@ class MultiplyServer(FrontDoor):
                 **tuner,
             )
 
-    # -- dispatcher ----------------------------------------------------------
+    # -- executors -----------------------------------------------------------
 
     def _take_batch_locked(self) -> list[_Pending]:
         """Pop the highest-priority request plus coalescable classmates."""
@@ -275,41 +290,40 @@ class MultiplyServer(FrontDoor):
         return batch
 
     def _dispatch_loop(self) -> None:
+        """One executor: take a batch off the queue, run it, repeat."""
         while True:
             with self._cond:
-                while not self._stopping and not (
-                    self._queue and self._in_flight < self.executors
-                ):
-                    # The periodic wake expires queued deadlines even
-                    # when nothing else moves.
+                while not self._stopping and not self._queue:
+                    # An idle executor's periodic wake expires queued
+                    # deadlines even when nothing else moves.
                     self._cond.wait(timeout=0.05)
                     self._expire_queued_locked()
                 if self._stopping and (not self._drain or not self._queue):
-                    break
+                    return
                 self._expire_queued_locked()
-                if not self._queue or self._in_flight >= self.executors:
+                if not self._queue:
                     continue
                 batch = self._take_batch_locked()
                 self._in_flight += 1
-            assert self._executor is not None
-            future = self._executor.submit(self._run_batch, batch)
-            future.add_done_callback(
-                lambda fut, batch=batch: self._batch_done(fut, batch)
-            )
-
-    def _batch_done(self, future, batch: list[_Pending]) -> None:
-        for pending in batch:
-            if not pending.handle.done():
-                # _run_one resolves every handle itself; reaching here
-                # means a dispatcher bug — fail structured rather than
-                # strand the client.
-                error = future.exception() or CakeError(
-                    "request dropped by the dispatcher"
-                )
-                self._finish(pending.handle, error=error)
-        with self._cond:
-            self._in_flight -= 1
-            self._cond.notify_all()
+            error = None
+            try:
+                self._run_batch(batch)
+            except Exception as exc:  # noqa: BLE001 - fail structured, keep serving
+                error = exc
+            finally:
+                for pending in batch:
+                    # _run_one resolves every handle itself; one still
+                    # open means the pass raised — fail it structured
+                    # rather than strand the client.
+                    if not pending.handle.done():
+                        self._finish(
+                            pending.handle,
+                            error=error
+                            or CakeError("request dropped by its executor"),
+                        )
+                with self._cond:
+                    self._in_flight -= 1
+                    self._cond.notify_all()
 
     # -- execution -----------------------------------------------------------
 
@@ -349,7 +363,7 @@ class MultiplyServer(FrontDoor):
         rungs = degradation_rungs(request)
         rung_index = 0
         attempt_on_rung = 0
-        seed = request.seed()
+        seed = None  # the content seed, computed on the first retry
         # Tuned-plan resolution is a memory/disk probe at most — a cold
         # class tunes on a background thread and this request (plus any
         # before the winner lands) serves the analytic plan.
@@ -402,6 +416,8 @@ class MultiplyServer(FrontDoor):
                 if attempt_on_rung <= self.retry_policy.retries:
                     report.retries += 1
                     self._count("retries")
+                    if seed is None:
+                        seed = request.seed()
                     delay = self.retry_policy.delay(seed, attempt_on_rung)
                     if deadline is not None:
                         delay = min(delay, deadline.remaining())

@@ -92,8 +92,8 @@ def _variants(state_root: Path | None, include_sharded: bool) -> list[dict]:
 
     def kill(uid: str) -> dict:
         # A shard worker dies mid-group; run_sharded's rebuild ladder
-        # heals it inside the engine call. spawn, not fork: the serve
-        # dispatcher is multi-threaded, and forking a threaded parent
+        # heals it inside the engine call. spawn, not fork: the server
+        # is multi-threaded, and forking a threaded parent
         # can deadlock a child on an inherited lock — the exact class
         # of hang this soak exists to catch, so it must not cause one.
         return dict(

@@ -84,8 +84,11 @@ def worker_main(conn, index: int, options: WorkerOptions) -> None:
 
     * ``("ping", seq)`` → ``("pong", seq, pending_count)``
     * ``("exec", req_id, kwargs)`` → submit to the local server; a
-      daemon waiter thread sends ``("result", req_id, "ok", run)`` or
-      ``("result", req_id, "error", exc)`` when the handle resolves.
+      daemon waiter thread sends ``("result", req_id, "ok", run,
+      report)`` or ``("result", req_id, "error", exc, report)`` when the
+      handle resolves, ``report`` being the worker's
+      :class:`~repro.serve.request.ServeReport` as a dict (``None`` when
+      the local server refused the submit).
     * ``("hang", seconds)`` → sleep in the control loop (fault
       injection: heartbeats stop, the supervisor must notice).
     * ``("die",)`` → ``os._exit`` (fault injection: hard crash).
@@ -122,15 +125,15 @@ def worker_main(conn, index: int, options: WorkerOptions) -> None:
                     f"worker {index}: result for {msg[1]} not picklable"
                 )
                 with send_lock:
-                    conn.send((msg[0], msg[1], "error", fallback))
+                    conn.send((msg[0], msg[1], "error", fallback, msg[4]))
 
     def wait_and_send(req_id: str, handle) -> None:
         try:
             run = handle.result(timeout=options.result_timeout)
         except BaseException as exc:  # noqa: BLE001 - forwarded upward
-            send(("result", req_id, "error", exc))
+            send(("result", req_id, "error", exc, handle.report.as_dict()))
             return
-        send(("result", req_id, "ok", run))
+        send(("result", req_id, "ok", run, handle.report.as_dict()))
 
     send(("ready", index, os.getpid()))
     try:
@@ -151,7 +154,7 @@ def worker_main(conn, index: int, options: WorkerOptions) -> None:
                         kwargs.pop("a"), kwargs.pop("b"), **kwargs
                     )
                 except BaseException as exc:  # noqa: BLE001
-                    send(("result", req_id, "error", exc))
+                    send(("result", req_id, "error", exc, None))
                     continue
                 threading.Thread(
                     target=wait_and_send,
@@ -256,7 +259,7 @@ class Supervisor:
         self.heartbeat_timeout = heartbeat_timeout
         self.startup_timeout = startup_timeout
         self.restart_policy = restart_policy or RestartPolicy()
-        # spawn, not fork: the parent runs dispatcher/executor threads,
+        # spawn, not fork: the parent runs router and executor threads,
         # and forking a threaded process can deadlock in the child.
         self._ctx = mp.get_context(start_method)
         self._lock = threading.Lock()

@@ -8,7 +8,7 @@ of host execution variants, and a versioned on-disk cache so served
 traffic amortizes one tune across millions of requests.
 
 Entry points: engines take ``tuned=True`` / ``plan=PlanOverride(...)``,
-the serve dispatcher resolves through :class:`PlanService`, and the
+the serve executors resolve through :class:`PlanService`, and the
 ``cake-tune`` CLI drives :class:`PlanTuner` directly.
 """
 

@@ -1,6 +1,6 @@
 """Off-request-path plan resolution for the serve layer.
 
-The dispatcher must never pay a tune on a request: a cold key costs
+A serve executor must never pay a tune on a request: a cold key costs
 model ranking plus timed validation (tens to hundreds of ms), which
 would blow a request deadline. :class:`PlanService` therefore resolves
 in three tiers, each visible in its counters:
@@ -57,7 +57,7 @@ class PlanService:
         """The tuned override for this class, or None (serve analytic).
 
         ``None`` means either "not tuned yet" (a background tune is now
-        in flight) or "the analytic plan won" — the dispatcher treats
+        in flight) or "the analytic plan won" — the server treats
         both identically, which is the point: analytic is always a
         correct answer.
         """

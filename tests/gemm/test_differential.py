@@ -8,11 +8,14 @@ Hypothesis draws the cells on prime and ragged shapes with ``cores=1``,
 so plans have several blocks (CAKE) or ``mc`` strips (GOTO) to shard and
 thread over, or ``cores=4``, whose CAKE blocks are four per-core strips
 the shard grid may cut between. A served cell goes through one
-in-process ``MultiplyServer`` (analytic plan, one process); the fleet's
-bit-identity is covered by ``tests/serve/test_fleet.py``.
+in-process two-executor ``MultiplyServer`` (analytic plan, one process),
+submitted from two threads at once; the fleet's bit-identity is covered
+by ``tests/serve/test_fleet.py``.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -60,24 +63,38 @@ def test_every_cell_matches_its_serial_run(
     common = {"cores": cores, "backend": backend, "plan": OVERRIDES[override]}
     serial = ENGINES[engine](machine, **common).multiply(a, b)
     if served:
-        with MultiplyServer(machine, cores=cores) as server:
-            handle = server.submit(
-                a, b, engine=engine, backend=backend, workers=workers,
-                verify=verify,
-            )
-            run = handle.result(timeout=120.0)
-        assert handle.report.attempts == 1
-        assert handle.report.degradations == []
+        handles = []
+        with MultiplyServer(machine, cores=cores, executors=2) as server:
+            together = threading.Barrier(2)
+
+            def client():
+                together.wait(timeout=60.0)
+                handles.append(server.submit(
+                    a, b, engine=engine, backend=backend, workers=workers,
+                    verify=verify,
+                ))
+
+            clients = [threading.Thread(target=client) for _ in range(2)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+            runs = [handle.result(timeout=120.0) for handle in handles]
+        assert len(runs) == 2
+        for handle in handles:
+            assert handle.report.attempts == 1
+            assert handle.report.degradations == []
     else:
-        run = ENGINES[engine](
+        runs = [ENGINES[engine](
             machine,
             workers=workers,
             processes=processes,
             verify=verify,
             **common,
-        ).multiply(a, b)
-    assert np.array_equal(run.c, serial.c)
-    assert run.counters.without_ipc() == serial.counters
-    assert run.time == serial.time
-    if verify:
-        assert run.verify is not None and run.verify.mismatches == 0
+        ).multiply(a, b)]
+    for run in runs:
+        assert np.array_equal(run.c, serial.c)
+        assert run.counters.without_ipc() == serial.counters
+        assert run.time == serial.time
+        if verify:
+            assert run.verify is not None and run.verify.mismatches == 0

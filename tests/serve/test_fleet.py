@@ -344,6 +344,30 @@ class TestFrontDoor:
                 assert np.array_equal(out.c, operands["cake"])
                 assert out.report["status"] == "ok"
 
+    def test_remote_report_is_the_workers(self, fleet, operands):
+        with FleetFrontDoor(fleet) as door:
+            host, port = door.address
+            with FleetClient(host, port) as client:
+                out = client.multiply(
+                    operands["a"], operands["b"], engine="goto"
+                )
+        assert np.array_equal(out.c, operands["goto"])
+        report = out.report
+        # What the worker did executing it...
+        assert report["attempts"] == 1
+        assert report["retries"] == 0
+        assert report["degradations"] == []
+        assert report["execute_seconds"] > 0.0
+        assert report["backend"] == "numpy"
+        assert report["workers"] == 1
+        assert report["processes"] == 1
+        assert report["shape_class"] == "goto:24x64x96:f4"
+        # ...under the fleet's own identity, outcome and wall time.
+        assert isinstance(report["request_id"], int)
+        assert report["status"] == "ok"
+        assert report["deadline"] is None
+        assert report["total_seconds"] > report["execute_seconds"]
+
     def test_remote_errors_arrive_structured(self, fleet, operands):
         with FleetFrontDoor(fleet) as door:
             host, port = door.address

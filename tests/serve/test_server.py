@@ -7,6 +7,9 @@ latency but never bits.
 """
 
 import tempfile
+import threading
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from repro.errors import (
     AdmissionError,
     BackendCapabilityError,
     CakeError,
+    DeadlineExceededError,
 )
 from repro.gemm.cake import CakeGemm
 from repro.gemm.goto import GotoGemm
@@ -194,6 +198,47 @@ class TestRetries:
         assert handle.report.status == "failed"
         assert handle.report.error == "NumericFaultError"
         assert server.stats().failed == 1
+
+    def test_replayed_fault_replays_its_backoff_schedule(
+        self, intel, operands
+    ):
+        a, b = operands
+
+        @dataclass(frozen=True)
+        class Recording(RetryPolicy):
+            calls: list = field(default_factory=list, compare=False)
+
+            def delay(self, seed, attempt):
+                self.calls.append((seed, attempt))
+                return super().delay(seed, attempt)
+
+        def replay():
+            # Two failed attempts, healed by the third: two backoffs.
+            verify = VerifyConfig(
+                max_retries=0,
+                oracle_fallback=False,
+                inject=NumericFaultPlan(
+                    rules=(
+                        NumericFaultRule(
+                            block=0, strip=0, kind="scale", factor=3.0,
+                            times=2,
+                        ),
+                    ),
+                    state_dir=tempfile.mkdtemp(prefix="serve-replay-"),
+                ),
+            )
+            policy = Recording(retries=2, base_delay=0.001, max_delay=0.002)
+            with MultiplyServer(
+                intel, cores=1, retry_policy=policy
+            ) as server:
+                handle = server.submit(a, b, verify=verify)
+                handle.result(timeout=60.0)
+            assert handle.report.retries == 2
+            return policy.calls
+
+        first = replay()
+        assert first == [(content_seed(a, b), 1), (content_seed(a, b), 2)]
+        assert replay() == first
 
     def test_retry_schedule_is_content_seeded(self, operands):
         a, b = operands
@@ -378,6 +423,133 @@ class TestLifecycle:
             MultiplyServer(intel, executors=0)
         with pytest.raises(ValueError):
             MultiplyServer(intel, max_batch=0)
+
+
+class TestOneHop:
+    """Executor threads take batches straight off the admission queue."""
+
+    def test_serves_on_exactly_its_executor_threads(self, intel, operands):
+        a, b = operands
+        before = set(threading.enumerate())
+        server = MultiplyServer(intel, cores=1, executors=3).start()
+        try:
+            server.multiply(a, b)
+            server.multiply(a, b, engine="goto")
+            serving = [
+                t for t in threading.enumerate()
+                if t not in before and t.name.startswith(server.name)
+            ]
+            # No dispatcher and no pool workers (both would carry the
+            # server's prefix): the executors are all there is.
+            assert len(serving) == 3
+        finally:
+            server.stop()
+        for thread in serving:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+
+    def test_concurrent_passes_never_exceed_executors(self, intel, operands):
+        a, b = operands
+        executors = 2
+        server = MultiplyServer(intel, cores=1, executors=executors)
+        lock = threading.Lock()
+        running = [0]
+        peak = [0]
+        run_batch = server._run_batch
+
+        def counted(batch):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                time.sleep(0.005)  # hold the pass so passes overlap
+                run_batch(batch)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        server._run_batch = counted
+        handles = []
+        with server:
+
+            def client():
+                # Verified requests run solo: one pass per request.
+                for _ in range(8):
+                    handle = server.submit(a, b, verify=True)
+                    with lock:
+                        handles.append(handle)
+
+            clients = [threading.Thread(target=client) for _ in range(3)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            for handle in handles:
+                handle.result(timeout=60.0)
+        assert len(handles) == 24
+        assert server.stats().batches == 24
+        assert peak[0] == executors
+
+    def test_raising_pass_fails_its_batch_and_serving_goes_on(
+        self, intel, operands
+    ):
+        a, b = operands
+        with MultiplyServer(intel, cores=1, executors=1) as server:
+            engines = server.engines
+
+            class Broken:
+                def engine_for(self, *args, **kwargs):
+                    raise RuntimeError("engine construction failed")
+
+            server.engines = Broken()
+            with server._cond:
+                handles = [server.submit(a, b) for _ in range(3)]
+            for handle in handles:
+                with pytest.raises(RuntimeError, match="construction"):
+                    handle.result(timeout=60.0)
+            server.engines = engines
+            run = server.multiply(a, b)
+        assert np.array_equal(
+            run.c, CakeGemm(intel, cores=1).multiply(a, b).c
+        )
+        stats = server.stats()
+        assert stats.batches == 2 and stats.coalesced == 2
+        assert stats.failed == 3 and stats.completed == 1
+
+    def test_expired_request_does_not_shed_a_live_one(self, intel, operands):
+        a, b = operands
+        reference = CakeGemm(intel, cores=1).multiply(a, b).c
+        server = MultiplyServer(intel, cores=1, executors=1, capacity=1)
+        busy, release = threading.Event(), threading.Event()
+        run_batch = server._run_batch
+
+        def blocking(batch):
+            busy.set()
+            release.wait(timeout=60.0)
+            run_batch(batch)
+
+        server._run_batch = blocking
+        with server:
+            blocker = server.submit(a, b)
+            assert busy.wait(timeout=10.0)  # the only executor is busy
+            stale = server.submit(a, b, deadline=0.05)
+            time.sleep(0.1)
+            # The queue is full of an expired request: admission must
+            # expire it, not shed this live one for capacity.
+            live = server.submit(a, b)
+            assert stale.done()
+            with pytest.raises(DeadlineExceededError):
+                stale.result(timeout=1.0)
+            release.set()
+            for handle in (blocker, live):
+                assert np.array_equal(
+                    handle.result(timeout=60.0).c, reference
+                )
+        stats = server.stats()
+        assert stats.shed_capacity == 0
+        assert stats.deadline_exceeded == 1
+        assert stats.executed == 2
 
 
 class TestHandleContract:
