@@ -101,7 +101,7 @@ def cake_matmul(
     verify: bool | VerifyConfig = False,
     backend: str | Backend | None = None,
     processes: int | ShardConfig | None = None,
-    tuned: object = None,
+    tuned: object = False,
 ) -> GemmRun:
     """Multiply ``a @ b`` with the CAKE engine.
 
@@ -140,21 +140,20 @@ def cake_matmul(
         (:mod:`repro.gemm.sharded`): the CB block grid is partitioned
         into a near-square shard grid, packed operands are shared
         zero-copy through ``multiprocessing.shared_memory``, and each
-        shard runs the threaded executor in its own process. The
-        product is bit-identical to the in-process run on the same
-        backend for every process and worker count; ``run.shards``
-        reports the grid, per-shard timers, and measured inter-process
-        bytes against the communication lower bound.
+        shard runs the threaded executor in its own process. ``None``,
+        the default, or 1 runs in-process. The product is bit-identical
+        to the in-process run on the same backend for every process and
+        worker count; ``run.shards`` reports the grid, per-shard timers,
+        and measured inter-process bytes against the communication lower
+        bound.
     tuned:
         Resolve the plan through the autotuner's persistent cache
-        (:mod:`repro.tune`): ``True`` for the process default
-        :class:`~repro.tune.TuneConfig`, or pass one; ``False`` is
-        explicitly off, and the default ``None`` follows the
-        process-wide switch (:func:`repro.tune.set_default_tune`,
-        i.e. ``cake-bench --tuned``). A cold shape
-        tunes synchronously once; later calls (and later processes) hit
-        the cache. Tuned results are bit-identical to analytic ones —
-        validation rejects any candidate that is not.
+        (:mod:`repro.tune`): ``True`` for a default
+        :class:`~repro.tune.TuneConfig`, or pass one. A falsy value, the
+        default, runs the analytic plan. A cold shape tunes synchronously
+        once; later calls (and later processes) hit the cache. Tuned
+        results are bit-identical to analytic ones — validation rejects
+        any candidate that is not.
 
     Returns
     -------
@@ -181,7 +180,7 @@ def goto_matmul(
     verify: bool | VerifyConfig = False,
     backend: str | Backend | None = None,
     processes: int | ShardConfig | None = None,
-    tuned: object = None,
+    tuned: object = False,
 ) -> GemmRun:
     """Multiply ``a @ b`` with the GOTO baseline engine (MKL/ARMPL model).
 

@@ -117,92 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="write machine-readable BENCH_<id>.json rows to this dir",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="compute backend for numeric experiments (see "
-        "repro.gemm.backends; e.g. numpy, blas-group); analytic-only "
-        "experiments are unaffected",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        metavar="P",
-        help="shard numeric experiments over this many worker processes "
-        "(see repro.gemm.sharded): packed operands are shared zero-copy "
-        "and the product stays bit-identical to the serial path; "
-        "analytic-only experiments are unaffected",
-    )
-    parser.add_argument(
-        "--clients",
-        default=None,
-        metavar="N[,N...]",
-        help="client-concurrency levels for the 'serve' experiment "
-        "(sets CAKE_SERVE_CLIENTS; e.g. 1,2,4); other experiments are "
-        "unaffected",
-    )
-    parser.add_argument(
-        "--tuned",
-        action="store_true",
-        help="resolve engine plans through the autotuner's plan cache "
-        "(see repro.tune; cold keys tune once and persist, so a second "
-        "run is pure cache hits); analytic-only experiments are "
-        "unaffected",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-request deadline in milliseconds for the 'serve' "
-        "experiment (sets CAKE_SERVE_DEADLINE_MS); requests admitted "
-        "but not answered within it terminate structured",
-    )
     args = parser.parse_args(argv)
-
-    if args.clients is not None:
-        import os
-
-        levels = [p for p in args.clients.split(",") if p.strip()]
-        if not levels or any(
-            not p.strip().isdigit() or int(p) < 1 for p in levels
-        ):
-            parser.error(
-                f"--clients: expected positive integers, got {args.clients!r}"
-            )
-        os.environ["CAKE_SERVE_CLIENTS"] = args.clients
-    if args.deadline is not None:
-        import os
-
-        if args.deadline <= 0:
-            parser.error("--deadline: must be a positive budget in ms")
-        os.environ["CAKE_SERVE_DEADLINE_MS"] = str(args.deadline)
-
-    if args.backend is not None:
-        from repro.gemm.backends import (
-            BackendCapabilityError,
-            set_default_backend,
-        )
-
-        try:
-            set_default_backend(args.backend)
-        except BackendCapabilityError as exc:
-            parser.error(f"--backend: {exc}")
-
-    if args.processes is not None:
-        from repro.gemm.sharded import set_default_processes
-
-        try:
-            set_default_processes(args.processes)
-        except ValueError as exc:
-            parser.error(f"--processes: {exc}")
-
-    if args.tuned:
-        from repro.tune import set_default_tune
-
-        set_default_tune(True)
 
     if args.list:
         for name, fn in sorted(registry.items()):

@@ -49,12 +49,10 @@ from repro.gemm.sharded import (
     ShardPlan,
     ShardReport,
     ShardSpan,
-    default_processes,
     ipc_lower_bound_elements,
     plan_shards,
     resolve_shards,
     select_shard_grid,
-    set_default_processes,
 )
 from repro.gemm.verify import (
     NumericFaultError,
@@ -93,12 +91,10 @@ __all__ = [
     "ShardPlan",
     "ShardReport",
     "ShardSpan",
-    "default_processes",
     "ipc_lower_bound_elements",
     "plan_shards",
     "resolve_shards",
     "select_shard_grid",
-    "set_default_processes",
     "NumericFaultError",
     "VerifyConfig",
     "VerifyReport",

@@ -35,11 +35,9 @@ from repro.gemm.backends.registry import (
     BackendSpec,
     available_backends,
     backend_spec,
-    default_backend,
     register_backend,
     registered_backends,
     resolve_backend,
-    set_default_backend,
 )
 from repro.gemm.backends.torch_backend import TorchBackend
 
@@ -53,12 +51,10 @@ __all__ = [
     "TorchBackend",
     "available_backends",
     "backend_spec",
-    "default_backend",
     "dtype_supported",
     "execute_group",
     "group_eligible",
     "register_backend",
     "registered_backends",
     "resolve_backend",
-    "set_default_backend",
 ]

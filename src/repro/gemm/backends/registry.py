@@ -1,7 +1,7 @@
 """Backend registration and selection.
 
 The registry maps backend *names* — what ``CakeGemm(backend="...")``,
-the bench CLI and the conformance suite speak — to
+serve requests and the conformance suite speak — to
 :class:`BackendSpec` records bundling the capability flags, an
 availability probe, and a factory. Selection is one call::
 
@@ -73,35 +73,9 @@ class BackendSpec:
 
 
 _REGISTRY: dict[str, BackendSpec] = {}
-_DEFAULT_BACKEND = "numpy"
 #: Bumped by every registration; forked processes hold the registry of
 #: their fork instant, so warm shard pools are keyed by it.
 _GENERATION = 0
-
-
-def default_backend() -> str:
-    """The process-wide default backend name (what ``backend=None`` means)."""
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(name: str) -> str:
-    """Change what ``backend=None`` resolves to, returning the old default.
-
-    This is how a CLI flag (``cake-bench --backend blas-group``) threads
-    backend selection through code that constructs engines without an
-    explicit ``backend`` argument. The name must be registered and
-    available; a structured error is raised otherwise.
-    """
-    global _DEFAULT_BACKEND
-    spec = backend_spec(name)
-    if not spec.is_available():
-        needs = f" (requires {spec.requires})" if spec.requires else ""
-        raise BackendCapabilityError(
-            spec.name, f"not available on this host{needs}"
-        )
-    old = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = name
-    return old
 
 
 def register_backend(spec: BackendSpec, *, replace: bool = False) -> BackendSpec:
@@ -150,15 +124,14 @@ def backend_spec(name: str) -> BackendSpec:
 def resolve_backend(backend: "str | Backend | BackendSpec | None") -> BackendSpec:
     """Normalize an engine's ``backend`` parameter to a usable spec.
 
-    ``None`` means the process default (the oracle ``"numpy"`` unless
-    :func:`set_default_backend` changed it); a name is looked up and its
+    ``None`` means the oracle ``"numpy"``; a name is looked up and its
     availability enforced (selecting ``"torch"`` without torch installed
     fails *here*, at engine construction, with a structured error); a
     :class:`Backend` instance is wrapped so user-built backends slot in
     without registration.
     """
     if backend is None:
-        return _REGISTRY[_DEFAULT_BACKEND]
+        return _REGISTRY["numpy"]
     if isinstance(backend, BackendSpec):
         spec = backend
     elif isinstance(backend, Backend):

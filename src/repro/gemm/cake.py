@@ -91,7 +91,8 @@ class CakeGemm(GemmEngine):
         Compute backend for numeric execution
         (:mod:`repro.gemm.backends`): a registered name (``"numpy"``,
         ``"blas-group"``, ``"torch"``) or a
-        :class:`~repro.gemm.backends.Backend` instance. The schedule,
+        :class:`~repro.gemm.backends.Backend` instance; ``None``, the
+        default, is the per-strip numpy oracle. The schedule,
         packing, counters and timing model are backend-invariant; only
         how each strip group multiplies changes. Unknown or unavailable
         names raise a structured
@@ -129,13 +130,11 @@ class CakeGemm(GemmEngine):
         ``workers`` argument. Incompatible with ``tuned``.
     tuned:
         Resolve a :class:`PlanOverride` from the persistent tune cache
-        per multiplied shape (:mod:`repro.tune`): ``True`` uses the
-        process default :class:`~repro.tune.TuneConfig`, or pass a
-        config; ``False`` disables tuning outright, and the default
-        ``None`` defers to the process-wide switch
-        (:func:`repro.tune.set_default_tune` — what ``cake-bench
-        --tuned`` flips). A cache miss tunes synchronously on first
-        use (the serve layer instead tunes off the request path via
+        per multiplied shape (:mod:`repro.tune`): ``True`` uses a
+        default :class:`~repro.tune.TuneConfig`, or pass a config. A
+        falsy value, the default, prices the analytic plan. A cache
+        miss tunes synchronously on first use (the serve layer instead
+        tunes off the request path via
         :class:`~repro.tune.PlanService`). Only :meth:`multiply`
         resolves tuned plans — :meth:`analyze` prices the analytic (or
         explicitly overridden) plan.
@@ -158,7 +157,7 @@ class CakeGemm(GemmEngine):
         processes: "int | ShardConfig | None" = None,
         pool: "BufferPool | None" = None,
         plan: "PlanOverride | None" = None,
-        tuned: object = None,
+        tuned: object = False,
     ) -> None:
         super().__init__(
             machine,

@@ -145,7 +145,7 @@ class GemmEngine:
         processes: "int | ShardConfig | None" = None,
         pool: "BufferPool | None" = None,
         plan: "PlanOverride | None" = None,
-        tuned: object = None,
+        tuned: object = False,
     ) -> None:
         self.machine = machine
         self.cores = cores
@@ -225,12 +225,7 @@ class GemmEngine:
         """The override for this multiply: explicit, tuned, or none."""
         if self.override is not None:
             return self.override
-        tuned = self.tuned
-        if tuned is None:  # defer to the process default (--tuned)
-            from repro.tune import get_default_tune  # lazy: pkg cycle
-
-            tuned = get_default_tune()
-        if not tuned:
+        if not self.tuned:
             return None
         from repro.tune import tuned_override  # lazy: pkg cycle
 
@@ -241,8 +236,8 @@ class GemmEngine:
             dtype=dtype,
             cores=self.cores,
             backend=self.backend.name,
-            processes=self.shards.processes if self.shards is not None else 1,
-            config=None if tuned is True else tuned,
+            processes=self._processes,
+            config=None if self.tuned is True else self.tuned,
         )
 
     def analyze(self, m: int, n: int, k: int) -> GemmRun:

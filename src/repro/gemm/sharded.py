@@ -230,42 +230,18 @@ class ShardConfig:
             )
 
 
-_DEFAULT_PROCESSES = 1
-
-
-def default_processes() -> int:
-    """The process-wide default shard count (what ``processes=None`` means)."""
-    return _DEFAULT_PROCESSES
-
-
-def set_default_processes(processes: int) -> int:
-    """Change what ``processes=None`` resolves to, returning the old default.
-
-    This is how ``cake-bench --processes N`` threads process sharding
-    through code that constructs engines without an explicit
-    ``processes`` argument, mirroring
-    :func:`repro.gemm.backends.set_default_backend`.
-    """
-    global _DEFAULT_PROCESSES
-    require_positive("processes", processes)
-    old = _DEFAULT_PROCESSES
-    _DEFAULT_PROCESSES = processes
-    return old
-
-
 def resolve_shards(
     processes: "int | ShardConfig | None",
 ) -> ShardConfig | None:
     """Normalize an engine's ``processes`` parameter.
 
-    ``None`` means the process default (1 unless
-    :func:`set_default_processes` changed it); an int wraps into a
-    default :class:`ShardConfig`; a config passes through. ``None`` is
-    returned whenever the effective process count is 1 — the engine then
-    takes its ordinary in-process path.
+    ``None`` and 1 mean in-process, and resolve to ``None``: the engine
+    then takes its ordinary in-process path. Any other int wraps into a
+    default :class:`ShardConfig`; a config passes through, or resolves
+    to ``None`` when it asks for one process.
     """
     if processes is None:
-        processes = _DEFAULT_PROCESSES
+        return None
     if isinstance(processes, ShardConfig):
         return processes if processes.processes > 1 else None
     if isinstance(processes, bool) or not isinstance(processes, int):

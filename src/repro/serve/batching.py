@@ -58,7 +58,7 @@ class Rung:
         shards = resolve_shards(self.processes)
         processes = 1 if shards is None else shards.processes
         workers = self.workers or "budget"
-        backend = self.backend or "default"
+        backend = self.backend or "numpy"
         return f"processes={processes} workers={workers} backend={backend}"
 
 
@@ -74,10 +74,8 @@ def degradation_rungs(request: MultiplyRequest) -> list[Rung]:
         if rung != rungs[-1]:
             rungs.append(rung)
 
-    # Degraded rungs pin processes to an explicit 1 (not None): None
-    # re-resolves to the process-wide default, which may itself be
-    # sharded when `cake-bench --processes` set it. Serial rungs say
-    # workers=1 for the same reason: None is the core budget's default.
+    # Serial rungs say workers=1: None is the core budget's default,
+    # which may be threaded.
     if resolve_shards(request.processes) is not None:
         push(Rung(1, request.workers, request.backend))
     if request.workers is not None and request.workers > 1:
@@ -130,13 +128,7 @@ class EngineCache:
         """
         shards = resolve_shards(rung.processes)
         if shards is not None:
-            processes: "int | ShardConfig" = replace(
-                shards, deadline=deadline_at
-            )
-        else:
-            # Explicit 1, not None: None would re-resolve through the
-            # process-wide default inside the engine constructor.
-            processes = 1
+            shards = replace(shards, deadline=deadline_at)
         plain = request.verify in (False, None) and shards is None
         key = (
             shape_class.engine,
@@ -151,27 +143,22 @@ class EngineCache:
                 if engine is not None:
                     return engine
         engine = self._build(
-            shape_class, rung, processes, request.verify, override
+            shape_class, rung, shards, request.verify, override
         )
         if plain:
             with self._lock:
                 engine = self._plain.setdefault(key, engine)
         return engine
 
-    def _build(self, shape_class, rung, processes, verify, override=None):
+    def _build(self, shape_class, rung, shards, verify, override=None):
         kwargs = dict(
             cores=shape_class.cores,
             workers=rung.workers,
             verify=verify,
             backend=rung.backend,
-            processes=processes,
+            processes=shards,
             pool=self.pool,
             plan=override,
-            # Explicit False: serve engines never self-tune — the tuned
-            # override (if any) arrives via PlanService, resolved off
-            # the request path. Inheriting the process default would
-            # put a synchronous tune on a request deadline.
-            tuned=False,
         )
         if shape_class.engine == "goto":
             return GotoGemm(self.machine, **kwargs)

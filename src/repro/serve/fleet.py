@@ -69,8 +69,8 @@ from repro.serve.supervisor import Supervisor, WorkerOptions
 
 
 #: What a worker's report says about executing a request, copied into
-#: the fleet's: the request id, status, deadline and total time stay the
-#: fleet's own.
+#: the fleet's: the request id, status, deadline, queue wait and total
+#: time stay the fleet's own.
 WORKER_REPORT_FIELDS = (
     "shape_class", "attempts", "retries", "degradations",
     "execute_seconds", "backend", "workers", "processes",
@@ -317,6 +317,12 @@ class FleetServer(FrontDoor):
                     continue
                 pending = self._pop_next_locked()
                 self._assigned[pending.req_id] = (slot, pending)
+                # The fleet's own queue wait, submit to this send: a
+                # re-dispatched request counts its time back in the queue.
+                handle = pending.handle
+                handle.report.queue_seconds = (
+                    time.monotonic() - handle.submitted_at
+                )
             # Send outside the fleet lock: pipes can block.
             if not self._dispatch_one(slot, pending):
                 with self._cond:

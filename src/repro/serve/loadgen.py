@@ -2,10 +2,10 @@
 
 One function, :func:`drive`, runs every client loop in the serving
 layer: the load generator (:func:`run_load`, a fixed number of
-requests per client — ``benchmarks/bench_serve.py``, the
-``cake-bench serve`` experiment and the ``cake-serve`` CLI) and the
-fault-injected soak (:func:`repro.serve.soak.run_soak`, requests until
-a clock runs out while faults fire). N client threads each take their
+requests per client — ``benchmarks/bench_serve.py`` and the
+``cake-serve`` CLI) and the fault-injected soak
+(:func:`repro.serve.soak.run_soak`, requests until a clock runs out
+while faults fire). N client threads each take their
 next request from a source, submit it to anything with the
 ``submit()`` front-door contract — a
 :class:`~repro.serve.server.MultiplyServer` or a

@@ -77,7 +77,7 @@ class MultiplyRequest:
         ABFT verified execution, as on the engines (``True``/``False``
         or a :class:`~repro.gemm.verify.VerifyConfig`).
     backend:
-        Registered backend name, or ``None`` for the process default.
+        Registered backend name, or ``None`` for the numpy oracle.
     workers:
         Threads inside the executing engine (``None``: the core budget's
         default within the executor's share of the host,

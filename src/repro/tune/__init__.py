@@ -21,8 +21,6 @@ from repro.tune.tuner import (
     TuneConfig,
     TuneResult,
     clear_resolution_memo,
-    get_default_tune,
-    set_default_tune,
     tuned_override,
 )
 
@@ -38,8 +36,6 @@ __all__ = [
     "clear_resolution_memo",
     "default_cache_root",
     "execution_variants",
-    "get_default_tune",
     "plan_shape_candidates",
-    "set_default_tune",
     "tuned_override",
 ]

@@ -275,20 +275,11 @@ class PlanTuner:
         from repro.gemm.cake import CakeGemm
         from repro.gemm.goto import GotoGemm
 
-        kwargs: dict[str, Any] = {
-            "cores": key.cores,
-            "backend": key.backend,
-            "plan": override,
-            # Explicit False, not the inherit-default None: the analytic
-            # baseline (plan=None) must never consult the process-wide
-            # tune default, or a tune-in-progress would recurse into
-            # tuning its own key.
-            "tuned": False,
-        }
-        if key.processes > 1:
-            kwargs["processes"] = key.processes
         cls = CakeGemm if key.engine == "cake" else GotoGemm
-        return cls(self.machine, **kwargs)
+        return cls(
+            self.machine, cores=key.cores, backend=key.backend,
+            plan=override, processes=key.processes,
+        )
 
     def _timed(self, engine, a, b) -> tuple[np.ndarray, float]:
         """Best-of-``repeats`` wall clock for one engine on (a, b)."""
@@ -305,33 +296,11 @@ class PlanTuner:
         return c, best
 
 
-# -- process defaults + the engines' resolution hook -------------------------
-
-_DEFAULT_TUNE: TuneConfig | None = None
+# -- the engines' resolution hook --------------------------------------------
 
 #: Resolved (cache_root, key_id) -> override memo, so `tuned=True`
 #: engines pay the disk probe once per process per key.
 _RESOLVED: dict[tuple[str, str], PlanOverride | None] = {}
-
-
-def set_default_tune(config: "TuneConfig | bool | None") -> None:
-    """Set the process-wide config `tuned=True` engines use.
-
-    ``True`` installs defaults, ``False``/``None`` clears. This is what
-    ``cake-bench --tuned`` flips.
-    """
-    global _DEFAULT_TUNE
-    if config is True:
-        _DEFAULT_TUNE = TuneConfig()
-    elif config is False or config is None:
-        _DEFAULT_TUNE = None
-    else:
-        _DEFAULT_TUNE = config
-    _RESOLVED.clear()
-
-
-def get_default_tune() -> TuneConfig | None:
-    return _DEFAULT_TUNE
 
 
 def clear_resolution_memo() -> None:
@@ -357,7 +326,7 @@ def tuned_override(
     cost once. The serve layer never calls this on the request path; it
     uses :class:`~repro.tune.service.PlanService` instead.
     """
-    config = config or get_default_tune() or TuneConfig()
+    config = config or TuneConfig()
     key = TuneKey(
         engine=engine,
         m=space.m,

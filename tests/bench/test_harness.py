@@ -43,7 +43,6 @@ class TestRegistry:
         expected = {
             "table2", "fig4", "fig7a", "fig7b", "fig8",
             "fig9a", "fig9b", "fig10", "fig11", "fig12",
-            "verify", "backends", "sharded", "serve", "autotune",
         }
         assert expected == set(EXPERIMENTS)
 
@@ -75,15 +74,13 @@ class TestCli:
         assert "fig10" in out and "ablation-lru" in out
 
     def test_list_describes_every_experiment(self, capsys):
-        """Each --list line carries a one-line description; the
-        autotune experiment is registered."""
+        """Each --list line carries a one-line description."""
         assert main(["--list"]) == 0
         lines = [
             line for line in capsys.readouterr().out.splitlines() if line
         ]
         registry = {**EXPERIMENTS, **ABLATIONS}
         assert len(lines) == len(registry)
-        assert "autotune" in {line.split()[0] for line in lines}
         for line in lines:
             name, description = line.split(None, 1)
             assert name in registry

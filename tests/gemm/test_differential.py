@@ -10,20 +10,29 @@ thread over, or ``cores=4``, whose CAKE blocks are four per-core strips
 the shard grid may cut between. A served cell goes through one
 in-process two-executor ``MultiplyServer`` (analytic plan, one process),
 submitted from two threads at once; the fleet's bit-identity is covered
-by ``tests/serve/test_fleet.py``.
+by ``tests/serve/test_fleet.py``. A cell on a backend without a
+bit-identity promise against the numpy oracle also checks its serial
+run against the oracle's, within the backend's declared
+``agreement_band``.
+
+The tuned axis: a plan override resolved through the tune cache gives
+the analytic serial bits directly, sharded and served.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gemm import CakeGemm, GotoGemm
 from repro.gemm.plan import PlanOverride
 from repro.machines import intel_i9_10900k
 from repro.serve import MultiplyServer
+from repro.tune import TuneConfig
 
 ENGINES = {"cake": CakeGemm, "goto": GotoGemm}
 OVERRIDES = {
@@ -61,7 +70,19 @@ def test_every_cell_matches_its_serial_run(
     b = rng.standard_normal((k, n))
     machine = intel_i9_10900k()
     common = {"cores": cores, "backend": backend, "plan": OVERRIDES[override]}
-    serial = ENGINES[engine](machine, **common).multiply(a, b)
+    serial_engine = ENGINES[engine](machine, **common)
+    serial = serial_engine.multiply(a, b)
+    if backend != "numpy":
+        # No bit-identity promise against the oracle: the backend's own
+        # declared band, scaled by |A|.|B| as the conformance suite does.
+        oracle = ENGINES[engine](
+            machine, **{**common, "backend": "numpy"}
+        ).multiply(a, b)
+        declared = serial_engine.backend.create(
+            kernel=serial_engine.plan_for(m, n, k).kernel
+        ).agreement_band(a.dtype, k)
+        worst = float(np.abs(serial.c - oracle.c).max())
+        assert worst <= declared * float((np.abs(a) @ np.abs(b)).max())
     if served:
         handles = []
         with MultiplyServer(machine, cores=cores, executors=2) as server:
@@ -98,3 +119,68 @@ def test_every_cell_matches_its_serial_run(
         assert run.time == serial.time
         if verify:
             assert run.verify is not None and run.verify.mismatches == 0
+
+
+# -- the tuned axis ----------------------------------------------------------
+
+TUNED_SHAPE = (97, 131, 211)  # m, n, k
+
+
+def _tune_config(root) -> TuneConfig:
+    # min_speedup=0 adopts the fastest bit-exact candidate, so a winner
+    # always lands: the analytic plan shape is one of the candidates.
+    return TuneConfig(cache_root=root, repeats=1, top_k=2, min_speedup=0.0)
+
+
+@pytest.fixture
+def tuned_operands():
+    m, n, k = TUNED_SHAPE
+    rng = np.random.default_rng(20219)
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, n))
+    analytic = CakeGemm(intel_i9_10900k(), workers=1).multiply(a, b)
+    return a, b, analytic.c
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_tuned_engine_returns_the_analytic_bits(
+    tmp_path, tuned_operands, processes
+):
+    a, b, analytic = tuned_operands
+    run = CakeGemm(
+        intel_i9_10900k(), processes=processes,
+        tuned=_tune_config(tmp_path),
+    ).multiply(a, b)
+    assert "override" in run.plan_summary
+    assert np.array_equal(run.c, analytic)
+
+
+def test_tuned_server_returns_the_analytic_bits(tmp_path, tuned_operands):
+    a, b, analytic = tuned_operands
+    with MultiplyServer(
+        intel_i9_10900k(), tune=_tune_config(tmp_path)
+    ) as server:
+        first = server.multiply(a, b)  # analytic while the class tunes
+        deadline = time.monotonic() + 60.0
+        while server.stats().tunes_completed < 1:
+            assert time.monotonic() < deadline, "the class never tuned"
+            time.sleep(0.01)
+        hits = server.stats().tuned_hits
+        second = server.multiply(a, b)
+        assert server.stats().tuned_hits > hits
+    assert np.array_equal(first.c, analytic)
+    assert np.array_equal(second.c, analytic)
+
+
+def test_default_engine_never_reads_the_tune_cache(
+    tmp_path, monkeypatch, tuned_operands
+):
+    a, b, analytic = tuned_operands
+    monkeypatch.setenv("CAKE_TUNE_CACHE", str(tmp_path))
+    machine = intel_i9_10900k()
+    # Put a winner for the shape in the default cache root.
+    tuned = CakeGemm(machine, tuned=_tune_config(tmp_path)).multiply(a, b)
+    assert "override" in tuned.plan_summary
+    run = CakeGemm(machine).multiply(a, b)
+    assert "override" not in run.plan_summary
+    assert np.array_equal(run.c, analytic)

@@ -30,12 +30,10 @@ from repro.gemm.sharded import (
     IPC_SLACK_FACTOR,
     ShardConfig,
     ShardExecutionError,
-    default_processes,
     ipc_lower_bound_elements,
     plan_shards,
     resolve_shards,
     select_shard_grid,
-    set_default_processes,
 )
 from repro.gemm.plan import PlanOverride
 from repro.gemm.verify import VerifyConfig
@@ -191,15 +189,7 @@ class TestPlanTiling:
 
 class TestResolveShards:
     def test_none_means_the_process_default(self):
-        assert default_processes() == 1
-        assert resolve_shards(None) is None
-        old = set_default_processes(3)
-        try:
-            assert old == 1
-            cfg = resolve_shards(None)
-            assert cfg is not None and cfg.processes == 3
-        finally:
-            set_default_processes(old)
+        """``processes=None`` runs in-process, like ``processes=1``."""
         assert resolve_shards(None) is None
 
     def test_one_process_means_no_sharding(self):
@@ -219,8 +209,6 @@ class TestResolveShards:
             resolve_shards("2")  # type: ignore[arg-type]
         with pytest.raises(ValueError):
             resolve_shards(0)
-        with pytest.raises(ValueError):
-            set_default_processes(0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -447,16 +435,17 @@ class TestIpcAccounting:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_ipc_bytes_within_documented_slack(self, intel, operands, engine):
         a, b = operands
-        run = _sharded(intel, engine, a, b, 2)
-        report = run.shards
-        assert report is not None
-        assert run.counters.ipc_bytes == report.ipc_bytes > 0
-        bound = report.ipc_lower_bound_bytes
-        assert bound == ipc_lower_bound_elements(
-            SHAPE[0], SHAPE[1], SHAPE[2], report.processes
-        ) * intel.element_bytes
-        assert bound <= report.ipc_bytes <= IPC_SLACK_FACTOR * bound
-        assert report.slack == report.ipc_bytes / bound
+        for processes in (2, 4):
+            run = _sharded(intel, engine, a, b, processes)
+            report = run.shards
+            assert report is not None
+            assert run.counters.ipc_bytes == report.ipc_bytes > 0
+            bound = report.ipc_lower_bound_bytes
+            assert bound == ipc_lower_bound_elements(
+                SHAPE[0], SHAPE[1], SHAPE[2], report.processes
+            ) * intel.element_bytes
+            assert bound <= report.ipc_bytes <= IPC_SLACK_FACTOR * bound
+            assert report.slack == report.ipc_bytes / bound
 
     def test_ipc_bytes_are_plan_deterministic(self, intel, operands):
         # Same problem, same process count -> identical ipc accounting

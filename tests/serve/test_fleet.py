@@ -148,6 +148,27 @@ class TestBackpressure:
             fleet.submit(operands["a"], operands["b"], deadline=-1.0)
         assert excinfo.value.reason == "deadline"
 
+    def test_queued_request_reports_the_fleet_queue_wait(
+        self, fleet, operands
+    ):
+        # Freeze the fleet dispatcher with two requests queued: the
+        # second waits behind the first for at least `wait` seconds
+        # before the fleet sends it to a worker.
+        wait = 0.3
+        with fleet._cond:
+            first = fleet.submit(
+                operands["a"], operands["b"], deadline=RESULT_TIMEOUT
+            )
+            second = fleet.submit(
+                operands["a"], operands["b"], deadline=RESULT_TIMEOUT
+            )
+            time.sleep(wait)
+        for handle in (first, second):
+            run = handle.result(timeout=RESULT_TIMEOUT)
+            assert np.array_equal(run.c, operands["cake"])
+        report = second.report
+        assert wait <= report.queue_seconds <= report.total_seconds
+
 
 class TestFaultRecovery:
     def test_hang_is_detected_and_requests_survive(self, fleet, operands):

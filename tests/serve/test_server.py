@@ -27,6 +27,7 @@ from repro.gemm.verify import NumericFaultError, VerifyConfig
 from repro.runtime.executor import RetryPolicy
 from repro.runtime.faults import NumericFaultPlan, NumericFaultRule
 from repro.serve.batching import Rung, degradation_rungs, oracle_rung
+from repro.serve.loadgen import OperandSet, run_load
 from repro.serve.request import MultiplyRequest, content_seed
 from repro.serve.server import MultiplyServer
 
@@ -71,6 +72,20 @@ class TestBitIdentity:
             assert np.array_equal(
                 run.c, CakeGemm(intel, cores=1).multiply(a, b).c
             )
+
+    def test_load_generator_audits_every_response(self, intel):
+        """Two closed-loop clients on the Fig. 8 skewed shape: every
+        response bit-identical to its direct engine call."""
+        operands = OperandSet.figure8_skewed(128, machine=intel)
+        with MultiplyServer(intel, executors=2) as server:
+            load = run_load(
+                server, operands, clients=2, requests_per_client=3
+            )
+        assert load.ok == 6
+        assert load.mismatches == 0
+        assert load.failed == 0
+        assert load.unresolved == 0
+        assert not load.stuck
 
 
 class TestCoalescing:

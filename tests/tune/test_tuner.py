@@ -140,24 +140,6 @@ class TestTunedEngines:
         if seeded.override is not None:
             assert run.plan_summary["override"] == seeded.override.as_dict()
 
-    def test_default_tune_switch_is_inherited(self, intel, tmp_path, rng):
-        """tuned=None engines follow set_default_tune (cake-bench
-        --tuned); tuned=False engines never tune."""
-        from repro.tune import set_default_tune
-
-        config = TuneConfig(cache_root=tmp_path, repeats=1, top_k=2)
-        a = rng.standard_normal((96, 160)).astype(np.float32)
-        b = rng.standard_normal((160, 128)).astype(np.float32)
-        base = CakeGemm(intel, tuned=False).multiply(a, b)
-        set_default_tune(config)
-        try:
-            run = CakeGemm(intel).multiply(a, b)
-            assert np.array_equal(run.c, base.c)
-            off = CakeGemm(intel, tuned=False).multiply(a, b)
-            assert "override" not in off.plan_summary
-        finally:
-            set_default_tune(None)
-
     def test_budgeted_worker_count_is_never_timed_twice(
         self, intel, tmp_path, monkeypatch
     ):
