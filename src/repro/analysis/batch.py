@@ -11,10 +11,13 @@ handful of NumPy passes over structure-of-arrays data:
 * per-block geometry comes from one gather per axis
   (:meth:`repro.schedule.space.BlockGrid.surface_arrays`);
 * CAKE's capacity-LRU residency runs through
-  :func:`repro.schedule.reuse.surface_lru_replay` (the grouped-replay
-  technique of :mod:`repro.memsim.vectorized`);
+  :func:`repro.schedule.reuse.surface_lru_replay`, which steps block by
+  block only at run starts, turn reuses and ragged blocks, and applies
+  the rest of each reduction run in one step, from sizes alone;
 * roofline pricing runs through
-  :func:`repro.perfmodel.roofline.block_times_batch`.
+  :func:`repro.perfmodel.roofline.block_times_batch`, and every float
+  total is a left-to-right accumulation
+  (:func:`repro.perfmodel.roofline.sequential_sum`).
 
 The contract is **bit-for-bit equivalence**, not approximation: integer
 counters are identical to the scalar walk's, and every float (per-block
@@ -39,7 +42,7 @@ from repro.gemm.plan import CakePlan, GotoPlan
 from repro.gemm.result import GemmRun
 from repro.machines.spec import MachineSpec
 from repro.packing.cost import packing_cost
-from repro.perfmodel.roofline import BlockTime, block_times_batch
+from repro.perfmodel.roofline import BlockTime, block_times_batch, sequential_sum
 from repro.schedule.kfirst import kfirst_order_arrays
 from repro.schedule.reuse import (
     encode_surface_ids,
@@ -53,22 +56,6 @@ from repro.util import ceil_div, split_length
 def _ceil_div_arr(numerator: np.ndarray, denominator) -> np.ndarray:
     """Elementwise :func:`repro.util.ceil_div` for positive operands."""
     return -(-numerator // denominator)
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right float accumulation, as the scalar walk's ``+=`` does.
-
-    ``np.sum`` uses pairwise accumulation, which differs from a running
-    sum at the ulp level — enough to break the bit-exactness contract.
-    """
-    total = 0.0
-    for value in values.tolist():
-        total += value
-    return total
-
-
-def _hit_flags(raw: bytearray) -> np.ndarray:
-    return np.frombuffer(raw, dtype=np.uint8).astype(bool)
 
 
 def plan_counters(plan: "CakePlan | GotoPlan") -> TrafficCounters:
@@ -137,7 +124,8 @@ def analyze_cake_batch(
     Identical accounting to :func:`repro.analysis.walk.walk_cake` — the
     same plan, the same K-first order, the same LRU residency decisions,
     the same roofline pricing — with the per-block Python loop replaced
-    by array passes plus one tight replay loop for the LRU.
+    by array passes plus the LRU replay, whose cost scales with the
+    schedule's reduction runs rather than its blocks.
 
     The autotuner prices candidate plans through the same walk: ``plan``
     supplies an explicit (possibly overridden) :class:`CakePlan` in place
@@ -165,20 +153,9 @@ def analyze_cake_batch(
     occ = occurrence_index(mi * grid.nb + ni)
     final = occ == grid.kb - 1
     a_ids, b_ids, c_ids, c_base = encode_surface_ids(grid, order)
-    a_hit_raw, b_hit_raw, c_hit_raw, spill = surface_lru_replay(
-        a_ids.tolist(),
-        b_ids.tolist(),
-        c_ids.tolist(),
-        sa.tolist(),
-        sb.tolist(),
-        sc.tolist(),
-        final.tolist(),
-        plan.residency_elements,
-        c_base,
+    a_hit, b_hit, c_hit, spill = surface_lru_replay(
+        a_ids, b_ids, c_ids, sa, sb, sc, final, plan.residency_elements, c_base
     )
-    a_hit = _hit_flags(a_hit_raw)
-    b_hit = _hit_flags(b_hit_raw)
-    c_hit = _hit_flags(c_hit_raw)
 
     a_el = np.where(a_hit, 0, sa)
     b_el = np.where(b_hit, 0, sb)
@@ -198,7 +175,7 @@ def analyze_cake_batch(
     depth = k_sizes / plan.kc
     cycles = (tiles_m[mi] * tiles_n[ni]) * depth[ki]
     active = active_m[mi]
-    counters.tile_cycles = _sequential_sum(cycles)
+    counters.tile_cycles = sequential_sum(cycles)
 
     internal = sa + active * sb + 2 * sc
     counters.internal = int(internal.sum())
@@ -286,7 +263,7 @@ def analyze_goto_batch(
     cycles = np.broadcast_to(
         (tiles_m * tiles_n) * (kc_a / plan.kc), lattice
     ).reshape(-1)
-    counters.tile_cycles = _sequential_sum(cycles)
+    counters.tile_cycles = sequential_sum(cycles)
 
     active = np.broadcast_to(wave_active[None, None, :], lattice)
     internal = a_el + active * b_el + 2 * c_el

@@ -98,8 +98,13 @@ class PlanOverride:
 
     ``alpha``, ``mc``, ``nc``
         Re-shape the CB block (CAKE) or the cache tiles (GOTO) along M
-        and N only. M/N re-blocking never changes any C element's
-        reduction order, so these are bit-safe by construction.
+        and N only. M/N re-blocking keeps each C element's accumulation
+        order in the engine's loops, but not always its bits: a BLAS
+        call's result can depend on its M extent at ragged N (with
+        OpenBLAS at one thread, GOTO at ``mc=64`` differs from the
+        analytic ``mc=252`` at 300x192 @ 192x257 float64). Tuned plans
+        stay exact because tuner validation bit-compares every
+        candidate's product with the analytic plan's.
     ``kc``
         Allowed but **bit-hazardous**: re-blocking K changes the
         floating-point accumulation grouping. The tuner pins ``kc`` to

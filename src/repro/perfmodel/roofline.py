@@ -135,6 +135,19 @@ def block_time(
     )
 
 
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum: bit for bit the scalar walk's ``+=`` chain.
+
+    ``np.sum`` adds pairwise, which differs from a running sum at the ulp
+    level. An accumulate adds left to right, the same IEEE additions as
+    ``total += value`` from ``total = 0.0``; the trailing ``+ 0.0`` gives
+    that chain's ``0.0`` where every value is ``-0.0``.
+    """
+    if not len(values):
+        return 0.0
+    return float(np.cumsum(values)[-1]) + 0.0
+
+
 @dataclass(frozen=True, slots=True)
 class BlockTimesBatch:
     """Per-block roofline pricing of a whole schedule, as arrays.
@@ -167,18 +180,10 @@ class BlockTimesBatch:
         walk's ``total = total + block_time(...)`` chain — so the result
         is bit-identical to it, not merely close.
         """
-        seconds = compute_s = ext_s = int_s = 0.0
-        per_block = zip(
-            self.seconds.tolist(),
-            self.compute_seconds.tolist(),
-            self.external_seconds.tolist(),
-            self.internal_seconds.tolist(),
-        )
-        for sec, comp, ext, internal in per_block:
-            seconds += sec
-            compute_s += comp
-            ext_s += ext
-            int_s += internal
+        seconds = sequential_sum(self.seconds)
+        compute_s = sequential_sum(self.compute_seconds)
+        ext_s = sequential_sum(self.external_seconds)
+        int_s = sequential_sum(self.internal_seconds)
         return BlockTime(
             seconds=seconds,
             compute_seconds=compute_s,

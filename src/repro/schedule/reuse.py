@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 import numpy as np
@@ -351,111 +352,287 @@ def validate_order_arrays(grid: BlockGrid, order: "OrderArrays") -> None:
         )
 
 
+#: Shortest stretch the replay applies in one step. Its scan and its two
+#: calls cost about a dozen per-block steps: with a minimum of 8 or 12,
+#: K-first runs of 13 blocks at 0.5-1.5 nominal footprints replayed up to
+#: 35% and 9% slower than block by block; with 16, no slower (2-core Xeon).
+_MIN_STRETCH = 16
+
+#: Schedules shorter than this are replayed block by block. Looking for
+#: stretches costs about twenty NumPy calls, some 45 us at 1,040 blocks,
+#: which is 5-9% of replaying them one at a time (2-core Xeon).
+_MIN_SEARCH = 1024
+
+
+def _stretch_candidates(
+    a_ids: np.ndarray,
+    b_ids: np.ndarray,
+    c_ids: np.ndarray,
+    a_sizes: np.ndarray,
+    b_sizes: np.ndarray,
+    c_final: np.ndarray,
+) -> list[list[int]]:
+    """Maximal runs of at least :data:`_MIN_STRETCH` blocks that a
+    stretch may cover.
+
+    In a run ``[start, stop, last_a, last_b, size_a, size_b, c, final]``
+    each block of ``start..stop-1`` touches the C surface ``c`` that the
+    block before it touched and left partial, only the last block may
+    complete it (``final``), every A surface has ``size_a`` elements and
+    every B surface ``size_b``. ``last_a`` and ``last_b`` are the last
+    block's A and B keys.
+    """
+    n = len(c_ids)
+    continues = np.zeros(n, dtype=bool)
+    continues[1:] = (c_ids[1:] == c_ids[:-1]) & ~c_final[:-1]
+    resized = np.zeros(n, dtype=bool)
+    resized[1:] = (a_sizes[1:] != a_sizes[:-1]) | (b_sizes[1:] != b_sizes[:-1])
+    opens = continues.copy()
+    opens[1:] &= ~continues[:-1] | resized[1:]
+    starts = np.flatnonzero(opens)
+    breaks = np.append(np.flatnonzero(~continues | opens), n)
+    stops = breaks[np.searchsorted(breaks, starts, side="right")]
+    long_enough = stops - starts >= _MIN_STRETCH
+    starts, stops = starts[long_enough], stops[long_enough]
+    lasts = stops - 1
+    return np.array((
+        starts,
+        stops,
+        a_ids[lasts],
+        b_ids[lasts],
+        a_sizes[starts],
+        b_sizes[starts],
+        c_ids[starts],
+        c_final[lasts],
+    )).T.tolist()
+
+
+def _runs_leave_stretches(columns: tuple[np.ndarray, ...], capacity: int) -> bool:
+    """Whether the reduction runs are long enough to hold stretches.
+
+    A run's first block misses its C, and the next few reuse the A or B
+    surfaces that the LRU carried over from the run before: about
+    ``(capacity - P) / (A + B)`` of them, ``P`` being a block's three
+    sizes. Stretches fit in the rest of a run of ``n / (C surfaces)``
+    blocks, and pay from :data:`_MIN_STRETCH` blocks up.
+    """
+    _, _, _, a_sizes, b_sizes, c_sizes, c_final = columns
+    run = len(c_final) // max(1, int(np.count_nonzero(c_final)))
+    if run - 1 < _MIN_STRETCH:
+        return False
+    pair = int(a_sizes.max()) + int(b_sizes.max())
+    carried = max(0, capacity - pair - int(c_sizes.max())) // pair
+    return run - 1 - carried >= _MIN_STRETCH
+
+
+class _LruReplay:
+    """State of :func:`surface_lru_replay`: the LRU and the hit flags.
+
+    ``entries`` maps each resident key to its element count, oldest first.
+    """
+
+    def __init__(self, n: int, capacity: int, c_base: int) -> None:
+        self.capacity = capacity
+        self.c_base = c_base
+        self.entries: dict[int, int] = {}
+        self.used = 0
+        self.spill = 0
+        self.a_hit = bytearray(n)
+        self.b_hit = bytearray(n)
+        self.c_hit = bytearray(n)
+
+    def advance(
+        self,
+        lo: int,
+        blocks: Iterable[tuple],
+        stretch: tuple | None = None,
+    ) -> None:
+        """Replay ``blocks`` one at a time from block ``lo``, then
+        ``stretch``.
+
+        ``blocks`` yields each block's A, B and C keys, their sizes, and
+        whether it completes its C. A stretch ``(first, a_keys, b_keys,
+        size_a, size_b, c, final)`` covers the blocks from ``first`` on,
+        whose A and B keys are ``a_keys`` and ``b_keys``, in one of
+        :func:`_stretch_candidates`' runs; none of those A and B surfaces
+        is resident at ``first``.
+
+        One step per block. The scalar walk evicts after each of a block's
+        three touches, with the block's three surfaces pinned throughout.
+        Evicting once, after the third touch, removes the same surfaces:
+        eviction takes the oldest unpinned surfaces first, the touches do
+        not reorder them, and ``used`` only grows within a block, so the
+        last eviction's victims include the earlier ones'. A block whose
+        three surfaces all hit evicts nothing, and in a valid schedule it
+        cannot start over budget: only the previous block's surfaces
+        outlive an overrun, and no two blocks share all three.
+
+        One step per stretch. Every A and B misses and C hits, so the
+        outcome follows from sizes alone. Each block inserts two surfaces
+        and its own three are the only pinned ones, so its evictions take
+        the oldest other surfaces first until they fit in
+        ``capacity - P``, ``P`` being the block's three sizes: the
+        survivors are the longest suffix, in recency order, of the others
+        that fits. ``P`` is the same at every block, so the longest fitting
+        suffix of (a longest fitting suffix, then two new surfaces) is the
+        longest fitting suffix of the whole sequence. By induction the
+        stretch leaves the longest fitting suffix of [the residents before
+        it except C, then every A and B of the stretch but the last
+        block's], then the last block's A, B and C (unless that block
+        completes C). The suffix is empty when ``P`` alone exceeds the
+        capacity; evicted partial C surfaces count as spills, as ever.
+        """
+        entries, capacity, c_base = self.entries, self.capacity, self.c_base
+        pop = entries.pop
+        a_hit, b_hit, c_hit = self.a_hit, self.b_hit, self.c_hit
+        used, spill = self.used, self.spill
+        if stretch is not None:
+            first, a_keys, b_keys, run_a, run_b, run_c, run_final = stretch
+            # The stretch enters the loop as one more block, whose A is a
+            # placeholder key holding every element the stretch inserts,
+            # whose B is an empty placeholder, and whose C is the run's.
+            # The loop's eviction then takes exactly the earlier residents
+            # that cannot stay beside the whole stretch.
+            charge = len(a_keys) * (run_a + run_b)
+            blocks = chain(blocks, ((-1, -2, run_c, charge, 0, 0, False),))
+        for i, (a, b, c, size_a, size_b, size_c, final) in enumerate(blocks, lo):
+            size = pop(a, None)
+            if size is None:
+                entries[a] = size_a
+                used += size_a
+            else:
+                entries[a] = size
+                a_hit[i] = 1
+            size = pop(b, None)
+            if size is None:
+                entries[b] = size_b
+                used += size_b
+            else:
+                entries[b] = size
+                b_hit[i] = 1
+            size = pop(c, None)
+            if size is None:
+                entries[c] = size_c
+                used += size_c
+            else:
+                entries[c] = size
+                c_hit[i] = 1
+            while used > capacity:
+                for victim in entries:
+                    if victim != a and victim != b and victim != c:
+                        break
+                else:
+                    break  # only the pinned block is left: run over budget
+                size = pop(victim)
+                used -= size
+                if victim >= c_base:
+                    spill += size
+            if final:
+                used -= pop(c)
+        if stretch is not None:
+            del entries[-1], entries[-2]
+            size_c = pop(run_c)
+            pair = run_a + run_b
+            kept, lone = len(a_keys), 0  # blocks whose A and B stay; a B before
+            if used > capacity:
+                # Every earlier resident is gone, and only the newest of
+                # the stretch's own surfaces fit beside the block in flight.
+                room = capacity - pair - size_c
+                kept = room // pair + 1 if room >= 0 else 1
+                lone = int(room >= 0 and room - (kept - 1) * pair >= run_b)
+                used = size_c + kept * pair + lone * run_b
+            if lone:
+                entries[b_keys[-kept - 1]] = run_b
+            for a, b in zip(a_keys[-kept:], b_keys[-kept:]):
+                entries[a] = run_a
+                entries[b] = run_b
+            if run_final:
+                used -= size_c
+            else:
+                entries[run_c] = size_c
+            c_hit[first:first + len(a_keys)] = b"\x01" * len(a_keys)
+        self.used, self.spill = used, spill
+
+
 def surface_lru_replay(
-    a_ids: list[int],
-    b_ids: list[int],
-    c_ids: list[int],
-    a_sizes: list[int],
-    b_sizes: list[int],
-    c_sizes: list[int],
-    c_final: list[bool],
+    a_ids: np.ndarray,
+    b_ids: np.ndarray,
+    c_ids: np.ndarray,
+    a_sizes: np.ndarray,
+    b_sizes: np.ndarray,
+    c_sizes: np.ndarray,
+    c_final: np.ndarray,
     capacity_elements: int,
     c_base: int,
-) -> tuple[bytearray, bytearray, bytearray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Grouped replay of :class:`SurfaceResidency` over a whole schedule.
 
-    The same technique as :mod:`repro.memsim.vectorized`: precompute the
-    entire touch stream as flat integer arrays, then run one tight loop
-    whose state transitions are exactly ``touch(a) / touch(b) / touch(c)
-    / invalidate-on-completion`` per block — an insertion-ordered dict
-    stands in for the ``OrderedDict``, and eviction scans oldest-first
-    skipping the three pinned (current-block) keys, matching
-    ``SurfaceResidency._evict_to_fit`` decision-for-decision.
+    The state transitions are exactly the scalar walks' ``touch(a) /
+    touch(b) / touch(c) / invalidate-on-completion`` per block, with the
+    block's three surfaces pinned. ``*_ids`` are disjoint non-negative
+    integer key ranges (C keys at ``>= c_base`` so evictions of partial
+    results can be attributed), ``*_sizes`` the surfaces' element counts,
+    and the bool ``c_final[i]`` marks block ``i`` as the last touch of its
+    C surface, after which the surface is invalidated. The arrays must
+    describe a valid schedule, one that runs every block once, as
+    :func:`encode_surface_ids` encodes it. Returns per-block hit flags
+    (bool arrays) for the three surfaces plus the total elements of
+    partial-C surfaces evicted by capacity pressure (spills).
 
-    ``*_ids`` are disjoint integer key ranges (C keys at ``>= c_base``
-    so evictions of partial results can be attributed); ``c_final[i]``
-    marks block ``i`` as the last touch of its C surface, after which
-    the surface is invalidated exactly as the scalar walks do. Returns
-    per-block hit flags for the three surfaces plus the total elements
-    of partial-C surfaces evicted by capacity pressure (spills).
+    Inside a reduction run the LRU's answer is fixed: A and B miss, the
+    partial C hits, and what else stays resident follows from sizes. So
+    the replay steps block by block only at run starts, turn reuses and
+    ragged blocks, and applies the rest of each long run, its final block
+    included, in one step (:meth:`_LruReplay.advance`). A stretch may not
+    touch an A or B surface that is still resident, which is the turn
+    reuse at a run's start: one scan of the run's keys finds the last
+    block that does, and the stretch starts after it. A run whose last
+    block already reuses a resident surface, as at large capacities, is
+    stepped block by block without a scan.
     """
     require_positive("capacity_elements", capacity_elements)
     n = len(a_ids)
-    a_hit = bytearray(n)
-    b_hit = bytearray(n)
-    c_hit = bytearray(n)
-    entries: dict[int, int] = {}
-    pop = entries.pop
-    used = 0
-    spill = 0
-    touches = zip(a_ids, b_ids, c_ids, a_sizes, b_sizes, c_sizes, c_final)
-    for i, (a, b, c, size_a, size_b, size_c, final) in enumerate(touches):
-        size = pop(a, None)
-        if size is None:
-            size = size_a
-            entries[a] = size
-            used += size
-            while used > capacity_elements:
-                victim = -1
-                for key in entries:
-                    if key != a and key != b and key != c:
-                        victim = key
-                        break
-                if victim < 0:
-                    break
-                evicted = pop(victim)
-                used -= evicted
-                if victim >= c_base:
-                    spill += evicted
-        else:
-            entries[a] = size
-            a_hit[i] = 1
-
-        size = pop(b, None)
-        if size is None:
-            size = size_b
-            entries[b] = size
-            used += size
-            while used > capacity_elements:
-                victim = -1
-                for key in entries:
-                    if key != a and key != b and key != c:
-                        victim = key
-                        break
-                if victim < 0:
-                    break
-                evicted = pop(victim)
-                used -= evicted
-                if victim >= c_base:
-                    spill += evicted
-        else:
-            entries[b] = size
-            b_hit[i] = 1
-
-        size = pop(c, None)
-        if size is None:
-            size = size_c
-            entries[c] = size
-            used += size
-            while used > capacity_elements:
-                victim = -1
-                for key in entries:
-                    if key != a and key != b and key != c:
-                        victim = key
-                        break
-                if victim < 0:
-                    break
-                evicted = pop(victim)
-                used -= evicted
-                if victim >= c_base:
-                    spill += evicted
-        else:
-            entries[c] = size
-            c_hit[i] = 1
-
-        if final:
-            used -= pop(c)
-    return a_hit, b_hit, c_hit, spill
+    columns = (a_ids, b_ids, c_ids, a_sizes, b_sizes, c_sizes, c_final)
+    replay = _LruReplay(n, capacity_elements, c_base)
+    if n < _MIN_SEARCH or not _runs_leave_stretches(columns, capacity_elements):
+        replay.advance(0, zip(*[column.tolist() for column in columns]))
+    else:
+        rows = np.array(columns)
+        resident = replay.entries.__contains__
+        done = 0
+        for start, stop, last_a, last_b, *run in _stretch_candidates(
+            a_ids, b_ids, c_ids, a_sizes, b_sizes, c_final
+        ):
+            if resident(last_a) or resident(last_b):
+                continue  # stepped with the blocks after it
+            if done < start:
+                replay.advance(done, zip(*rows[:, done:start].tolist()))
+                done = start
+            a_keys, b_keys = rows[:2, start:stop].tolist()
+            # The stretch starts after the last block whose A or B is
+            # resident: mostly none, or the run's first block.
+            skip = int(resident(a_keys[0]) or resident(b_keys[0]))
+            if any(map(resident, a_keys[skip:])) or any(
+                map(resident, b_keys[skip:])
+            ):
+                skip = len(a_keys)
+                while not (
+                    resident(a_keys[skip - 1]) or resident(b_keys[skip - 1])
+                ):
+                    skip -= 1
+            if stop - start - skip >= _MIN_STRETCH:
+                stretch = (start + skip, a_keys[skip:], b_keys[skip:], *run)
+                replay.advance(
+                    start, zip(*rows[:, start:start + skip].tolist()), stretch
+                )
+                done = stop
+        replay.advance(done, zip(*rows[:, done:].tolist()))
+    return (
+        np.frombuffer(replay.a_hit, dtype=bool),
+        np.frombuffer(replay.b_hit, dtype=bool),
+        np.frombuffer(replay.c_hit, dtype=bool),
+        replay.spill,
+    )
 
 
 def encode_surface_ids(
@@ -519,20 +696,9 @@ def analyze_reuse_batch(
 
     a_ids, b_ids, c_ids, c_base = encode_surface_ids(grid, order)
     final = occ == grid.kb - 1
-    a_hit_raw, b_hit_raw, c_hit_raw, spill = surface_lru_replay(
-        a_ids.tolist(),
-        b_ids.tolist(),
-        c_ids.tolist(),
-        sa.tolist(),
-        sb.tolist(),
-        sc.tolist(),
-        final.tolist(),
-        capacity_elements,
-        c_base,
+    a_hit, b_hit, c_hit, spill = surface_lru_replay(
+        a_ids, b_ids, c_ids, sa, sb, sc, final, capacity_elements, c_base
     )
-    a_hit = np.frombuffer(a_hit_raw, dtype=np.uint8).astype(bool)
-    b_hit = np.frombuffer(b_hit_raw, dtype=np.uint8).astype(bool)
-    c_hit = np.frombuffer(c_hit_raw, dtype=np.uint8).astype(bool)
 
     report.reuse_a = int(a_hit.sum())
     report.io_a = int(sa[~a_hit].sum())

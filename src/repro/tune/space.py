@@ -11,8 +11,11 @@ idiom as :meth:`repro.runtime.task.ExperimentTask.task_id`.
 
 The candidate grid is deliberately conservative:
 
-* ``alpha`` / ``mc`` re-shape the CB block along M and N only — bit-safe
-  (no C element's reduction order changes);
+* ``alpha`` / ``mc`` re-shape the CB block along M and N only. That keeps
+  each C element's accumulation order in the engine's loops, but a BLAS
+  call's bits can still depend on its M extent at ragged N, so these
+  candidates are exact only because the validator bit-compares each
+  one with the analytic plan's product, as it does ``strips``;
 * ``kc`` is **pinned to the analytic value** in every candidate:
   re-blocking K regroups the float accumulation and would break the
   bit-exactness contract the validator asserts;

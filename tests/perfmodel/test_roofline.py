@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.perfmodel import block_time
-from repro.perfmodel.roofline import ZERO_TIME, block_times_batch
+from repro.perfmodel.roofline import (
+    ZERO_TIME,
+    BlockTimesBatch,
+    block_times_batch,
+    sequential_sum,
+)
 
 
 class TestBlockTime:
@@ -211,3 +216,50 @@ class TestBlockTimesBatch:
                 ext_bytes=np.array([0, 0]),
                 int_elements=np.array([0, 0]),
             )
+
+
+def _plus_equals_chain(values: np.ndarray) -> float:
+    """The scalar walk's accumulation: ``total += value`` from ``0.0``."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+class TestSequentialSum:
+    """The batch analyzer's float totals add left to right, bit for bit."""
+
+    @staticmethod
+    def _values(rng, length):
+        # Magnitudes from 1e-12 to 1e3 in one array: pairwise summation
+        # would round differently from the running sum.
+        return 10.0 ** rng.uniform(-12, 3, size=length)
+
+    @pytest.mark.parametrize("length", [0, 1, 10**5])
+    def test_matches_plus_equals_chain(self, rng, length):
+        values = self._values(rng, length)
+        assert sequential_sum(values).hex() == _plus_equals_chain(values).hex()
+
+    @pytest.mark.parametrize("length", [0, 1, 10**5])
+    def test_batch_total_matches_plus_equals_chain(self, rng, length):
+        parts = [self._values(rng, length) for _ in range(4)]
+        total = BlockTimesBatch(*parts, bounds=np.zeros(length, dtype=np.int64)).total()
+        got = (
+            total.seconds,
+            total.compute_seconds,
+            total.external_seconds,
+            total.internal_seconds,
+        )
+        for value, part in zip(got, parts):
+            assert value.hex() == _plus_equals_chain(part).hex()
+
+    def test_negative_zeros_sum_to_the_chains_zero(self):
+        values = np.array([-0.0, -0.0])
+        assert sequential_sum(values).hex() == _plus_equals_chain(values).hex()
+
+    def test_empty_batch_totals_zeros(self):
+        empty = np.zeros(0)
+        total = BlockTimesBatch(
+            empty, empty, empty, empty, np.zeros(0, dtype=np.int64)
+        ).total()
+        assert total == ZERO_TIME
