@@ -138,8 +138,9 @@ def cake_matmul(
     processes:
         Worker *processes* for numeric execution
         (:mod:`repro.gemm.sharded`): the CB block grid is partitioned
-        into a near-square shard grid, packed operands are shared
-        zero-copy through ``multiprocessing.shared_memory``, and each
+        into a near-square shard grid, A and B are copied once each,
+        flat, into ``multiprocessing.shared_memory`` segments the
+        workers attach zero-copy, and each
         shard runs the threaded executor in its own process. ``None``,
         the default, or 1 runs in-process. The product is bit-identical
         to the in-process run on the same backend for every process and

@@ -2,8 +2,8 @@
 
 CAKE's CB-block schedule is backend-agnostic — it decides *what* moves
 and *when*, never *how* a strip multiplies. This module pins down the
-seam: a :class:`Backend` receives the packed operand views the schedule
-produced and accumulates ``c += a @ b`` in place, either strip by strip
+seam: a :class:`Backend` receives the operand views the schedule cut
+and accumulates ``c += a @ b`` in place, either strip by strip
 (:meth:`Backend.matmul_strip`, one call per core slab) or for a whole
 strip group at once (:meth:`Backend.matmul_group`, one call per CB
 block / GOTO slice — the shape BLAS-class libraries want).

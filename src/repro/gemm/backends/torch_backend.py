@@ -8,9 +8,9 @@ is absent. Constructing the backend without torch installed raises a
 structured :class:`~repro.errors.BackendCapabilityError` naming the
 missing requirement.
 
-Execution wraps the packed NumPy views zero-copy with
-``torch.from_numpy`` (packed blocks and group operands are contiguous by
-construction), multiplies on the configured device, and accumulates the
+Execution wraps the NumPy operand views with ``torch.from_numpy`` (after
+one ``np.ascontiguousarray`` each, since a view of A or B is strided),
+multiplies on the configured device, and accumulates the
 result back into the C panel view with one in-place NumPy add — C stays
 a plain NumPy array throughout, so GemmRun consumers never see a tensor.
 On non-CPU devices the operands are staged through device memory per

@@ -341,7 +341,11 @@ def accumulate_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     Returns ``False``, touching nothing, when the call cannot be made:
     no ``?gemm`` entry point, a dtype other than float32/float64 or
     mixed dtypes, an operand whose inner stride is not unit, empty
-    extents, or a ``c`` that may share memory with ``a`` or ``b``.
+    extents, or a ``c`` that may share memory with ``a`` or ``b``. A
+    size-1 axis may carry any stride (a C-contiguous ``(k, 1)`` view
+    such as ``row.T`` has strides ``(8, 8k)``); its stride is never
+    stepped, so the check and the leading dimension read its extent
+    instead.
     """
     if (
         a.ndim != 2
@@ -369,8 +373,13 @@ def accumulate_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     item = c.itemsize
     leading = []
     for x in (a, b, c):
+        rows, cols = x.shape
         row, col = x.strides
-        if col != item or row % item or row // item < x.shape[1] or not x.flags.aligned:
+        if cols == 1:
+            col = item
+        if rows == 1:
+            row = cols * item
+        if col != item or row % item or row // item < cols or not x.flags.aligned:
             return False
         leading.append(row // item)
     if np.may_share_memory(c, a) or np.may_share_memory(c, b):

@@ -4,8 +4,10 @@ Executes ``C = A x B`` exactly as Sections 2-4 prescribe:
 
 1. Derive a :class:`~repro.gemm.plan.CakePlan` (alpha from DRAM bandwidth,
    ``mc = kc`` from the LRU rule, block ``p*mc x kc x alpha*p*mc``).
-2. Pack A into per-block contiguous sub-matrices and B into
-   ``kc x n_block`` panels (Section 5.2.1).
+2. Cut A into per-core ``mc x kc`` sub-blocks and B into
+   ``kc x n_block`` panels. The paper packs these into contiguous
+   buffers (Section 5.2.1); here they are views of A and B, because the
+   BLAS call each strip makes packs its operands itself.
 3. Walk the K-first schedule of Algorithm 2: one strip group per CB
    block. Within each block, the M extent is split evenly across the
    ``p`` cores (the CB shaping puts one A sub-block per core); each core
@@ -19,8 +21,8 @@ Executes ``C = A x B`` exactly as Sections 2-4 prescribe:
    scalar per-block walk is :mod:`repro.analysis.walk`).
 
 Everything but the plan, the accounting and the block order is the
-engine shell shared with GOTO (:mod:`repro.gemm.engine`): packing,
-threaded strip-group execution (:mod:`repro.gemm.parallel`,
+engine shell shared with GOTO (:mod:`repro.gemm.engine`): operand
+views, threaded strip-group execution (:mod:`repro.gemm.parallel`,
 bit-identical to the serial run for any worker count), verification and
 process sharding.
 
@@ -40,7 +42,6 @@ from repro.gemm.result import GemmRun
 from repro.gemm.sharded import ShardConfig
 from repro.gemm.verify import VerifyConfig
 from repro.machines.spec import MachineSpec
-from repro.packing.pool import BufferPool
 from repro.schedule.space import ComputationSpace
 
 
@@ -74,9 +75,9 @@ class CakeGemm(GemmEngine):
         a thread per usable core, up to the strips of a block, once a
         strip is large enough to pay for a thread.
     exact_pack:
-        Pack operands with the original nested-loop packer instead of
-        the vectorized strided copy. Bit-identical buffers (asserted by
-        tests); kept as the packing oracle.
+        Hand the strip groups the nested-loop packer's contiguous
+        blocks instead of views of A and B. Bit-identical products
+        (asserted by tests); kept as the packing oracle.
     verify:
         ABFT verified execution (:mod:`repro.gemm.verify`): ``True`` for
         defaults, a :class:`~repro.gemm.verify.VerifyConfig` to tune the
@@ -85,15 +86,15 @@ class CakeGemm(GemmEngine):
         healed (or reported) on mismatch; a clean verified run is
         bit-identical to an unverified one. With a non-oracle
         ``backend`` this is the headline scenario: a fast untrusted
-        compute path checked against pack-time checksums, with the
-        per-strip oracle as the trusted recovery rung.
+        compute path checked against checksums of its operands, with
+        the per-strip oracle as the trusted recovery rung.
     backend:
         Compute backend for numeric execution
         (:mod:`repro.gemm.backends`): a registered name (``"numpy"``,
         ``"blas-group"``, ``"torch"``) or a
         :class:`~repro.gemm.backends.Backend` instance; ``None``, the
         default, is the per-strip numpy oracle. The schedule,
-        packing, counters and timing model are backend-invariant; only
+        operand views, counters and timing model are backend-invariant; only
         how each strip group multiplies changes. Unknown or unavailable
         names raise a structured
         :class:`~repro.errors.BackendCapabilityError` here, at
@@ -101,24 +102,18 @@ class CakeGemm(GemmEngine):
     processes:
         Worker *processes* for numeric execution
         (:mod:`repro.gemm.sharded`): the M x N grid of CB blocks is
-        partitioned into a near-square shard grid, packed operands are
-        placed in shared memory, and each shard runs this engine's
-        threaded executor in its own process on a disjoint C panel.
+        partitioned into a near-square shard grid, A and B are copied
+        once each, flat, into shared memory, and each shard runs this
+        engine's threaded executor in its own process on a disjoint C
+        panel.
         ``None``/1 is the ordinary in-process path; an int requests that
         many processes (clamped to the block grid); a
         :class:`~repro.gemm.sharded.ShardConfig` tunes rebuild/fallback
         behaviour. The product is bit-identical to the in-process run on
         the same backend for every process and worker count (shards
         tile whole backend calls). Incompatible with ``exact_pack``
-        (workers rebuild the vectorized pack's buffer grid) and with
+        (workers read the flat copies, never packed blocks) and with
         unregistered backend instances.
-    pool:
-        A :class:`~repro.packing.pool.BufferPool` to lease packed
-        operand buffers from, or ``None`` for a private per-engine pool.
-        Passing a shared pool (the serve layer does, per shape class)
-        makes packed-buffer reuse span engines; the pool is
-        thread-safe, so concurrent ``multiply`` calls through one pool
-        are fine.
     plan:
         A :class:`~repro.gemm.plan.PlanOverride` replacing individual
         analytic plan fields (the autotuner's seam). Plan-shape fields
@@ -155,7 +150,6 @@ class CakeGemm(GemmEngine):
         verify: bool | VerifyConfig = False,
         backend: "str | Backend | None" = None,
         processes: "int | ShardConfig | None" = None,
-        pool: "BufferPool | None" = None,
         plan: "PlanOverride | None" = None,
         tuned: object = False,
     ) -> None:
@@ -169,7 +163,6 @@ class CakeGemm(GemmEngine):
             verify=verify,
             backend=backend,
             processes=processes,
-            pool=pool,
             plan=plan,
             tuned=tuned,
         )

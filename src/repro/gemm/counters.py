@@ -38,8 +38,8 @@ class TrafficCounters:
         Multiply-accumulate operations actually executed.
     ipc_bytes:
         Inter-process traffic of a process-sharded run
-        (:mod:`repro.gemm.sharded`), in **bytes**: the packed A/B panel
-        surface each shard worker attaches plus the C panel it writes
+        (:mod:`repro.gemm.sharded`), in **bytes**: the A/B surface each
+        shard worker reads from shared memory plus the C panel it writes
         back, derived deterministically from the shard plan (never
         measured from the OS). Zero for in-process runs, so equality of
         serial and sharded counters is checked via :meth:`without_ipc`.

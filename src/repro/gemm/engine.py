@@ -3,14 +3,14 @@
 MOMMS (Smith & van de Geijn) treats GOTO and CAKE-style schedules as
 members of one family of loop orders over a memory hierarchy, and the
 engines are built that way. :class:`GemmEngine` owns what the two share:
-operand checks, degenerate shapes, tuned-plan resolution, packing into
-the buffer pool or a shared-memory arena, in-process vs process-sharded
-dispatch, buffer release and :class:`~repro.gemm.result.GemmRun`
+operand checks, degenerate shapes, tuned-plan resolution, operand views
+(or flat copies into a shared-memory arena), in-process vs
+process-sharded dispatch and :class:`~repro.gemm.result.GemmRun`
 assembly. A concrete engine supplies only
 
 * ``_plan(space, override)``: its :class:`~repro.gemm.plan.CakePlan` or
-  :class:`~repro.gemm.plan.GotoPlan`, whose ``grid()`` fixes the packed
-  block shape of both operands;
+  :class:`~repro.gemm.plan.GotoPlan`, whose ``grid()`` fixes the block
+  edges both operands are cut at;
 * ``_analyze_plan(plan, schedule)`` and ``_walk_plan(plan, schedule)``:
   its batch analyzer and the scalar walk behind ``exact_walk=True``;
 * ``_loop_order(plan, override)``: the
@@ -23,7 +23,7 @@ its counters, modelled time and bound tallies are a copy of one memoized
 batch-analyzer run per executed plan (:func:`plan_accounting`). The
 loop order (:func:`loop_order`), the plan's grid and the strip layout
 are memoized per plan too, so a repeated shape only binds views onto
-its own buffers.
+its own operands.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from repro.gemm.parallel import (
     check_multiply_operands,
     core_strips,
     execute_groups,
+    grid_operands,
     resolve_workers,
 )
 from repro.gemm.plan import PLAN_MEMO_MAXSIZE, CakePlan, GotoPlan, PlanOverride
@@ -59,8 +60,8 @@ from repro.gemm.sharded import (
 )
 from repro.gemm.verify import VerifyConfig, VerifyReport, resolve_verify
 from repro.machines.spec import MachineSpec
-from repro.packing.pack import PackedA, PackedB, pack_a, pack_b
-from repro.packing.pool import BufferPool, SharedBufferPool
+from repro.packing.pack import pack_a, pack_b
+from repro.packing.pool import SharedBufferPool
 from repro.schedule.space import ComputationSpace
 
 
@@ -143,7 +144,6 @@ class GemmEngine:
         verify: bool | VerifyConfig = False,
         backend: "str | Backend | None" = None,
         processes: "int | ShardConfig | None" = None,
-        pool: "BufferPool | None" = None,
         plan: "PlanOverride | None" = None,
         tuned: object = False,
     ) -> None:
@@ -167,13 +167,9 @@ class GemmEngine:
         if self.shards is not None and self.exact_pack:
             raise ConfigurationError(
                 "processes > 1 is incompatible with exact_pack: shard "
-                "workers rebuild the vectorized pack's buffer grid over "
-                "shared memory, which the loop oracle does not produce"
+                "workers read flat copies of the operands from shared "
+                "memory, never the loop packer's blocks"
             )
-        # An injected pool lets callers (the serve batcher) share packed
-        # operand buffers across engines serving one shape class; the
-        # default keeps each engine's reuse private.
-        self._pool = BufferPool() if pool is None else pool
 
     @staticmethod
     def _schedule(override: "PlanOverride | None") -> str | None:
@@ -260,10 +256,12 @@ class GemmEngine:
     def multiply(self, a: np.ndarray, b: np.ndarray) -> GemmRun:
         """Compute ``A x B``, returning numerics plus full accounting.
 
-        Operands may be F-ordered, transposed views or otherwise
-        non-contiguous — packing copies them exactly once either way.
-        Integer/boolean dtypes are rejected (silent overflow); float32
-        operands accumulate in float32. Degenerate shapes follow BLAS:
+        A and B are read in place when C-ordered; F-ordered, transposed,
+        strided or reversed operands are copied once, flat, into C order
+        (a sharded run copies both into shared memory). They may alias
+        each other: they are only read, into a fresh C. Integer/boolean
+        dtypes are rejected (silent overflow); float32 operands
+        accumulate in float32. Degenerate shapes follow BLAS:
         ``K == 0`` returns a zero-filled ``M x N`` C, ``M == 0`` or
         ``N == 0`` an empty one.
         """
@@ -295,24 +293,28 @@ class GemmEngine:
         timers = PhaseTimers()
         shard_report = None
         if self.shards is None:
-            packed_a, packed_b = self._pack(
-                a, b, plan, self._pool, verifying, timers
-            )
+            start = time.perf_counter()
+            if self.exact_pack:
+                block = plan.grid().nominal
+                a_op = pack_a(a, block.m, block.k, exact=True)
+                b_op = pack_b(b, block.k, block.n, exact=True)
+            else:
+                a_op, b_op = grid_operands(plan, a, b)
+            timers.pack_seconds = time.perf_counter() - start
             c = np.zeros((m, n), dtype=dtype)
             built = build_groups(
-                order.slots, plan, packed_a, packed_b, c,
+                order.slots, plan, a_op, b_op, c,
                 strips=order.strips,
                 verifying=verifying,
                 grouped=self.backend.capabilities.grouped,
-                pool=self._pool,
             )
+            timers.verify_seconds += built.checksum_seconds
             with budget.blas_lease() as blas_threads:
                 report = execute_groups(
                     built.groups,
                     plan.kernel,
                     verify=self.verify,
-                    checksum_elements=packed_a.checksum_elements
-                    + packed_b.checksum_elements,
+                    checksum_elements=built.checksum_elements,
                     workers=workers,
                     backend=self.backend.create(
                         kernel=plan.kernel, exact_tiles=self.exact_tiles
@@ -320,21 +322,10 @@ class GemmEngine:
                     exact_tiles=self.exact_tiles,
                     timers=timers,
                 )
-            packed_a.release_to(self._pool)
-            packed_b.release_to(self._pool)
-            if built.leased:
-                self._pool.release(*built.leased)
         else:
-            # Sharded runs pack into the process-wide shared-memory arena
-            # (workers attach the segments zero-copy) and compute checksum
-            # material inside each shard instead of at pack time.
             with shard_arena() as arena:
-                packed_a, packed_b = self._pack(
-                    a, b, plan, arena, False, timers
-                )
                 c, shard_report, report = self._run_sharded(
-                    arena, plan, order, packed_a, packed_b, dtype,
-                    workers, timers,
+                    arena, plan, order, a, b, dtype, workers, timers,
                 )
             counters.ipc_bytes = shard_report.ipc_bytes
             blas_threads = shard_report.blas_threads
@@ -359,46 +350,25 @@ class GemmEngine:
             shards=shard_report,
         )
 
-    def _pack(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        plan: "CakePlan | GotoPlan",
-        pool: BufferPool,
-        checksums: bool,
-        timers: PhaseTimers,
-    ) -> tuple[PackedA, PackedB]:
-        """Pack both operands in the plan grid's block shape, timed."""
-        block = plan.grid().nominal
-        start = time.perf_counter()
-        packed_a = pack_a(
-            a, block.m, block.k, pool=pool, exact=self.exact_pack,
-            checksums=checksums,
-        )
-        packed_b = pack_b(
-            b, block.k, block.n, pool=pool, exact=self.exact_pack,
-            checksums=checksums,
-        )
-        timers.pack_seconds = time.perf_counter() - start
-        return packed_a, packed_b
-
     def _run_sharded(
         self,
         arena: SharedBufferPool,
         plan: "CakePlan | GotoPlan",
         order: LoopOrder,
-        packed_a: PackedA,
-        packed_b: PackedB,
+        a: np.ndarray,
+        b: np.ndarray,
         dtype: np.dtype,
         workers: int,
         timers: PhaseTimers,
     ) -> tuple[np.ndarray, ShardReport, "VerifyReport | None"]:
-        """Shard the packed product over the warm runtime's processes.
+        """Shard the product over the warm runtime's processes.
 
-        The segments go back to the arena only after a fully successful
-        run; on any other exit they are closed and unlinked, so a
-        straggling worker of a torn-down pool never writes into a reused
-        C.
+        A and B are copied once each, flat, into arena segments the
+        workers attach; each worker cuts its own views from them, and
+        computes its own checksum material when verifying. The segments
+        go back to the arena only after a fully successful run; on any
+        other exit they are closed and unlinked, so a straggling worker
+        of a torn-down pool never writes into a reused C.
         """
         assert self.shards is not None
         m_sizes, n_sizes, _ = plan.grid().size_arrays()
@@ -408,16 +378,22 @@ class GemmEngine:
             n_sizes.tolist(),
             plan.space.k,
         )
-        c = arena.lease((shards.m, shards.n), dtype)
-        segments = [*packed_a.buffers, *packed_b.buffers, c]
+        start = time.perf_counter()
+        segments = []
         try:
+            for x in (a, b):
+                segments.append(arena.lease(x.shape, x.dtype))
+                np.copyto(segments[-1], x)
+            timers.pack_seconds = time.perf_counter() - start
+            c = arena.lease((shards.m, shards.n), dtype)
+            segments.append(c)
             shard_report, report = run_sharded(
                 plan=plan,
                 order=order.slots,
                 strips=order.strips,
                 shards=shards,
-                packed_a=packed_a,
-                packed_b=packed_b,
+                a=segments[0],
+                b=segments[1],
                 pool=arena,
                 c=c,
                 config=self.shards,

@@ -14,7 +14,7 @@ built by the one :func:`build_groups` from the engine's loop order
 (a sequence of :class:`GroupSlot`) over its plan's block grid:
 
 * For CAKE, one group per CB block of the K-first schedule. Within the
-  group, each strip is one core's ``mc``-row slab of packed A multiplied
+  group, each strip is one core's ``mc``-row slab of A multiplied
   against the block's B panel, accumulating into that core's *disjoint*
   C row panel — lock-free by construction, exactly the CB shaping of
   Section 4.2.
@@ -24,7 +24,13 @@ built by the one :func:`build_groups` from the engine's loop order
 
 The same builder serves the in-process path and every shard worker of
 :mod:`repro.gemm.sharded` (restricted to the shard's span), so the two
-paths cannot drift apart.
+paths cannot drift apart. It reads A and B in place: a
+:class:`GridOperand` slices an operand at the plan grid's block edges,
+so every strip is a view of the caller's array (or of its one flat
+copy, for a layout that is not C-ordered). The paper packs operands so
+that each core streams contiguous surfaces (Sec. 5.2.1); every backend
+call here is a BLAS call that packs its operands itself, so a blocked
+copy above it would buy the kernel nothing.
 
 Groups are barriers: group ``g+1`` starts only after every strip of group
 ``g`` completed. That ordering is what makes the parallel product
@@ -55,7 +61,9 @@ Phase timers
 :class:`PhaseTimers` captures per-phase wall-clock so future PRs can
 profile the engine:
 
-* ``pack`` — building the packed operands (orchestrator wall time);
+* ``pack`` — the one flat copy of an operand that is not C-ordered
+  (zero for C-ordered operands; shard runs copy both into shared
+  memory), or the loop packer's blocks under ``exact_pack``;
 * ``compute`` — per-strip kernel time, **summed across workers** (with
   ``w`` workers on ``w`` idle cores this exceeds the elapsed wall time
   by up to ``w``; the ratio is the achieved parallelism);
@@ -63,9 +71,9 @@ profile the engine:
   own run of strips, waiting for the other workers to finish (load
   imbalance + GIL contention indicator; zero on the inline
   ``workers=1`` path);
-* ``verify`` / ``recover`` — ABFT checksum validation and recovery-ladder
-  time when the run executes verified (:mod:`repro.gemm.verify`); zero
-  otherwise.
+* ``verify`` / ``recover`` — ABFT checksums, their validation and
+  recovery-ladder time when the run executes verified
+  (:mod:`repro.gemm.verify`); zero otherwise.
 
 Verified execution
 ------------------
@@ -113,7 +121,6 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.gemm.plan import CakePlan, GotoPlan
     from repro.gemm.sharded import ShardSpan
     from repro.packing.pack import PackedA, PackedB
-    from repro.packing.pool import BufferPool
     from repro.runtime.faults import NumericFaultInjector
 
 
@@ -132,18 +139,20 @@ class StripGroup(NamedTuple):
     sequences of :class:`StripTask`; the executor wraps them. ``index``
     is the group's position in the schedule (the fault-injection key),
     ``coord``/``label`` identify the block in error reports, and the
-    checksum vectors are the pack-time ``colsum(A_group)`` (length ``k``)
-    and ``rowsum(B_group)`` (length ``k``) driving the column/row
-    identities. ``checksum_a is None`` means the group runs unverified.
+    checksum vectors are ``colsum(A_group)`` (length ``k``) and
+    ``rowsum(B_group)`` (length ``k``) driving the column/row
+    identities, computed once per operand block by :func:`build_groups`.
+    ``checksum_a is None`` means the group runs unverified.
     ``panel``, when an engine can provide it, is the single C view whose
     rows are exactly the tasks' C strips stacked in task order — it lets
     the verifier snapshot and reduce the whole panel in one numpy call
     each instead of stacking the strips itself. ``operand_a`` plays the
-    same role for the A side: one array whose rows are the tasks' A
+    same role for the A side: one view whose rows are the tasks' A
     strips in task order. ``mag_a``/``mag_b`` are the group operands'
-    pack-time absolute-value sums ``(|X|.sum(axis=0), |X|.sum(axis=1))``
-    — with them the verifier's tolerance band costs O(m + n) vector
-    arithmetic per group instead of a fresh ``|A|``/``|B|`` scan.
+    absolute-value sums ``(|X|.sum(axis=0), |X|.sum(axis=1))``, also
+    computed once per block — with them the verifier's tolerance band
+    costs O(m + n) vector arithmetic per group instead of a fresh
+    ``|A|``/``|B|`` scan.
     ``first_strip`` is the serial run's index of ``tasks[0]`` within the
     whole group: 0 unless a shard holds only the later strips of it.
     """
@@ -205,9 +214,9 @@ def core_strips(rows: int, cores: int) -> list[int]:
 class GroupSlot(NamedTuple):
     """One strip group of an engine's loop order over its plan's block grid.
 
-    The group multiplies the packed A blocks of block rows ``mi0:mi1`` at
-    K panel ``ki`` by the packed B panel ``(ki, ni)``: one CB block for
-    CAKE (``mi1 == mi0 + 1``), one ``(nc, kc)`` slice across every ``mc``
+    The group multiplies the A blocks of block rows ``mi0:mi1`` at K
+    panel ``ki`` by the B panel ``(ki, ni)``: one CB block for CAKE
+    (``mi1 == mi0 + 1``), one ``(nc, kc)`` slice across every ``mc``
     strip for GOTO. ``coord`` and ``label`` name the group in
     verification errors.
     """
@@ -224,12 +233,12 @@ class BuiltGroups(NamedTuple):
     """What :func:`build_groups` hands the executor and the caller."""
 
     groups: list[StripGroup]
-    #: Stacked A operands leased from the builder's pool; the caller
-    #: releases them once the groups have run.
-    leased: list[np.ndarray]
-    #: Checksum elements computed by the builder (operands packed without
-    #: checksums, as in shard workers); 0 when pack-time vectors served.
+    #: ABFT checksum and magnitude elements computed for a verified
+    #: build (0 otherwise): the run's ``VerifyReport.checksum_elements``.
     checksum_elements: int
+    #: Wall time those reductions took, which the caller charges to the
+    #: ``verify`` phase.
+    checksum_seconds: float
 
 
 class StripLayout(NamedTuple):
@@ -288,58 +297,125 @@ def strip_layout(
     )
 
 
-class _BlockSums:
-    """ABFT checksum and magnitude material of one packed operand's blocks.
+@lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
+def grid_edges(
+    plan: "CakePlan | GotoPlan",
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``plan``'s block edges along M, N and K: each axis's offsets, then
+    its extent. Memoized like the plans, and cleared with them."""
+    grid = plan.grid()
+    return tuple(
+        (*offsets.tolist(), int(offsets[-1] + sizes[-1]))
+        for offsets, sizes in zip(grid.offset_arrays(), grid.size_arrays())
+    )
 
-    Pack-time vectors when the operand was packed with ``checksums=True``
-    and the whole block is asked for; otherwise computed from the block
-    (or its ``rows``, for a shard's part of a CB block) on first use and
-    cached — shard workers derive their own from the attached blocks
-    instead of shipping the parent's. ``fresh`` counts the elements
-    computed here.
+
+class GridOperand:
+    """One operand read in place, cut at a plan grid's block edges.
+
+    It has the accessors :func:`build_groups` reads: ``block(i, j)`` (an
+    A block), ``panel(i, j)`` (a B panel) and ``column(j, start, stop)``
+    (block rows ``start:stop`` at block column ``j``, stacked). Each is a
+    view of ``x``; nothing is copied. ``exact_pack`` runs hand the
+    builder the loop packer's :class:`~repro.packing.pack.PackedA` and
+    :class:`~repro.packing.pack.PackedB` through the same accessors.
+    """
+
+    __slots__ = ("x", "rows", "cols")
+
+    def __init__(
+        self, x: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]
+    ) -> None:
+        self.x = x
+        self.rows = rows
+        self.cols = cols
+
+    def block(self, i: int, j: int) -> np.ndarray:
+        rows, cols = self.rows, self.cols
+        return self.x[rows[i] : rows[i + 1], cols[j] : cols[j + 1]]
+
+    panel = block
+
+    def column(
+        self, j: int, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        rows, cols = self.rows, self.cols
+        end = rows[-1] if stop is None else rows[stop]
+        return self.x[rows[start] : end, cols[j] : cols[j + 1]]
+
+
+def grid_operands(
+    plan: "CakePlan | GotoPlan", a: np.ndarray, b: np.ndarray
+) -> tuple[GridOperand, GridOperand]:
+    """A and B as :class:`GridOperand` views over ``plan``'s block grid.
+
+    A C-ordered operand is read in place. Any other layout (F-ordered,
+    transposed, strided, reversed, or unaligned) is copied once, flat,
+    into C order, so every path — in process, or a shard worker over its
+    shared-memory copy — hands the backends operands with the same
+    strides.
+    """
+    m_edges, n_edges, k_edges = grid_edges(plan)
+    return (
+        GridOperand(_flat(a), m_edges, k_edges),
+        GridOperand(_flat(b), k_edges, n_edges),
+    )
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """``x`` as a plain ndarray, itself when C-ordered and aligned."""
+    x = np.asarray(x)
+    if x.flags.c_contiguous and x.flags.aligned:
+        return x
+    return np.array(x, order="C")
+
+
+class _BlockSums:
+    """ABFT checksum and magnitude material of one operand's blocks.
+
+    Computed from the block (or its ``rows``, for a shard's part of a CB
+    block) on first use and cached, so each block is reduced once per
+    build. ``elements`` counts the elements computed and ``seconds``
+    the time it took.
     """
 
     def __init__(
-        self,
-        packed: "PackedA | PackedB",
-        block_at: Callable[[int, int], np.ndarray],
-        axis: int,
+        self, block_at: Callable[[int, int], np.ndarray], axis: int
     ) -> None:
-        self.packed = packed
         self.block_at = block_at
         self.axis = axis
-        self.cache: dict[tuple[int, int], tuple] = {}
-        self.fresh = 0
+        self.cache: dict[tuple, tuple] = {}
+        self.elements = 0
+        self.seconds = 0.0
 
     def __call__(
         self, i: int, j: int, rows: tuple[int, int] | None = None
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        if rows is None and self.packed.checksums is not None:
-            return self.packed.checksum(i, j), self.packed.magnitude(i, j)
         hit = self.cache.get((i, j, rows))
         if hit is None:
+            start = time.perf_counter()
             block = self.block_at(i, j)
             if rows is not None:
                 block = block[rows[0] : rows[1]]
             ab = np.abs(block)
             hit = (block.sum(axis=self.axis), (ab.sum(axis=0), ab.sum(axis=1)))
             self.cache[(i, j, rows)] = hit
-            self.fresh += hit[0].size + ab.shape[0] + ab.shape[1]
+            self.elements += hit[0].size + ab.shape[0] + ab.shape[1]
+            self.seconds += time.perf_counter() - start
         return hit
 
 
 def build_groups(
     order: Sequence[GroupSlot],
     plan: "CakePlan | GotoPlan",
-    packed_a: "PackedA",
-    packed_b: "PackedB",
+    a: "GridOperand | PackedA",
+    b: "GridOperand | PackedB",
     c: np.ndarray,
     *,
     span: "ShardSpan | None" = None,
     strips: int = 1,
     verifying: bool = False,
     grouped: bool = False,
-    pool: "BufferPool | None" = None,
 ) -> BuiltGroups:
     """The strip groups of ``order``, in order, over ``plan``'s block grid.
 
@@ -357,31 +433,31 @@ def build_groups(
     every whole-backend-call boundary); the shard then gets a partial
     group — its strips, their C panel rows, A operand rows and ABFT sums —
     whose ``first_strip`` is the serial index of its first strip. A
-    group's stacked A operand is the packed block (rows) itself when the
-    group covers one block row; for several it is concatenated (leased
-    from ``pool``) only when something reads it — the verifier, or a
-    ``grouped`` backend executing the group as one call.
+    group's stacked A operand is the block (rows) itself when the group
+    covers one block row; for several it is ``a.column(...)``, taken
+    only when something reads it — the verifier, or a ``grouped``
+    backend executing the group as one call. A verified build computes
+    each block's checksums and magnitudes once, from the operand's own
+    blocks.
 
     The geometry comes from :func:`strip_layout`, built once per plan;
-    a call only binds views onto its own packed buffers and C, and
-    gathers the checksum material.
+    a call only binds views onto its operands and C.
     """
     (
         m_sizes, n_sizes, m_off, n_off, col_lo, col_hi, in_span,
         strips_before,
     ) = strip_layout(plan, strips, span)
-    a_sums = _BlockSums(packed_a, packed_a.block, axis=0)
-    b_sums = _BlockSums(packed_b, packed_b.panel, axis=1)
+    a_sums = _BlockSums(a.block, axis=0)
+    b_sums = _BlockSums(b.panel, axis=1)
     # A-side material per (rows, ki): shared by every ni of a GOTO slice.
     a_sides: dict[tuple, tuple] = {}
     started: set[tuple] = set()
-    leased: list[np.ndarray] = []
     groups: list[StripGroup] = []
     for index, slot in enumerate(order):
         ni, ki = slot.ni, slot.ki
         if not col_lo <= ni < col_hi:
             continue
-        b_panel = packed_b.panel(ki, ni)
+        b_panel = b.panel(ki, ni)
         n0, n1 = n_off[ni], n_off[ni] + n_sizes[ni]
         tasks: list[StripTask] = []
         # (block row, first row, end row) of each block row in the span.
@@ -393,7 +469,7 @@ def build_groups(
             if not tasks:
                 first_strip = strips_before[row] - strips_before[slot.mi0]
                 first_strip += here[0][0]
-            block, at = packed_a.block(row, ki), m_off[row]
+            block, at = a.block(row, ki), m_off[row]
             for _, y, rows in here:
                 c_strip = c[at + y : at + y + rows, n0:n1]
                 tasks.append(StripTask(block[y : y + rows], b_panel, c_strip))
@@ -406,17 +482,13 @@ def build_groups(
         if side is None:
             operand_a = cs_a = mag_a = None
             if row0 == row1:
-                operand_a = packed_a.block(row0, ki)
+                operand_a = a.block(row0, ki)
                 if hi - lo < m_sizes[row0]:
                     operand_a = operand_a[lo:hi]
             elif verifying or grouped:
                 # Several block rows only come from GOTO's one-strip rows,
                 # which the span never cuts: they are whole.
-                operand_a = packed_a.column(
-                    ki, pool=pool, start=row0, stop=row1 + 1
-                )
-                if pool is not None:
-                    leased.append(operand_a)
+                operand_a = a.column(ki, start=row0, stop=row1 + 1)
             if verifying:
                 sums = [
                     a_sums(row, ki, (lo, hi) if hi - lo < m_sizes[row] else None)
@@ -457,19 +529,29 @@ def build_groups(
                 first_strip=first_strip,
             )
         )
-    return BuiltGroups(groups, leased, a_sums.fresh + b_sums.fresh)
+    return BuiltGroups(
+        groups,
+        a_sums.elements + b_sums.elements,
+        a_sums.seconds + b_sums.seconds,
+    )
 
 
 def resolve_workers(workers: int | None) -> int:
     """Validate an explicit worker count (``None`` -> 1, serial).
 
     The engines leave ``workers=None`` to the core budget
-    (:mod:`repro.gemm.budget`) instead of calling this with it.
+    (:mod:`repro.gemm.budget`) instead of calling this with it. Any
+    Python or NumPy integer is accepted; a bool or a non-integral value
+    raises ``TypeError``.
     """
     if workers is None:
         return 1
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise TypeError(
+            f"workers must be an int, got {type(workers).__name__}"
+        )
     require_positive("workers", workers)
-    return workers
+    return int(workers)
 
 
 def check_multiply_operands(
@@ -494,9 +576,10 @@ def check_multiply_operands(
     generic ``TypeError`` deep in a kernel.
 
     Layout is deliberately *not* validated: F-ordered, transposed and
-    non-contiguous operands are first-class. The packing pass copies
-    them block-contiguous in a single strided pass, so no caller ever
-    needs (or pays for) an ``np.ascontiguousarray`` staging copy.
+    non-contiguous operands are first-class. A C-ordered operand is read
+    in place; any other layout is copied once, flat, into C order
+    (:func:`grid_operands`), so a caller never needs its own staging
+    copy.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("operands must be 2-D arrays")
@@ -621,7 +704,7 @@ def run_strip_groups(
 
     The pool is created per call, which keeps one engine object safe to
     run from multiple threads concurrently (no shared mutable executor
-    state; the buffer pool is lock-guarded separately).
+    state).
     """
     timers = timers if timers is not None else PhaseTimers()
     timers.workers = max(timers.workers, workers)

@@ -424,7 +424,8 @@ class GotoPlan:
 
         The same partition (ragged at the high edges) the Figure 5 nest
         walks, as a block grid like a :class:`CakePlan`'s, so both engines
-        pack and build their strip groups through one code path. Built
+        cut their operands and build their strip groups through one code
+        path. Built
         once per plan (:func:`_plan_grid`) and shared.
         """
         return _plan_grid(self)
@@ -463,7 +464,8 @@ def _goto_plan(
 @lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
 def _plan_grid(plan: "CakePlan | GotoPlan") -> BlockGrid:
     """Either plan's block grid, memoized: an engine asks for it several
-    times per multiply (packing, the loop order, the strip layout)."""
+    times per multiply (the loop order, the strip layout, the block
+    edges)."""
     return BlockGrid(plan.space, plan.block)
 
 
@@ -471,7 +473,7 @@ def _plan_memos() -> dict:
     """Every per-plan memo by report name, each an ``lru_cache`` bounded
     by :data:`PLAN_MEMO_MAXSIZE`."""
     from repro.gemm.engine import loop_order, plan_accounting  # lazy: pkg cycle
-    from repro.gemm.parallel import strip_layout  # lazy: pkg cycle
+    from repro.gemm.parallel import grid_edges, strip_layout  # lazy: pkg cycle
 
     return {
         "cake": _cake_plan,
@@ -480,14 +482,15 @@ def _plan_memos() -> dict:
         "accounting": plan_accounting,
         "loop_order": loop_order,
         "strip_layout": strip_layout,
+        "grid_edges": grid_edges,
     }
 
 
 def plan_cache_info() -> dict[str, object]:
     """Hit/miss/size counters for the plan memos and the per-plan memos
     built from them: grid, accounting
-    (:func:`repro.gemm.engine.plan_accounting`), loop order and strip
-    layout."""
+    (:func:`repro.gemm.engine.plan_accounting`), loop order, strip
+    layout and the grid's block edges."""
     return {
         "maxsize": PLAN_MEMO_MAXSIZE,
         **{

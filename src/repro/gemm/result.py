@@ -68,9 +68,10 @@ class GemmRun:
         backend are bit-identical across worker counts.
     phase_seconds:
         Measured wall-clock of the numeric run's phases — ``pack``
-        (packed-operand construction), ``compute`` (kernel time summed
-        across workers), ``reduce`` (orchestrator barrier waits),
-        ``verify``/``recover`` (ABFT checksum validation and recovery).
+        (flat operand copies: zero for C-ordered in-process operands),
+        ``compute`` (kernel time summed across workers), ``reduce``
+        (orchestrator barrier waits), ``verify``/``recover`` (ABFT
+        checksums, their validation and recovery).
         ``None`` for analytic-only runs. This is host wall time, *not* the
         modelled :attr:`seconds`; it exists so the execution engine can be
         profiled.

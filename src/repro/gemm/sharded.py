@@ -8,11 +8,12 @@ to a worker process, and runs the existing threaded strip-group executor
 (:mod:`repro.gemm.parallel`, with any registered backend) inside each
 shard.
 
-Transport is ``multiprocessing.shared_memory``: the parent packs A and B
-once into the process-wide shared-memory arena (a
+Transport is ``multiprocessing.shared_memory``: the parent copies A and
+B once each, flat, into the process-wide shared-memory arena (a
 :class:`~repro.packing.pool.SharedBufferPool`), then ships only *segment
-names* — workers attach the packed buffers zero-copy and rebuild the
-identical block-view grids with :func:`repro.packing.pack.grid_views`.
+names* — workers attach the segments zero-copy and cut the same
+:class:`~repro.gemm.parallel.GridOperand` views an in-process run cuts
+(:func:`~repro.gemm.parallel.grid_operands`), with the same strides.
 C is a single shared output buffer; every shard writes its disjoint
 row x column panel, so no two processes ever touch the same byte of C.
 
@@ -47,7 +48,7 @@ Shard-grid selection
 --------------------
 
 For P processes the grid ``(pr, pc)`` with ``pr * pc = P`` replicates
-packed A ``pc`` times and packed B ``pr`` times across processes, so the
+A ``pc`` times and B ``pr`` times across processes, so the
 measured inter-process traffic is ``pc*M*K + pr*K*N + M*N`` elements.
 The memory-independent communication lower bound for matrix
 multiplication on P unbounded-memory processors (Red-Blue Pebbling
@@ -86,7 +87,7 @@ Shard processes and shared-memory segments outlive one multiply:
   :data:`POOL_IDLE_SECONDS` idle, and at exit; every worker also exits
   by itself once its parent dies.
 * **Arena.** One process-wide :class:`~repro.packing.pool.SharedBufferPool`
-  recycles packed-operand and C segments by shape, keeping at most
+  recycles operand and C segments by shape, keeping at most
   :data:`ARENA_RETAINED_BYTES` idle (eviction closes and unlinks). A
   multiply returns its segments only after it fully succeeded; on any
   other exit it destroys them, so a straggling worker never writes into
@@ -124,7 +125,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as wait_ready
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -140,15 +141,10 @@ from repro.gemm.parallel import (
     PhaseTimers,
     build_groups,
     execute_groups,
+    grid_operands,
 )
 from repro.gemm.plan import CakePlan, GotoPlan
 from repro.gemm.verify import VerifyConfig, VerifyReport
-from repro.packing.pack import (
-    GridParts,
-    PackedA,
-    PackedB,
-    grid_views,
-)
 from repro.packing.pool import SegmentSpec, SharedBufferPool
 from repro.runtime.faults import mark_worker_process
 from repro.runtime.restart import RestartPolicy, RestartTracker, kill_pool
@@ -301,8 +297,8 @@ class ShardPlan:
     def ipc_elements(self) -> int:
         """Deterministic inter-process traffic of this plan, in elements.
 
-        Each shard attaches its ``m_s x K`` slice of packed A, its
-        ``K x n_s`` slice of packed B, and writes its ``m_s x n_s`` C
+        Each shard reads its ``m_s x K`` slice of A, its ``K x n_s``
+        slice of B, and writes its ``m_s x n_s`` C
         panel: summed over shards this is exactly
         ``cols*M*K + rows*K*N + M*N``. Derived from the plan, never
         measured — the same number for every run of the same problem.
@@ -503,36 +499,6 @@ class ShardReport:
 # -- shared-memory transport ---------------------------------------------------
 
 
-class PackedHandle(NamedTuple):
-    """Picklable description of one packed matrix in shared memory.
-
-    ``segments`` are the (up to four) :class:`GridParts` buffers in
-    ``(main, right, bottom, corner)`` order; with the grid extents (and
-    the plan's block shape, shipped alongside) a worker rebuilds the
-    parent's exact packed block views.
-    """
-
-    segments: tuple[SegmentSpec | None, ...]
-    r_full: int
-    c_full: int
-
-
-def _pack_handle(
-    packed: "PackedA | PackedB", pool: SharedBufferPool
-) -> PackedHandle:
-    parts = packed.parts
-    if parts is None:  # pragma: no cover - engines force vectorized packs
-        raise ConfigurationError(
-            "sharded execution requires the vectorized pack "
-            "(exact_pack is incompatible with processes > 1)"
-        )
-    segments = tuple(
-        None if part is None else pool.segment_of(part)
-        for part in (parts.main, parts.right, parts.bottom, parts.corner)
-    )
-    return PackedHandle(segments, parts.r_full, parts.c_full)
-
-
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to a named segment without taking tracker ownership.
 
@@ -554,19 +520,20 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """Everything one worker needs, in picklable primitives + handles.
+    """Everything one worker needs, in picklable primitives + segments.
 
     ``plan``, ``order`` and ``strips`` are exactly what the parent engine
     hands :func:`~repro.gemm.parallel.build_groups` for an in-process
-    run; the worker calls the same builder with its ``span``.
+    run; the worker calls the same builder with its ``span``, over views
+    of the flat A and B segments.
     """
 
     plan: CakePlan | GotoPlan
     order: Sequence[GroupSlot]
     strips: int
     span: ShardSpan
-    a_handle: PackedHandle
-    b_handle: PackedHandle
+    a_segment: SegmentSpec
+    b_segment: SegmentSpec
     c_segment: SegmentSpec
     workers: int
     backend: str
@@ -577,41 +544,32 @@ class _ShardTask:
 # -- worker side ---------------------------------------------------------------
 
 
-def _attach_parts(
-    handle: PackedHandle, attach: Callable[[SegmentSpec], np.ndarray]
-) -> GridParts:
-    buffers = [None if s is None else attach(s) for s in handle.segments]
-    return GridParts(*buffers, handle.r_full, handle.c_full)
-
-
 def _run_attached(
     task: _ShardTask, attach: Callable[[SegmentSpec], np.ndarray]
 ) -> dict:
-    """The shard body: zero its C panel, rebuild views, build groups, run.
+    """The shard body: zero its C panel, cut views, build groups, run.
 
     The shard starts from a zeroed panel on every attempt (a rebuilt
     pool's or the inline fallback's included), so the parent never
-    zero-fills C. Every array built here (packed views, C views,
+    zero-fills C. Every array built here (operand views, C views,
     verifier state) is local to this frame, so when it returns only the
     segment handles remain and :func:`_execute_shard` can close the
-    mappings cleanly. Checksum material is computed here from the
-    attached blocks (shipping the parent's would double the descriptor
-    surface for no gain — the identities are self-consistent within the
-    worker).
+    mappings cleanly. A verified shard computes the checksum material of
+    its own blocks, as an in-process run does.
     """
     verifying = task.verify is not None and task.verify.enabled
     spec = backend_spec(task.backend)
-    block = task.plan.grid().nominal
-    a_parts = _attach_parts(task.a_handle, attach)
-    b_parts = _attach_parts(task.b_handle, attach)
+    a, b = grid_operands(
+        task.plan, attach(task.a_segment), attach(task.b_segment)
+    )
     c = attach(task.c_segment)
     span = task.span
     c[span.m0 : span.m0 + span.m_extent, span.n0 : span.n0 + span.n_extent] = 0
     built = build_groups(
         task.order,
         task.plan,
-        PackedA(grid_views(a_parts), block.m, block.k, parts=a_parts),
-        PackedB(grid_views(b_parts), block.k, block.n, parts=b_parts),
+        a,
+        b,
         c,
         span=span,
         strips=task.strips,
@@ -619,6 +577,7 @@ def _run_attached(
         grouped=spec.capabilities.grouped,
     )
     timers = PhaseTimers()
+    timers.verify_seconds = built.checksum_seconds
     kernel = task.plan.kernel
     report = execute_groups(
         built.groups,
@@ -767,6 +726,8 @@ class _WarmRuntime:
         self.sessions = 0
         self.arena: SharedBufferPool | None = None
         self.arena_used = 0.0
+        #: Hits and misses of the arenas already retired.
+        self.retired_leases = (0, 0)
         self.retirer: threading.Thread | None = None
 
     @contextmanager
@@ -839,6 +800,8 @@ class _WarmRuntime:
         if self.arena is not None and not self.sessions and not self.idle:
             if everything or due or now - self.arena_used >= POOL_IDLE_SECONDS:
                 arena, self.arena = self.arena, None
+                hits, misses = self.retired_leases
+                self.retired_leases = (hits + arena.hits, misses + arena.misses)
             else:
                 wake = self.arena_used + POOL_IDLE_SECONDS
         return due, arena, wake
@@ -854,6 +817,22 @@ class _WarmRuntime:
                 _retire(due, arena)
             if wake is not None:
                 time.sleep(max(wake - time.monotonic(), 0.0))
+
+    def arena_stats(self) -> dict:
+        """The arena's lease counters, summed over this process's arenas."""
+        with self.lock:
+            hits, misses = self.retired_leases
+            live = {"hits": 0, "misses": 0, "retained_bytes": 0}
+            if self.arena is not None:
+                live = self.arena.stats()
+        hits += live["hits"]
+        misses += live["misses"]
+        return {
+            "leases": hits + misses,
+            "hits": hits,
+            "misses": misses,
+            "retained_bytes": live["retained_bytes"],
+        }
 
     def shutdown(self) -> None:
         """Retire every idle pool and the arena now (at interpreter exit)."""
@@ -881,6 +860,17 @@ def shard_arena():
     return _RUNTIME.arena_session()
 
 
+def arena_stats() -> dict:
+    """Lease counters of the process-wide shared-memory arena.
+
+    The :meth:`~repro.packing.pool.BufferPool.stats` keys, counted over
+    every arena this process held, so they never fall when an idle
+    arena retires; ``retained_bytes`` is the live arena's. All zeros
+    before the first sharded multiply.
+    """
+    return _RUNTIME.arena_stats()
+
+
 # -- orchestrator --------------------------------------------------------------
 
 
@@ -894,8 +884,8 @@ def run_sharded(
     order: Sequence[GroupSlot],
     strips: int,
     shards: ShardPlan,
-    packed_a: PackedA,
-    packed_b: PackedB,
+    a: np.ndarray,
+    b: np.ndarray,
     pool: SharedBufferPool,
     c: np.ndarray,
     config: ShardConfig,
@@ -910,10 +900,10 @@ def run_sharded(
 
     ``plan``/``order``/``strips`` are the engine's group-builder inputs
     (each worker builds its span's groups from them); ``shards`` is the
-    shard grid; ``workers`` is each shard's engine threads.
-    ``packed_a``/``packed_b`` must have been packed through
-    ``pool`` (the arena of :func:`shard_arena`) and ``c`` leased from
-    it; each shard zeroes its own panel. On return, ``c`` holds the
+    shard grid; ``workers`` is each shard's engine threads. ``a``,
+    ``b`` and ``c`` must have been leased from ``pool`` (the arena of
+    :func:`shard_arena`), with A and B filled; each shard zeroes its own
+    C panel. On return, ``c`` holds the
     product — the caller copies it out before releasing its segments.
     The worker pool is leased from the warm runtime and returned only if
     every shard completed in it. Worker phase timers are summed into
@@ -926,17 +916,15 @@ def run_sharded(
             f"(worker processes rebuild the backend from its registry "
             f"entry); {backend!r} is not registered"
         )
-    handle_a = _pack_handle(packed_a, pool)
-    handle_b = _pack_handle(packed_b, pool)
-    c_segment = pool.segment_of(c)
+    a_segment, b_segment, c_segment = (pool.segment_of(x) for x in (a, b, c))
     tasks = {
         span.index: _ShardTask(
             plan=plan,
             order=order,
             strips=strips,
             span=span,
-            a_handle=handle_a,
-            b_handle=handle_b,
+            a_segment=a_segment,
+            b_segment=b_segment,
             c_segment=c_segment,
             workers=workers,
             backend=backend,

@@ -14,13 +14,14 @@ For every strip group the executor runs (one CB block for CAKE, one
 ``C += A_g @ B_g``. Two checksum identities must then hold:
 
 * **column**: ``colsum(C_after) - colsum(C_before) = colsum(A_g) @ B_g``,
-  where ``colsum`` sums over rows. ``colsum(A_g)`` is the pack-time
-  column checksum of the packed A block(s) — computed once and reused
-  every time the block participates in a group.
+  where ``colsum`` sums over rows. ``colsum(A_g)`` is the column
+  checksum of the group's A block(s) — computed once per run from the
+  operand's own blocks (:func:`repro.gemm.parallel.build_groups`) and
+  reused every time the block participates in a group.
 * **row** (per strip): ``rowsum(C_after) - rowsum(C_before) =
   A_s @ rowsum(B_g)``, where ``rowsum`` sums over columns and
-  ``rowsum(B_g)`` is the pack-time row checksum of the packed B panel.
-  The row identity localizes a mismatch to one strip.
+  ``rowsum(B_g)`` is the row checksum of the B panel, computed once
+  the same way. The row identity localizes a mismatch to one strip.
 
 Verifying a group costs ``O(mk + kn + mn)`` against the ``O(mkn)`` it
 checks — asymptotically free, and measured end-to-end by
@@ -41,8 +42,8 @@ dtype-aware band: ``atol + rtol * ref`` where ``ref`` is a running
 *absolute-value* bound — each group adds its update magnitude to the
 panel's accumulated bound, which keeps the band honest under
 cancellation without re-scanning ``|C|`` every group. The update
-magnitudes come from **pack-time** ``|A|``/``|B|`` axis sums
-(:mod:`repro.packing.pack` magnitudes), so the per-group band is
+magnitudes come from per-block ``|A|``/``|B|`` axis sums, computed
+with the checksums, so the per-group band is
 O(m + n) vector arithmetic; groups built without magnitudes fall back
 to an exact ``|A| @ |B|`` scan. ``rtol`` defaults to
 ``8 * eps * (m + k + 2)`` for the group's extents in the accumulation
@@ -182,8 +183,8 @@ class VerifyConfig:
     Parameters
     ----------
     enabled:
-        Verify every strip group (pack-time checksums + per-group
-        identity checks + the recovery ladder). ``False`` with a
+        Verify every strip group (per-block operand checksums +
+        per-group identity checks + the recovery ladder). ``False`` with a
         non-``None`` ``inject`` corrupts *without* verification — the
         control case proving what silent corruption looks like.
     max_retries:
@@ -256,8 +257,8 @@ class VerifyReport:
     checksum_elements: int = 0
 
     def checksum_bytes(self, element_bytes: int) -> int:
-        """Checksum surface traffic in bytes (written at pack, read at
-        verify — hence the factor of two)."""
+        """Checksum surface traffic in bytes (written when the groups are
+        built, read at verify — hence the factor of two)."""
         return 2 * self.checksum_elements * element_bytes
 
     def as_dict(self) -> dict[str, int]:
@@ -594,7 +595,7 @@ class GroupVerifier:
                 prior = _PanelState.from_snapshot(snap.data)
 
         if group.mag_a is not None and group.mag_b is not None:
-            # Pack-time magnitudes: bound the update's column magnitudes
+            # Per-block magnitudes: bound the update's column magnitudes
             # by max(|A|-colsum) * |B|-colsum and its row magnitudes by
             # |A|-rowsum * max(|B|-rowsum) — sound upper bounds on
             # colsum(|A||B|) / rowsum(|A||B|), O(m + n) to evaluate.

@@ -1,27 +1,27 @@
-"""A reusable buffer pool for packed operand storage.
+"""Reusable buffer pools: the shared-memory arena's storage.
 
-Packing allocates a handful of large contiguous buffers per ``multiply()``
-call (one per packed region — see :mod:`repro.packing.pack`). Service
-workloads call ``multiply()`` in a loop with recurring shapes, so those
-allocations are highly redundant; the pool lets an engine hand buffers
-back after a run and lease them again on the next call instead of paying
-``np.empty`` + page-fault cost every time.
+A process-sharded multiply (:mod:`repro.gemm.sharded`) copies A and B
+into shared memory and leases a C buffer there, per call. Service loops
+multiply recurring shapes, so those allocations are highly redundant;
+the pool hands buffers back after a run and leases them again on the
+next call instead of creating a fresh segment every time.
 
 Semantics are deliberately minimal:
 
 * :meth:`BufferPool.lease` returns an **uninitialised** C-contiguous
   array of exactly the requested shape and dtype — a retained buffer if
   one matches, a fresh allocation otherwise. Leased buffers are popped
-  from the pool under a lock, so concurrent leases never share storage
-  (this is what makes one engine object safe to run from many threads).
+  from the pool under a lock, so concurrent leases never share storage.
 * :meth:`BufferPool.release` returns buffers for reuse. The pool retains
   at most ``max_retained_bytes`` in total and evicts the
   least-recently-released buffers beyond that, so a single huge problem
   cannot pin its working set forever.
 
-The pool never zeroes storage: packed buffers are always fully
-overwritten by the pack copy before use, which tests assert indirectly by
-checking packed buffers are bit-identical to the loop-packing oracle.
+The pool never zeroes storage: an operand segment is fully overwritten
+by its copy before use, and each shard zeroes its own C panel.
+:class:`BufferPool` keeps buffers in private memory;
+:class:`SharedBufferPool`, the arena, puts them in shared-memory
+segments.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 #: Default retention cap: generous enough for the benchmark shapes
-#: (a 1536^3 float64 problem packs ~38 MiB), small enough to never
-#: matter on a laptop.
+#: (a 1536^3 float64 problem's A and B are ~38 MiB), small enough to
+#: never matter on a laptop.
 DEFAULT_MAX_RETAINED_BYTES = 256 * 1024 * 1024
 
 
@@ -181,8 +181,8 @@ class SegmentSpec(NamedTuple):
 class SharedBufferPool(BufferPool):
     """A :class:`BufferPool` whose buffers live in shared memory.
 
-    The process-sharded executor (:mod:`repro.gemm.sharded`) packs A and
-    B through one of these, so every packed buffer is backed by a
+    The process-sharded executor (:mod:`repro.gemm.sharded`) copies A
+    and B into buffers of one of these, so each is backed by a
     ``multiprocessing.shared_memory`` segment that shard workers attach
     **zero-copy** — the parent ships segment names, never array bytes.
 

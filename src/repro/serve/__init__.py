@@ -4,7 +4,7 @@ ROADMAP item 1's serving layer. Clients submit multiply requests to a
 :class:`~repro.serve.server.MultiplyServer` and get future-like
 handles back; the server classifies requests by shape class
 (:mod:`repro.serve.classifier`), coalesces compatible small problems
-into shared plan + :class:`~repro.packing.pool.BufferPool` reuse
+into one engine pass per class, sharing its plan
 (:mod:`repro.serve.batching`), and executes them on the existing
 engines. Robustness is the design center — bounded admission
 (:mod:`repro.serve.admission`), per-request deadlines that propagate

@@ -3,20 +3,18 @@
 Three mechanisms live here, all in service of the executors:
 
 **Engine cache.** Plain requests (no verification, no sharding) of the
-same shape class and execution profile reuse one engine object. The
-engine's plan is memoized process-wide anyway (``lru_cache`` in
-:mod:`repro.gemm.plan`), but reusing the *object* also reuses its
-reference to the server's shared :class:`~repro.packing.pool.BufferPool`
-— the second request of a class packs into buffers the first one
-released. Verified and sharded requests get fresh engines (their
-configs carry per-request state: injection plans, shard deadlines);
-construction is cheap because the plan cache absorbs the expensive
-part.
+same shape class and execution profile reuse one engine object, so a
+repeat class skips engine construction and backend resolution; the
+plan, loop order and strip layout are memoized process-wide anyway
+(:mod:`repro.gemm.plan`). Verified and sharded requests get fresh
+engines (their configs carry per-request state: injection plans, shard
+deadlines); construction is cheap because the plan cache absorbs the
+expensive part.
 
 **Coalescing.** An executor takes up to ``max_batch`` same-class,
 same-profile small requests from the queue in one scoop and runs them
 back-to-back on one executor thread through one engine: one plan
-lookup, pool-warm packs, no cross-thread handoff between them.
+lookup, no cross-thread handoff between them.
 
 **Degradation ladder.** When retries on the requested configuration
 keep failing, the server steps the request down a fixed ladder rather
@@ -41,7 +39,6 @@ from repro.gemm.goto import GotoGemm
 from repro.gemm.plan import PlanOverride
 from repro.gemm.sharded import ShardConfig, resolve_shards
 from repro.machines.spec import MachineSpec
-from repro.packing.pool import BufferPool
 from repro.serve.classifier import ShapeClass
 from repro.serve.request import MultiplyRequest
 
@@ -93,16 +90,12 @@ def oracle_rung() -> Rung:
 class EngineCache:
     """Builds engines for (request, rung) pairs, reusing plain ones.
 
-    All engines — cached or fresh — share the server's
-    :class:`~repro.packing.pool.BufferPool`, which is what turns a
-    repeated shape class into allocation-free packing. Thread-safe:
-    engines themselves are safe for concurrent ``multiply`` (their
-    pools lock), and the cache dict is guarded.
+    Thread-safe: engines are safe for concurrent ``multiply`` (a call
+    keeps its state in its own frame), and the cache dict is guarded.
     """
 
-    def __init__(self, machine: MachineSpec, pool: BufferPool) -> None:
+    def __init__(self, machine: MachineSpec) -> None:
         self.machine = machine
-        self.pool = pool
         self._lock = threading.Lock()
         self._plain: dict[tuple, object] = {}
 
@@ -157,7 +150,6 @@ class EngineCache:
             verify=verify,
             backend=rung.backend,
             processes=shards,
-            pool=self.pool,
             plan=override,
         )
         if shape_class.engine == "goto":

@@ -1,4 +1,4 @@
-"""Shape-class routing: which requests can share a plan and buffers.
+"""Shape-class routing: which requests can share a plan and an engine.
 
 The server's batching win comes from the paper's Fig. 8/9 regime —
 many *small or skewed* problems with recurring shapes. Two requests
@@ -7,10 +7,7 @@ can execute the other with zero additional planning work: same engine
 kind, same ``(m, n, k)`` extents, same accumulation dtype, same
 modelled core count. That key is exactly the memo key of the plan
 ``lru_cache`` (:mod:`repro.gemm.plan`), so the first request of a
-class pays for planning and every later one is a cache hit; it is also
-the shape/dtype key of the packed buffers, so a shared
-:class:`~repro.packing.pool.BufferPool` turns repeat classes into
-allocation-free packs.
+class pays for planning and every later one is a cache hit.
 
 COSMA's observation (PAPERS.md) that the right decomposition is a
 function of the problem *shape* rather than the machine alone is why
@@ -37,7 +34,7 @@ SMALL_SURFACE_ELEMENTS = 1 << 22
 class ShapeClass:
     """The routing identity of one request.
 
-    ``key`` (all fields except ``small``) decides plan/pool sharing;
+    ``key`` (all fields except ``small``) decides plan/engine sharing;
     ``small`` only gates coalescing.
     """
 

@@ -62,7 +62,7 @@ class OperandSet:
         """Operands in the paper's Fig-8 skewed regime (short M, deep K).
 
         ``variants`` distinct pairs share one shape, so served traffic
-        exercises shape-class reuse (one plan, pool-warm packs) while
+        exercises shape-class reuse (one plan, one cached engine) while
         still proving responses are not cross-wired between requests.
         References come from direct CAKE and GOTO engine calls — the
         bit-identity oracle every response is checked against.

@@ -44,11 +44,10 @@ from dataclasses import asdict, dataclass, field, replace
 from repro.errors import BackendCapabilityError, CakeError
 from repro.gemm import budget
 from repro.gemm.backends import resolve_backend
-from repro.gemm.sharded import ShardExecutionError, resolve_shards
+from repro.gemm.sharded import ShardExecutionError, arena_stats, resolve_shards
 from repro.gemm.verify import NumericFaultError
 from repro.machines.presets import intel_i9_10900k
 from repro.machines.spec import MachineSpec
-from repro.packing.pool import BufferPool
 from repro.runtime.executor import RetryPolicy
 from repro.runtime.faults import InjectedFault
 from repro.serve.admission import FrontDoor, Pending
@@ -88,6 +87,9 @@ class ServerStats:
     coalesced: int
     p50_seconds: float
     p99_seconds: float
+    #: Lease counters of the process-wide shard arena
+    #: (:func:`repro.gemm.sharded.arena_stats`), the one buffer pool a
+    #: served multiply leases from: all zeros until a sharded request.
     pool: dict = field(default_factory=dict)
     #: Plan-tuner counters (zero when the server runs untuned): how many
     #: requests resolved a tuned plan, how many served analytic while a
@@ -192,8 +194,7 @@ class MultiplyServer(FrontDoor):
         )
         #: The host cores one executor's requests may use.
         self.request_cores = max(1, budget.cores() // executors)
-        self.pool = BufferPool()
-        self.engines = EngineCache(self.machine, self.pool)
+        self.engines = EngineCache(self.machine)
         self.plans = None
         if tune:
             from repro.tune import PlanService, TuneConfig
@@ -256,10 +257,11 @@ class MultiplyServer(FrontDoor):
     def stats(self) -> ServerStats:
         """A consistent snapshot of queue/health/latency counters."""
         tuner = self.plans.counters() if self.plans is not None else {}
+        pool = arena_stats()
         with self._cond:
             return ServerStats(
                 in_flight=self._in_flight,
-                pool=self.pool.stats(),
+                pool=pool,
                 **self._stats_locked(),
                 **tuner,
             )

@@ -366,6 +366,20 @@ class TestGroupedInPlace:
             assert budget.accumulate_gemm(a, b, wide[:, 3 : 3 + cols])
             assert np.array_equal(wide, expected), (rows, kc, cols)
 
+    @pytest.mark.parametrize("k", [509, 1000, 2048])
+    def test_size_one_axis_may_carry_any_stride(self, rng, k):
+        _require_gemm()
+        row = rng.standard_normal((1, k))
+        col = row.T  # C-contiguous (k, 1), strides (8, 8k)
+        assert col.flags["C_CONTIGUOUS"] and col.strides[1] != col.itemsize
+        flipped = rng.standard_normal((2, k))[::-1][:1]  # strides (-8k, 8)
+        for a, b in ((row, col), (col, row), (flipped, col)):
+            c_view = np.zeros((a.shape[0], b.shape[1]))
+            c_copy = np.zeros_like(c_view)
+            assert budget.accumulate_gemm(a, b, c_view)
+            assert budget.accumulate_gemm(a.copy(), b.copy(), c_copy)
+            assert c_view.tobytes() == c_copy.tobytes()
+
     def _fallback_cases(self, rng):
         m, k, n = 24, 40, 18
         a = rng.standard_normal((m, k))

@@ -9,11 +9,12 @@ so plans have several blocks (CAKE) or ``mc`` strips (GOTO) to shard and
 thread over, or ``cores=4``, whose CAKE blocks are four per-core strips
 the shard grid may cut between. A served cell goes through one
 in-process two-executor ``MultiplyServer`` (analytic plan, one process),
-submitted from two threads at once; the fleet's bit-identity is covered
-by ``tests/serve/test_fleet.py``. A cell on a backend without a
-bit-identity promise against the numpy oracle also checks its serial
-run against the oracle's, within the backend's declared
-``agreement_band``.
+submitted from two threads at once. A fleet cell goes through one
+two-worker ``FleetServer``, the one path where operands cross a pickle
+before an engine reads them in place, with C- or F-ordered operands. A
+cell on a backend without a bit-identity promise against the numpy
+oracle also checks its serial run against the oracle's, within the
+backend's declared ``agreement_band``.
 
 The tuned axis: a plan override resolved through the tune cache gives
 the analytic serial bits directly, sharded and served.
@@ -31,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.gemm import CakeGemm, GotoGemm
 from repro.gemm.plan import PlanOverride
 from repro.machines import intel_i9_10900k
-from repro.serve import MultiplyServer
+from repro.serve import FleetServer, MultiplyServer
 from repro.tune import TuneConfig
 
 ENGINES = {"cake": CakeGemm, "goto": GotoGemm}
@@ -119,6 +120,56 @@ def test_every_cell_matches_its_serial_run(
         assert run.time == serial.time
         if verify:
             assert run.verify is not None and run.verify.mismatches == 0
+
+
+# -- the fleet axis ----------------------------------------------------------
+
+#: The fleet's modelled cores: four per-core strips per CAKE block.
+FLEET_CORES = 4
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    server = FleetServer(
+        intel_i9_10900k(), workers=2, cores=FLEET_CORES, startup_timeout=120.0
+    )
+    server.start()
+    try:
+        deadline = time.monotonic() + 120.0
+        while len(server.supervisor.ready_indices()) < 2:
+            assert time.monotonic() < deadline, "fleet workers never became ready"
+            time.sleep(0.05)
+        yield server
+    finally:
+        server.stop(drain=False)
+
+
+# The fleet has no tune= option, so the tuned axis stays out of this cell.
+@settings(max_examples=12, deadline=None)
+@given(
+    engine=st.sampled_from(sorted(ENGINES)),
+    backend=st.sampled_from(["numpy", "blas-group"]),
+    workers=st.sampled_from([1, 2]),
+    verify=st.booleans(),
+    order=st.sampled_from("CF"),
+    m=st.sampled_from([7, 61, 211, 449]),
+    n=st.sampled_from([5, 97, 211, 457]),
+    k=st.sampled_from([3, 131, 257, 509]),
+    seed=st.integers(0, 2**16),
+)
+def test_fleet_cell_matches_the_serial_run(
+    fleet, engine, backend, workers, verify, order, m, n, k, seed
+):
+    rng = np.random.default_rng(seed)
+    a = np.asarray(rng.standard_normal((m, k)), order=order)
+    b = np.asarray(rng.standard_normal((k, n)), order=order)
+    serial = ENGINES[engine](
+        intel_i9_10900k(), cores=FLEET_CORES, backend=backend
+    ).multiply(a, b)
+    run = fleet.submit(
+        a, b, engine=engine, backend=backend, workers=workers, verify=verify,
+    ).result(timeout=120.0)
+    assert np.array_equal(run.c, serial.c)
 
 
 # -- the tuned axis ----------------------------------------------------------

@@ -135,10 +135,42 @@ class TestOperandHandling:
     def test_non_contiguous_slices(self, intel, engine_cls, rng):
         big_a = rng.standard_normal((240, 170))
         big_b = rng.standard_normal((170, 200))
-        a, b = big_a[::2, ::1], big_b[:, ::2]  # strided views
-        ref = engine_cls(intel).multiply(a.copy(), b.copy())
-        run = engine_cls(intel, workers=2).multiply(a, b)
-        assert np.array_equal(run.c, ref.c)
+        for a, b in (
+            (big_a[::2, ::1], big_b[:, ::2]),  # strided views
+            (big_a[::-1], big_b[:, ::-1]),  # reversed views
+        ):
+            ref = engine_cls(intel).multiply(a.copy(), b.copy())
+            run = engine_cls(intel, workers=2).multiply(a, b)
+            assert np.array_equal(run.c, ref.c)
+
+    @pytest.mark.parametrize("backend", ["numpy", "blas-group"])
+    def test_aliased_operands(self, intel, engine_cls, rng, backend):
+        # BLAS only reads A and B, and C is always fresh, so operands
+        # that share memory give the bits of separate copies.
+        square = rng.standard_normal((131, 131))
+        row = rng.standard_normal((1, 509))
+        for a, b in ((square, square), (square, square.T), (row, row.T)):
+            ref = engine_cls(intel, backend=backend).multiply(
+                a.copy(), b.copy()
+            )
+            for workers in (1, 2):
+                run = engine_cls(
+                    intel, backend=backend, workers=workers
+                ).multiply(a, b)
+                assert np.array_equal(run.c, ref.c), (a.shape, b.strides)
+
+    @pytest.mark.parametrize("k", [509, 1000, 2048])
+    def test_vector_products_match_the_exact_pack(self, intel, engine_cls, rng, k):
+        # row.T is a C-contiguous (k, 1) view whose size-1 axis carries
+        # the stride 8k; the loop packer keeps it, views keep it, and
+        # both must take the same in-place BLAS call.
+        for row in rng.standard_normal((4, 1, k)):
+            for backend in ("numpy", "blas-group"):
+                default = engine_cls(intel, backend=backend).multiply(row, row.T)
+                packed = engine_cls(
+                    intel, backend=backend, exact_pack=True
+                ).multiply(row, row.T)
+                assert np.array_equal(default.c, packed.c), backend
 
     def test_float32_stays_float32(self, intel, engine_cls, rng):
         a, b = _operands(rng, m=64, k=48, n=52)
@@ -289,5 +321,18 @@ class TestExecutorUnit:
     def test_resolve_workers(self):
         assert resolve_workers(None) == 1
         assert resolve_workers(4) == 4
+        assert type(resolve_workers(np.int64(3))) is int
+        assert resolve_workers(np.int32(3)) == 3
         with pytest.raises(Exception):
             resolve_workers(0)
+        for bad in (2.5, 2.0, True, np.bool_(True), "2"):
+            with pytest.raises(TypeError, match="workers"):
+                resolve_workers(bad)
+
+    def test_non_integer_workers_rejected_before_any_work(self, rng):
+        from repro.api import cake_matmul
+
+        a, b = rng.standard_normal((256, 256)), rng.standard_normal((256, 256))
+        for bad in (2.5, True):
+            with pytest.raises(TypeError, match="workers"):
+                cake_matmul(a, b, workers=bad)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.gemm import CakeGemm
+from repro.gemm.parallel import GridOperand, _BlockSums, grid_operands
 from repro.packing import (
     BufferPool,
     pack_a,
@@ -14,6 +16,7 @@ from repro.packing import (
     packing_cost,
 )
 from repro.machines import intel_i9_10900k
+from repro.util import split_length
 
 
 def small_matrix(max_dim=60):
@@ -159,99 +162,156 @@ class TestVectorizedVsOracle:
         )
 
 
+def _views(x, row_chunk, col_chunk):
+    """``x`` cut in place at the packing grid's edges."""
+
+    def edges(extent, chunk):
+        sizes = split_length(extent, min(chunk, extent))
+        return tuple(np.cumsum([0, *sizes]).tolist())
+
+    return GridOperand(
+        x, edges(x.shape[0], row_chunk), edges(x.shape[1], col_chunk)
+    )
+
+
+class TestGridOperand:
+    """The engines' operands: views cut where the packer cuts blocks."""
+
+    @settings(max_examples=40)
+    @given(small_matrix(), st.integers(1, 16), st.integers(1, 16))
+    def test_views_equal_the_packed_blocks(self, a, mc, kc):
+        packed = pack_a(a, mc, kc)
+        views = _views(a, mc, kc)
+        for si, row in enumerate(packed.blocks):
+            for ki, blk in enumerate(row):
+                view = views.block(si, ki)
+                assert np.shares_memory(view, a)
+                assert view.shape == blk.shape
+                assert view.tobytes() == blk.tobytes()
+                np.testing.assert_array_equal(views.panel(si, ki), blk)
+
+    def test_column_is_one_view_of_the_stacked_strips(self, rng):
+        a = rng.standard_normal((25, 17))
+        views, packed = _views(a, 8, 5), pack_a(a, 8, 5, exact=True)
+        for start, stop in ((0, None), (1, 3), (2, 3)):
+            column = views.column(2, start=start, stop=stop)
+            assert np.shares_memory(column, a)
+            np.testing.assert_array_equal(
+                column, packed.column(2, start=start, stop=stop)
+            )
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["C", "F", "transposed", "strided", "reversed", "unaligned"],
+    )
+    def test_only_a_c_ordered_operand_is_read_in_place(self, rng, layout):
+        base = rng.standard_normal((90, 74))
+        unaligned = np.empty(45 * 74 * 8 + 1, np.uint8)[1:].view(np.float64)
+        unaligned = unaligned.reshape(45, 74)
+        unaligned[...] = base[:45]
+        a = {
+            "C": base[:45],
+            "F": np.asfortranarray(base[:45]),
+            "transposed": base[:, :45].T,
+            "strided": base[::2],
+            "reversed": base[45:][::-1],
+            "unaligned": unaligned,
+        }[layout]
+        b = rng.standard_normal((74, 30))
+        plan = CakeGemm(intel_i9_10900k(), cores=2).plan_for(45, 30, 74)
+        a_op, b_op = grid_operands(plan, a, b)
+        assert b_op.x is b
+        assert (a_op.x is a) == (layout == "C")
+        assert a_op.x.flags["C_CONTIGUOUS"] and a_op.x.flags["ALIGNED"]
+        np.testing.assert_array_equal(a_op.x, a)
+
+
 class TestChecksums:
-    """Pack-time ABFT checksum vectors (repro.gemm.verify's inputs)."""
+    """ABFT checksum vectors of an operand's blocks (repro.gemm.verify's
+    inputs): computed once per block by the group builder, from the
+    in-place views or from the loop packer's blocks alike."""
 
     def test_a_column_checksums_match_numpy(self, rng):
         a = rng.standard_normal((25, 17))
-        packed = pack_a(a, 8, 5, checksums=True)
+        packed = pack_a(a, 8, 5)
+        sums = _BlockSums(_views(a, 8, 5).block, axis=0)
         for si in range(packed.strips):
             for ki in range(packed.k_panels):
                 blk = packed.block(si, ki)
-                np.testing.assert_array_equal(
-                    packed.checksum(si, ki), blk.sum(axis=0)
-                )
+                np.testing.assert_array_equal(sums(si, ki)[0], blk.sum(axis=0))
 
     def test_b_row_checksums_match_numpy(self, rng):
         b = rng.standard_normal((19, 33))
-        packed = pack_b(b, 6, 10, checksums=True)
+        packed = pack_b(b, 6, 10)
+        sums = _BlockSums(_views(b, 6, 10).panel, axis=1)
         for ki in range(packed.k_panels):
             for ni in range(packed.n_panels):
                 np.testing.assert_array_equal(
-                    packed.checksum(ki, ni), packed.panel(ki, ni).sum(axis=1)
+                    sums(ki, ni)[0], packed.panel(ki, ni).sum(axis=1)
                 )
 
     def test_exact_path_checksums_bit_identical(self, rng):
         a = rng.standard_normal((31, 29))
-        fast = pack_a(a, 8, 5, checksums=True)
-        oracle = pack_a(a, 8, 5, exact=True, checksums=True)
-        for f_row, o_row in zip(fast.checksums, oracle.checksums):
-            for f, o in zip(f_row, o_row):
-                assert f.tobytes() == o.tobytes()
+        views = _BlockSums(_views(a, 8, 5).block, axis=0)
+        oracle = pack_a(a, 8, 5, exact=True)
+        blocks = _BlockSums(oracle.block, axis=0)
+        for si in range(oracle.strips):
+            for ki in range(oracle.k_panels):
+                (v_cs, v_mags), (o_cs, o_mags) = views(si, ki), blocks(si, ki)
+                assert v_cs.tobytes() == o_cs.tobytes()
+                for v, o in zip(v_mags, o_mags):
+                    assert v.tobytes() == o.tobytes()
 
     def test_checksum_elements_accounting(self, rng):
         a = rng.standard_normal((25, 17))
-        packed = pack_a(a, 8, 5, checksums=True)
+        packed = pack_a(a, 8, 5)
+        sums = _BlockSums(_views(a, 8, 5).block, axis=0)
+        assert sums.elements == 0
+        for si in range(packed.strips):
+            for ki in range(packed.k_panels):
+                sums(si, ki)
+                sums(si, ki)  # cached: counted once
         m, k = a.shape
         # Checksums: one length-k vector per strip row. Magnitudes: one
         # more length-k vector per strip row plus one length-m column
         # per k-panel.
-        assert packed.checksum_elements == (
-            2 * packed.strips * k + packed.k_panels * m
-        )
-        assert pack_a(a, 8, 5).checksum_elements == 0
+        assert sums.elements == 2 * packed.strips * k + packed.k_panels * m
 
     def test_magnitudes_match_numpy(self, rng):
         a = rng.standard_normal((25, 17))
-        packed = pack_a(a, 8, 5, checksums=True)
+        packed = pack_a(a, 8, 5)
+        sums = _BlockSums(_views(a, 8, 5).block, axis=0)
         for si in range(packed.strips):
             for ki in range(packed.k_panels):
                 blk = np.abs(packed.block(si, ki))
-                cols, rows = packed.magnitude(si, ki)
+                cols, rows = sums(si, ki)[1]
                 np.testing.assert_array_equal(cols, blk.sum(axis=0))
                 np.testing.assert_array_equal(rows, blk.sum(axis=1))
 
     def test_b_magnitudes_match_numpy(self, rng):
         b = rng.standard_normal((19, 33))
-        packed = pack_b(b, 6, 10, checksums=True)
+        packed = pack_b(b, 6, 10)
+        sums = _BlockSums(_views(b, 6, 10).panel, axis=1)
         for ki in range(packed.k_panels):
             for ni in range(packed.n_panels):
                 pan = np.abs(packed.panel(ki, ni))
-                cols, rows = packed.magnitude(ki, ni)
+                cols, rows = sums(ki, ni)[1]
                 np.testing.assert_array_equal(cols, pan.sum(axis=0))
                 np.testing.assert_array_equal(rows, pan.sum(axis=1))
 
-    def test_checksum_buffer_returns_to_pool(self, rng):
-        pool = BufferPool()
-        a = rng.standard_normal((25, 17))
-        packed = pack_a(a, 8, 5, pool=pool, checksums=True)
-        plain = pack_a(a, 8, 5, pool=pool)
-        assert len(packed.buffers) > len(plain.buffers)
-        packed.release_to(pool)
-        repacked = pack_a(a, 8, 5, pool=pool, checksums=True)
-        assert {id(b) for b in repacked.buffers} == {
-            id(b) for b in packed.buffers
-        }
-
-    def test_checksum_without_flag_raises(self, rng):
-        packed = pack_a(rng.standard_normal((10, 8)), 4, 4)
-        with pytest.raises(ValueError, match="checksums"):
-            packed.checksum(0, 0)
-
     def test_float32_checksums_stay_float32(self, rng):
         a = rng.standard_normal((20, 12)).astype(np.float32)
-        packed = pack_a(a, 8, 5, checksums=True)
-        assert packed.checksum(0, 0).dtype == np.float32
+        sums = _BlockSums(_views(a, 8, 5).block, axis=0)
+        assert sums(0, 0)[0].dtype == np.float32
 
     @settings(max_examples=30)
     @given(small_matrix(32), st.integers(1, 12), st.integers(1, 12))
     def test_checksum_property(self, a, mc, kc):
-        packed = pack_a(a, mc, kc, checksums=True)
+        packed = pack_a(a, mc, kc)
+        sums = _BlockSums(_views(a, mc, kc).block, axis=0)
         for si, row in enumerate(packed.blocks):
             for ki, blk in enumerate(row):
-                np.testing.assert_array_equal(
-                    packed.checksum(si, ki), blk.sum(axis=0)
-                )
+                np.testing.assert_array_equal(sums(si, ki)[0], blk.sum(axis=0))
 
 
 class TestBufferPool:
@@ -286,17 +346,6 @@ class TestBufferPool:
         pool = BufferPool(max_retained_bytes=100)
         pool.release(np.empty(1000, dtype=np.float64))
         assert pool.retained_bytes == 0
-
-    def test_pack_through_pool_reuses_buffers(self, rng):
-        pool = BufferPool()
-        x = rng.standard_normal((50, 40))
-        packed = pack_a(x, 8, 6, pool=pool)
-        backing = {id(buf) for buf in packed.buffers}
-        packed.release_to(pool)
-        repacked = pack_a(x + 1.0, 8, 6, pool=pool)
-        assert backing == {id(buf) for buf in repacked.buffers}
-        rebuilt = np.vstack([np.hstack(row) for row in repacked.blocks])
-        np.testing.assert_array_equal(rebuilt, x + 1.0)
 
     def test_clear(self):
         pool = BufferPool()

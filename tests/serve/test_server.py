@@ -108,19 +108,25 @@ class TestCoalescing:
         assert stats.coalesced == 3
         assert all(h.report.batch_size == 4 for h in handles)
 
-    def test_coalesced_requests_reuse_pooled_buffers(
-        self, intel, operands
-    ):
+    def test_stats_pool_counts_the_shard_arena_leases(self, intel, operands):
+        # A served multiply reads its operands in place; only a sharded
+        # one leases buffers: A, B and C from the process-wide arena.
         a, b = operands
         with MultiplyServer(intel, cores=1, executors=1) as server:
+            before = server.stats().pool
+            assert set(before) == {"leases", "hits", "misses", "retained_bytes"}
             with server._cond:
                 handles = [server.submit(a, b) for _ in range(3)]
             for handle in handles:
                 handle.result(timeout=60.0)
-            pool = server.pool.stats()
-        # First request allocates, the rest lease the released buffers.
-        assert pool["hits"] > 0
-        assert pool["misses"] <= pool["hits"]
+            plain = server.stats().pool
+            for _ in range(2):
+                server.submit(a, b, processes=2).result(timeout=60.0)
+            sharded = server.stats().pool
+        assert plain["leases"] == before["leases"]
+        assert sharded["leases"] == before["leases"] + 6
+        assert sharded["hits"] >= before["hits"]
+        assert sharded["misses"] >= before["misses"]
 
     def test_verified_requests_run_solo(self, intel, operands):
         a, b = operands
