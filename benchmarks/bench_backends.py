@@ -1,7 +1,7 @@
 """Compute-backend benchmark: the schedule/compute seam measured.
 
 Runs the CAKE engine (plus one GOTO row per backend, which shares the
-strip-group executor) through every *available* registered backend
+strip-group executor) through every registered backend
 (:mod:`repro.gemm.backends`) on two shapes: a cube and the skewed
 Figure 8-style shape (short M, deep K) where whole-group panel products
 pay off most. The per-strip ``numpy`` oracle is the baseline.
@@ -46,7 +46,7 @@ import time
 
 import numpy as np
 
-from repro.gemm.backends import available_backends, backend_spec
+from repro.gemm.backends import backend_spec, registered_backends
 from repro.gemm.cake import CakeGemm
 from repro.gemm.goto import GotoGemm
 from repro.gemm.verify import VerifyConfig
@@ -113,7 +113,7 @@ def _bench_shape(machine, label, m, n, k, rows):
     )
 
     speedups: dict[str, float] = {}
-    for name in available_backends():
+    for name in registered_backends():
         run, seconds = (
             (oracle, oracle_s)
             if name == "numpy"
@@ -211,7 +211,7 @@ def test_backends(benchmark):
         wall_seconds=wall,
         scale=scale,
         extra={
-            "backends": list(available_backends()),
+            "backends": list(registered_backends()),
             "speedup_floor": floor,
             "floor_shape": "skewed",
         },

@@ -1,11 +1,11 @@
 """Thread-scaling benchmark for the parallel numeric execution engine.
 
 Measures ``multiply()`` wall-clock for the CAKE engine (plus one GOTO
-row, which shares the executor) against the **serial legacy path** —
-``workers=1`` with ``exact_pack=True``, i.e. the inline per-strip walk
-with nested-loop packing that predates ``repro.gemm.parallel``. Two
-shapes run: a cube and a skewed Figure 8-style shape (short M, deep K,
-where CAKE's per-block M-decomposition is the interesting case).
+row, which shares the executor) against the **serial path** — the
+default engine at ``workers=1``, i.e. the inline per-strip walk over
+in-place operand views. Two shapes run: a cube and a skewed Figure
+8-style shape (short M, deep K, where CAKE's per-block M-decomposition
+is the interesting case).
 
 Every measured run is asserted **bit-identical** to the serial baseline
 (``np.array_equal`` on C, equal traffic counters) — at every scale, on
@@ -81,12 +81,12 @@ def _bench_shape(machine, label, m, n, k, rows):
     a = rng.standard_normal((m, k)).astype(np.float32)
     b = rng.standard_normal((k, n)).astype(np.float32)
 
-    # The pre-engine legacy path; workers=1, not the budget's default.
-    serial = CakeGemm(machine, workers=1, exact_pack=True)
+    # workers=1, not the budget's default.
+    serial = CakeGemm(machine, workers=1)
     serial_run, serial_s = _timed_multiply(serial, a, b)
     rows.append(
         {
-            "shape": label, "engine": "cake", "path": "serial-legacy",
+            "shape": label, "engine": "cake", "path": "serial",
             "m": m, "n": n, "k": k, "workers": 1,
             "seconds": serial_s, "speedup": 1.0,
             "phases": dict(serial_run.phase_seconds),
@@ -115,7 +115,7 @@ def _bench_shape(machine, label, m, n, k, rows):
 
     # One GOTO row at the top worker count: both engines share the
     # executor; this keeps the shared path measured release to release.
-    goto_serial = GotoGemm(machine, workers=1, exact_pack=True)
+    goto_serial = GotoGemm(machine, workers=1)
     goto_serial_run, goto_serial_s = _timed_multiply(goto_serial, a, b)
     goto = GotoGemm(machine, workers=max(WORKER_COUNTS))
     goto_run, goto_s = _timed_multiply(goto, a, b)

@@ -130,7 +130,7 @@ def cake_matmul(
         verified run returns bit-identical ``c`` and counters.
     backend:
         Compute backend (:mod:`repro.gemm.backends`): a registered name
-        (``"numpy"``, ``"blas-group"``, ``"torch"``) or a
+        (``"numpy"`` or ``"blas-group"``) or a
         :class:`~repro.gemm.backends.Backend` instance. Default is the
         per-strip numpy oracle. ``verify=True`` plus a non-oracle
         backend is the headline ABFT scenario: the fast path is

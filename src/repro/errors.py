@@ -36,10 +36,11 @@ class BackendCapabilityError(CakeError, TypeError):
     ----------
     backend:
         Name of the backend that rejected the request (``"numpy"``,
-        ``"blas-group"``, ``"torch"``, ...).
+        ``"blas-group"``, or an unknown name).
     dtype:
         The offending accumulation dtype, when the rejection is about
-        dtype support; ``None`` otherwise (e.g. an unavailable backend).
+        the operands' dtype; ``None`` otherwise (e.g. an unknown backend
+        name).
     """
 
     def __init__(self, backend: str, message: str, dtype=None):

@@ -16,9 +16,9 @@ tile-level operations their schedules prescribe, and both return a
 timing the benchmarks plot.
 
 *How* a strip group multiplies is pluggable (:mod:`repro.gemm.backends`):
-the per-strip numpy oracle, a whole-group BLAS call, or torch when
-installed. The schedule, counters and timing model never change with the
-backend — only the inner compute call does.
+the per-strip numpy oracle or a whole-group BLAS call. The schedule,
+counters and timing model never change with the backend — only the
+inner compute call does.
 """
 
 from repro.gemm.backends import (
@@ -26,8 +26,6 @@ from repro.gemm.backends import (
     BackendCapabilities,
     BackendCapabilityError,
     BackendSpec,
-    available_backends,
-    register_backend,
     registered_backends,
     resolve_backend,
 )
@@ -38,7 +36,7 @@ from repro.gemm.parallel import (
     PhaseTimers,
     StripGroup,
     StripTask,
-    run_strip_groups,
+    execute_groups,
 )
 from repro.gemm.plan import CakePlan, GotoPlan
 from repro.gemm.result import GemmRun, degenerate_run
@@ -69,8 +67,6 @@ __all__ = [
     "BackendCapabilities",
     "BackendCapabilityError",
     "BackendSpec",
-    "available_backends",
-    "register_backend",
     "registered_backends",
     "resolve_backend",
     "MicroKernel",
@@ -80,7 +76,7 @@ __all__ = [
     "PhaseTimers",
     "StripGroup",
     "StripTask",
-    "run_strip_groups",
+    "execute_groups",
     "CakePlan",
     "GotoPlan",
     "GemmRun",

@@ -6,40 +6,33 @@ decides how each strip group actually multiplies. Swap the backend
 freely — the blocking, traffic counters, and ABFT verification are
 backend-invariant by construction.
 
-Built-ins:
+Two are built in:
 
 * ``numpy`` — per-strip micro-kernel execution, the bit-exact oracle
   every other backend is conformance-tested against;
-* ``blas-group`` — one ``np.matmul`` per whole strip group, releasing
-  the GIL for large contiguous panel products;
-* ``torch`` — whole-group ``torch.matmul`` (CPU by default), registered
-  with an availability probe so hosts without torch skip it cleanly.
+* ``blas-group`` — one in-place CBLAS ``?gemm`` per whole strip group,
+  releasing the GIL for large contiguous panel products.
 
-Select by name (``CakeGemm(machine, backend="blas-group")``), pass a
-:class:`Backend` instance, or register your own via
-:func:`register_backend` — registration alone enrolls a backend in the
-cross-backend conformance suite.
+Select one by name (``CakeGemm(machine, backend="blas-group")``) or pass
+a :class:`Backend` instance — ``NumpyBackend(plan.kernel,
+exact_tiles=True)`` walks every register tile, and tests pass
+in-process fakes the same way.
 """
 
 from repro.errors import BackendCapabilityError
 from repro.gemm.backends.base import (
     Backend,
     BackendCapabilities,
-    dtype_supported,
     execute_group,
-    group_eligible,
 )
 from repro.gemm.backends.blas_group import BlasGroupBackend
 from repro.gemm.backends.numpy_backend import NumpyBackend
 from repro.gemm.backends.registry import (
     BackendSpec,
-    available_backends,
     backend_spec,
-    register_backend,
     registered_backends,
     resolve_backend,
 )
-from repro.gemm.backends.torch_backend import TorchBackend
 
 __all__ = [
     "Backend",
@@ -48,13 +41,8 @@ __all__ = [
     "BackendSpec",
     "BlasGroupBackend",
     "NumpyBackend",
-    "TorchBackend",
-    "available_backends",
     "backend_spec",
-    "dtype_supported",
     "execute_group",
-    "group_eligible",
-    "register_backend",
     "registered_backends",
     "resolve_backend",
 ]

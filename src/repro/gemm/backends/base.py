@@ -16,16 +16,12 @@ system what it may assume:
   bit-identity test battery key off this.
 * ``grouped`` — the backend prefers one whole-group call; the executor
   then runs each group as a single operation on the orchestrator thread
-  (worker-count invariance is trivial) and the engines provide
+  (worker-count invariance is trivial) and the group builder provides
   group-contiguous operands.
-* ``dtypes`` — accumulation dtypes the backend accepts, ``None`` meaning
-  every float/complex dtype NumPy has. Violations surface as structured
-  :class:`~repro.errors.BackendCapabilityError` at operand validation,
-  not as a ``TypeError`` deep in a kernel.
-* ``reproducible`` — the same call on the same data returns the same
-  bits run-to-run (true for every library here; a hypothetical
-  split-K-atomics GPU kernel would clear it). The ABFT recovery ladder
-  relies on it for bit-exact transient healing.
+
+Every backend accepts every float and complex dtype NumPy accumulates,
+and returns the same bits for the same call on the same data: the ABFT
+recovery ladder heals transient corruption bit-exactly by recomputing.
 
 The tolerance contract: a backend that is not ``deterministic`` must
 still agree with the oracle within :meth:`Backend.agreement_band` — the
@@ -40,8 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import BackendCapabilityError
-
 #: Multiplier on ``eps * (k + 2)`` for the cross-backend agreement band —
 #: the same safety factor the ABFT tolerance model uses
 #: (:mod:`repro.gemm.verify`), for the same reason: both bound the
@@ -51,31 +45,10 @@ _BAND_SAFETY = 8.0
 
 @dataclass(frozen=True, slots=True)
 class BackendCapabilities:
-    """What a backend supports and guarantees.
-
-    ``dtypes`` is a frozenset of NumPy dtype *names* (``"float32"``,
-    ``"complex128"``, ...) or ``None`` for "any float/complex dtype".
-    """
+    """What a backend guarantees (see the module docstring)."""
 
     deterministic: bool
     grouped: bool
-    dtypes: frozenset[str] | None = None
-    reproducible: bool = True
-
-
-def dtype_supported(caps: BackendCapabilities, dtype) -> bool:
-    """Whether an accumulation dtype is inside a capability envelope.
-
-    Integer/boolean dtypes are *never* supported — blocked accumulation
-    in fixed-width integers wraps silently on overflow, which no backend
-    is allowed to offer.
-    """
-    dt = np.dtype(dtype)
-    if not (
-        np.issubdtype(dt, np.floating) or np.issubdtype(dt, np.complexfloating)
-    ):
-        return False
-    return caps.dtypes is None or dt.name in caps.dtypes
 
 
 class Backend(ABC):
@@ -111,23 +84,6 @@ class Backend(ABC):
         """
         self.matmul_strip(a, b, c)
 
-    # -- capability queries ---------------------------------------------------
-
-    def supports_dtype(self, dtype) -> bool:
-        """Whether this backend accepts ``dtype`` accumulation."""
-        return dtype_supported(self.capabilities, dtype)
-
-    def require_dtype(self, dtype) -> np.dtype:
-        """Validate an accumulation dtype, raising the structured error."""
-        dt = np.dtype(dtype)
-        if not self.supports_dtype(dt):
-            raise BackendCapabilityError(
-                self.name,
-                f"does not support {dt} accumulation",
-                dtype=dt,
-            )
-        return dt
-
     def agreement_band(self, dtype, k: int) -> float:
         """Relative tolerance vs the NumPy oracle for depth-``k`` products.
 
@@ -140,34 +96,20 @@ class Backend(ABC):
         return _BAND_SAFETY * float(np.finfo(np.dtype(dtype)).eps) * (k + 2)
 
 
-def group_eligible(backend: Backend, group) -> bool:
-    """Whether a strip group can run as one whole-group backend call.
-
-    Requires a ``grouped`` backend plus the group-contiguous views the
-    engines attach (``operand_a`` stacking every strip's A, ``panel``
-    stacking every strip's C). Groups lacking them fall back to the
-    per-strip path — correctness never depends on eligibility.
-    """
-    return (
-        backend.capabilities.grouped
-        and getattr(group, "panel", None) is not None
-        and getattr(group, "operand_a", None) is not None
-        and len(group.tasks) > 0
-    )
-
-
 def execute_group(backend: Backend, group, faults=None) -> None:
     """Run one strip group through ``backend``, inline, faults applied.
 
     The single execution seam shared by the serial executor path and the
     ABFT recovery ladder's recompute rung — both must issue *exactly*
-    the calls the clean path would, so a reproducible backend recomputes
-    the same bits. Fault injection lands per strip after the numeric
-    update, keyed ``(group.index, strip)`` with the serial run's strip
-    index (``group.first_strip`` onward), identically in group mode (the
-    strip views alias the panel) and strip mode.
+    the calls the clean path would, so a backend recomputes the same
+    bits. A ``grouped`` backend multiplies the group's stacked A
+    (``operand_a``) into its C ``panel`` in one call. Fault injection
+    lands per strip after the numeric update, keyed ``(group.index,
+    strip)`` with the serial run's strip index (``group.first_strip``
+    onward), identically in group mode (the strip views alias the panel)
+    and strip mode.
     """
-    if group_eligible(backend, group):
+    if backend.capabilities.grouped:
         backend.matmul_group(group.operand_a, group.tasks[0].b, group.panel)
         if faults is not None:
             for strip, task in enumerate(group.tasks, group.first_strip):

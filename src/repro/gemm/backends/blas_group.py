@@ -26,11 +26,11 @@ re-associates the sum once the depth exceeds the BLAS's own K blocking.
 
 Numerically the group product computes the same dot products over the
 same reduction depth as the per-strip walk; only the library's internal
-blocking may re-associate them. Hence ``deterministic=False`` — results
+blocking may re-associate them. Hence ``deterministic=False``: results
 are tolerance-banded against the oracle (``agreement_band``), not
-bit-compared — while ``reproducible=True`` holds: the same call on the
-same data returns the same bits, which the ABFT recovery ladder uses to
-heal transient corruption bit-exactly.
+bit-compared. The same call on the same data still returns the same
+bits, which the ABFT recovery ladder uses to heal transient corruption
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -45,12 +45,7 @@ class BlasGroupBackend(Backend):
     """One whole-panel ``?gemm`` per strip group."""
 
     name = "blas-group"
-    capabilities = BackendCapabilities(
-        deterministic=False,
-        grouped=True,
-        dtypes=None,  # the fallback covers every float/complex dtype
-        reproducible=True,
-    )
+    capabilities = BackendCapabilities(deterministic=False, grouped=True)
 
     def matmul_group(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         # accumulate_gemm checks the shapes first, on every path.
@@ -58,5 +53,5 @@ class BlasGroupBackend(Backend):
             c += a @ b
 
     def matmul_strip(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        # Groups without group-contiguous views run strip by strip.
+        # The executor always takes matmul_group for a grouped backend.
         c += a @ b

@@ -2,9 +2,16 @@
 
 This is the execution path the engines have always had: each core strip
 goes through :meth:`~repro.gemm.microkernel.MicroKernel.panel_matmul`,
-one call per strip, optionally walking every ``mr x nr`` register tile
-(``exact_tiles``). Every other backend is validated against this one:
+one call per strip. Every other backend is validated against this one:
 ``deterministic=True`` here *defines* the reference bits.
+
+``NumpyBackend(kernel, exact_tiles=True)`` walks every ``mr x nr``
+register tile instead of one panel product per strip — the
+schedule-faithful execution validation tests pass to an engine as its
+``backend``. Each tile is its own BLAS call, which may sum in another
+order than the strip's one call (about half of random float32/float64
+panels differ in bits on one-thread OpenBLAS), so the walk declares
+``deterministic=False``: it agrees with the oracle within the band.
 
 It stays per-strip on purpose. The strip is the schedule-faithful
 granule (one core's slab of a CB block), and keeping the oracle at that
@@ -25,20 +32,19 @@ class NumpyBackend(Backend):
     """Schedule-faithful per-strip execution through the micro-kernel."""
 
     name = "numpy"
-    capabilities = BackendCapabilities(
-        deterministic=True,
-        grouped=False,
-        dtypes=None,  # any float/complex dtype NumPy accumulates
-        reproducible=True,
-    )
+    capabilities = BackendCapabilities(deterministic=True, grouped=False)
 
     def __init__(self, kernel: MicroKernel, *, exact_tiles: bool = False) -> None:
         self.kernel = kernel
         self.exact_tiles = exact_tiles
+        if exact_tiles:
+            self.capabilities = BackendCapabilities(
+                deterministic=False, grouped=False
+            )
 
     def matmul_strip(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         # checked=False: strip shapes are correct by construction (the
-        # packing grid and the C views come from the same plan).
+        # plan grid's views and the C views come from the same plan).
         self.kernel.panel_matmul(
             a, b, c, exact_tiles=self.exact_tiles, checked=False
         )

@@ -63,7 +63,7 @@ import numpy as np
 
 #: Wall time the executor spends per strip task to hand work to a second
 #: thread and wait for it at the barrier, with one task per worker
-#: (``run_strip_groups`` over trivial 1x1 strips, workers=2 against
+#: (the executor over trivial 1x1 strips, workers=2 against
 #: workers=1): 45-56 us over four runs, median 52 us (2-core Xeon,
 #: Python 3.11).
 TASK_DISPATCH_SECONDS = 52e-6

@@ -56,9 +56,6 @@ class CakeGemm(GemmEngine):
         Cores to use (default: all of them).
     alpha:
         CB aspect factor; ``None`` derives it from DRAM bandwidth.
-    exact_tiles:
-        Execute every ``mr x nr`` register tile explicitly instead of one
-        vectorised panel product per core strip (slow; for validation).
     exact_walk:
         Run :meth:`analyze` through the scalar per-block walk
         (:mod:`repro.analysis.walk`) instead of the vectorized batch
@@ -74,10 +71,6 @@ class CakeGemm(GemmEngine):
         leaves the count to the core budget (:mod:`repro.gemm.budget`):
         a thread per usable core, up to the strips of a block, once a
         strip is large enough to pay for a thread.
-    exact_pack:
-        Hand the strip groups the nested-loop packer's contiguous
-        blocks instead of views of A and B. Bit-identical products
-        (asserted by tests); kept as the packing oracle.
     verify:
         ABFT verified execution (:mod:`repro.gemm.verify`): ``True`` for
         defaults, a :class:`~repro.gemm.verify.VerifyConfig` to tune the
@@ -90,13 +83,13 @@ class CakeGemm(GemmEngine):
         the per-strip oracle as the trusted recovery rung.
     backend:
         Compute backend for numeric execution
-        (:mod:`repro.gemm.backends`): a registered name (``"numpy"``,
-        ``"blas-group"``, ``"torch"``) or a
-        :class:`~repro.gemm.backends.Backend` instance; ``None``, the
-        default, is the per-strip numpy oracle. The schedule,
-        operand views, counters and timing model are backend-invariant; only
-        how each strip group multiplies changes. Unknown or unavailable
-        names raise a structured
+        (:mod:`repro.gemm.backends`): a registered name (``"numpy"`` or
+        ``"blas-group"``) or a :class:`~repro.gemm.backends.Backend`
+        instance, such as ``NumpyBackend(plan.kernel, exact_tiles=True)``
+        to walk every register tile; ``None``, the default, is the
+        per-strip numpy oracle. The schedule, operand views, counters
+        and timing model are backend-invariant; only how each strip
+        group multiplies changes. Unknown names raise a structured
         :class:`~repro.errors.BackendCapabilityError` here, at
         construction.
     processes:
@@ -111,9 +104,10 @@ class CakeGemm(GemmEngine):
         :class:`~repro.gemm.sharded.ShardConfig` tunes rebuild/fallback
         behaviour. The product is bit-identical to the in-process run on
         the same backend for every process and worker count (shards
-        tile whole backend calls). Incompatible with ``exact_pack``
-        (workers read the flat copies, never packed blocks) and with
-        unregistered backend instances.
+        tile whole backend calls). Shard workers rebuild the backend
+        by name, so ``processes > 1`` with a
+        :class:`~repro.gemm.backends.Backend` instance raises
+        :class:`~repro.errors.ConfigurationError` here.
     plan:
         A :class:`~repro.gemm.plan.PlanOverride` replacing individual
         analytic plan fields (the autotuner's seam). Plan-shape fields
@@ -143,10 +137,8 @@ class CakeGemm(GemmEngine):
         *,
         cores: int | None = None,
         alpha: float | None = None,
-        exact_tiles: bool = False,
         exact_walk: bool = False,
         workers: int | None = None,
-        exact_pack: bool = False,
         verify: bool | VerifyConfig = False,
         backend: "str | Backend | None" = None,
         processes: "int | ShardConfig | None" = None,
@@ -156,10 +148,8 @@ class CakeGemm(GemmEngine):
         super().__init__(
             machine,
             cores=cores,
-            exact_tiles=exact_tiles,
             exact_walk=exact_walk,
             workers=workers,
-            exact_pack=exact_pack,
             verify=verify,
             backend=backend,
             processes=processes,

@@ -37,7 +37,12 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gemm import budget
-from repro.gemm.backends import Backend, resolve_backend
+from repro.gemm.backends import (
+    Backend,
+    backend_spec,
+    registered_backends,
+    resolve_backend,
+)
 from repro.gemm.parallel import (
     GroupSlot,
     PhaseTimers,
@@ -60,7 +65,6 @@ from repro.gemm.sharded import (
 )
 from repro.gemm.verify import VerifyConfig, VerifyReport, resolve_verify
 from repro.machines.spec import MachineSpec
-from repro.packing.pack import pack_a, pack_b
 from repro.packing.pool import SharedBufferPool
 from repro.schedule.space import ComputationSpace
 
@@ -137,10 +141,8 @@ class GemmEngine:
         machine: MachineSpec,
         *,
         cores: int | None = None,
-        exact_tiles: bool = False,
         exact_walk: bool = False,
         workers: int | None = None,
-        exact_pack: bool = False,
         verify: bool | VerifyConfig = False,
         backend: "str | Backend | None" = None,
         processes: "int | ShardConfig | None" = None,
@@ -149,7 +151,6 @@ class GemmEngine:
     ) -> None:
         self.machine = machine
         self.cores = cores
-        self.exact_tiles = exact_tiles
         self.exact_walk = exact_walk
         #: Explicit engine threads; ``None`` leaves them to the core budget.
         self.workers = None if workers is None else resolve_workers(workers)
@@ -160,15 +161,18 @@ class GemmEngine:
                 "plan= and tuned= are mutually exclusive: an explicit "
                 "override already decides the plan"
             )
-        self.exact_pack = exact_pack
         self.verify = resolve_verify(verify)
         self.backend = resolve_backend(backend)
         self.shards = resolve_shards(processes)
-        if self.shards is not None and self.exact_pack:
+        if self.shards is not None and (
+            self.backend.name not in registered_backends()
+            or backend_spec(self.backend.name) is not self.backend
+        ):
             raise ConfigurationError(
-                "processes > 1 is incompatible with exact_pack: shard "
-                "workers read flat copies of the operands from shared "
-                "memory, never the loop packer's blocks"
+                f"processes > 1 needs a backend selected by name "
+                f"({', '.join(registered_backends())}): shard workers "
+                f"rebuild the backend from the registry, so a Backend "
+                f"instance would not be the one that runs"
             )
 
     @staticmethod
@@ -294,33 +298,24 @@ class GemmEngine:
         shard_report = None
         if self.shards is None:
             start = time.perf_counter()
-            if self.exact_pack:
-                block = plan.grid().nominal
-                a_op = pack_a(a, block.m, block.k, exact=True)
-                b_op = pack_b(b, block.k, block.n, exact=True)
-            else:
-                a_op, b_op = grid_operands(plan, a, b)
+            a_op, b_op = grid_operands(plan, a, b)
             timers.pack_seconds = time.perf_counter() - start
             c = np.zeros((m, n), dtype=dtype)
             built = build_groups(
                 order.slots, plan, a_op, b_op, c,
                 strips=order.strips,
                 verifying=verifying,
-                grouped=self.backend.capabilities.grouped,
             )
             timers.verify_seconds += built.checksum_seconds
             with budget.blas_lease() as blas_threads:
                 report = execute_groups(
                     built.groups,
-                    plan.kernel,
-                    verify=self.verify,
-                    checksum_elements=built.checksum_elements,
+                    self.backend.create(kernel=plan.kernel),
                     workers=workers,
-                    backend=self.backend.create(
-                        kernel=plan.kernel, exact_tiles=self.exact_tiles
-                    ),
-                    exact_tiles=self.exact_tiles,
                     timers=timers,
+                    verify=self.verify,
+                    kernel=plan.kernel,
+                    checksum_elements=built.checksum_elements,
                 )
         else:
             with shard_arena() as arena:
@@ -400,7 +395,6 @@ class GemmEngine:
                 workers=workers,
                 backend=self.backend.name,
                 verify=self.verify,
-                exact_tiles=self.exact_tiles,
                 timers=timers,
                 element_bytes=self.machine.element_bytes,
             )

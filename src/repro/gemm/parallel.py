@@ -42,10 +42,10 @@ cores with zero pickling or shared-memory setup.
 
 *How* a strip (or a whole group) multiplies is delegated to a pluggable
 :class:`~repro.gemm.backends.Backend`. The default is the per-strip
-NumPy oracle; ``grouped`` backends (``blas-group``, ``torch``) instead
-execute each group as one whole-panel library call on the orchestrator
-thread — the barrier structure, the accumulation order per C element,
-and the traffic accounting are identical either way. For any *fixed*
+NumPy oracle; a ``grouped`` backend (``blas-group``) instead executes
+each group as one whole-panel library call on the orchestrator thread —
+the barrier structure, the accumulation order per C element, and the
+traffic accounting are identical either way. For any *fixed*
 backend the result is bit-identical across worker counts; across
 *backends* results agree within each backend's declared agreement band
 (bit-exact for backends declaring determinism).
@@ -63,7 +63,7 @@ profile the engine:
 
 * ``pack`` — the one flat copy of an operand that is not C-ordered
   (zero for C-ordered operands; shard runs copy both into shared
-  memory), or the loop packer's blocks under ``exact_pack``;
+  memory);
 * ``compute`` — per-strip kernel time, **summed across workers** (with
   ``w`` workers on ``w`` idle cores this exceeds the elapsed wall time
   by up to ``w``; the ratio is the achieved parallelism);
@@ -78,16 +78,15 @@ profile the engine:
 Verified execution
 ------------------
 
-When the engine passes a :class:`~repro.gemm.verify.GroupVerifier`, each
-group asks the verifier for a restore point before its strips are
-submitted (usually free: a fresh or fully-verified panel is rebuilt by
-replaying its history, so only unknown mid-accumulation panels are
-copied) and the checksum identities are checked **at the group
-barrier**, on the orchestrator thread. Recovery (strip recompute,
-oracle fallback) therefore
-completes before the next group starts — the ``+=`` order every C element
-sees is unchanged, which is what keeps a healed run bit-identical to a
-clean one for any worker count. Fault injection
+When the run is verified, a :class:`~repro.gemm.verify.GroupVerifier`
+serves it: each group asks the verifier for a restore point before its
+strips are submitted (usually free: a fresh or fully-verified panel is
+rebuilt by replaying its history, so only unknown mid-accumulation
+panels are copied) and the checksum identities are checked **at the
+group barrier**, on the orchestrator thread. Recovery (strip recompute,
+oracle fallback) therefore completes before the next group starts — the
+``+=`` order every C element sees is unchanged, which is what keeps a
+healed run bit-identical to a clean one for any worker count. Fault injection
 (:class:`~repro.runtime.faults.NumericFaultInjector`) hooks the same
 seam: a strip's output panel is corrupted right after its kernel call,
 keyed deterministically by ``(group, strip)``.
@@ -100,27 +99,21 @@ from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import BackendCapabilityError
-from repro.gemm.backends.base import (
-    Backend,
-    execute_group,
-    group_eligible,
-)
-from repro.gemm.backends.numpy_backend import NumpyBackend
+from repro.gemm.backends.base import Backend, execute_group
 from repro.gemm.microkernel import MicroKernel
 from repro.gemm.plan import PLAN_MEMO_MAXSIZE
 from repro.gemm.verify import GroupVerifier, VerifyConfig, VerifyReport
-from repro.util import ceil_div, require_positive, split_length
+from repro.util import ceil_div, require_count, split_length
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.gemm.backends.registry import BackendSpec
     from repro.gemm.plan import CakePlan, GotoPlan
     from repro.gemm.sharded import ShardSpan
-    from repro.packing.pack import PackedA, PackedB
     from repro.runtime.faults import NumericFaultInjector
 
 
@@ -135,40 +128,37 @@ class StripTask(NamedTuple):
 class StripGroup(NamedTuple):
     """One barrier's worth of strips, plus its ABFT identity material.
 
-    Engines that run unverified may keep handing the executor plain
-    sequences of :class:`StripTask`; the executor wraps them. ``index``
-    is the group's position in the schedule (the fault-injection key),
-    ``coord``/``label`` identify the block in error reports, and the
-    checksum vectors are ``colsum(A_group)`` (length ``k``) and
-    ``rowsum(B_group)`` (length ``k``) driving the column/row
-    identities, computed once per operand block by :func:`build_groups`.
-    ``checksum_a is None`` means the group runs unverified.
-    ``panel``, when an engine can provide it, is the single C view whose
-    rows are exactly the tasks' C strips stacked in task order — it lets
-    the verifier snapshot and reduce the whole panel in one numpy call
-    each instead of stacking the strips itself. ``operand_a`` plays the
-    same role for the A side: one view whose rows are the tasks' A
-    strips in task order. ``mag_a``/``mag_b`` are the group operands'
+    ``panel`` is the single C view whose rows are exactly the tasks' C
+    strips stacked in task order, and ``operand_a`` the single A view
+    whose rows are the tasks' A strips in task order: a ``grouped``
+    backend multiplies one into the other in one call, and the verifier
+    snapshots and reduces them whole. ``index`` is the group's position
+    in the schedule (the fault-injection key), ``coord``/``label``
+    identify the block in error reports, and the checksum vectors are
+    ``colsum(A_group)`` (length ``k``) and ``rowsum(B_group)`` (length
+    ``k``) driving the column/row identities, computed once per operand
+    block by :func:`build_groups`. ``checksum_a is None`` means the group
+    runs unverified. ``mag_a``/``mag_b`` are the group operands'
     absolute-value sums ``(|X|.sum(axis=0), |X|.sum(axis=1))``, also
     computed once per block — with them the verifier's tolerance band
-    costs O(m + n) vector arithmetic per group instead of a fresh
-    ``|A|``/``|B|`` scan.
-    ``first_strip`` is the serial run's index of ``tasks[0]`` within the
-    whole group: 0 unless a shard holds only the later strips of it.
+    costs O(m + n) vector arithmetic per group. A verified group carries
+    both checksums and both magnitudes. ``first_strip`` is the serial run's index of ``tasks[0]``
+    within the whole group: 0 unless a shard holds only the later strips
+    of it.
     """
 
     tasks: Sequence[StripTask]
+    panel: np.ndarray
+    operand_a: np.ndarray
     index: int = 0
     coord: tuple = ()
     label: str = "block"
     checksum_a: np.ndarray | None = None
     checksum_b: np.ndarray | None = None
-    panel: np.ndarray | None = None
     #: True when this group is the first update of its C panel and the
     #: panel is still all-zero — the verifier then skips the snapshot
     #: copy (restore is a zero fill) and starts from zero "before" sums.
     fresh_panel: bool = False
-    operand_a: np.ndarray | None = None
     mag_a: tuple[np.ndarray, np.ndarray] | None = None
     mag_b: tuple[np.ndarray, np.ndarray] | None = None
     first_strip: int = 0
@@ -316,9 +306,7 @@ class GridOperand:
     It has the accessors :func:`build_groups` reads: ``block(i, j)`` (an
     A block), ``panel(i, j)`` (a B panel) and ``column(j, start, stop)``
     (block rows ``start:stop`` at block column ``j``, stacked). Each is a
-    view of ``x``; nothing is copied. ``exact_pack`` runs hand the
-    builder the loop packer's :class:`~repro.packing.pack.PackedA` and
-    :class:`~repro.packing.pack.PackedB` through the same accessors.
+    view of ``x``; nothing is copied.
     """
 
     __slots__ = ("x", "rows", "cols")
@@ -408,14 +396,13 @@ class _BlockSums:
 def build_groups(
     order: Sequence[GroupSlot],
     plan: "CakePlan | GotoPlan",
-    a: "GridOperand | PackedA",
-    b: "GridOperand | PackedB",
+    a: GridOperand,
+    b: GridOperand,
     c: np.ndarray,
     *,
     span: "ShardSpan | None" = None,
     strips: int = 1,
     verifying: bool = False,
-    grouped: bool = False,
 ) -> BuiltGroups:
     """The strip groups of ``order``, in order, over ``plan``'s block grid.
 
@@ -434,11 +421,9 @@ def build_groups(
     group — its strips, their C panel rows, A operand rows and ABFT sums —
     whose ``first_strip`` is the serial index of its first strip. A
     group's stacked A operand is the block (rows) itself when the group
-    covers one block row; for several it is ``a.column(...)``, taken
-    only when something reads it — the verifier, or a ``grouped``
-    backend executing the group as one call. A verified build computes
-    each block's checksums and magnitudes once, from the operand's own
-    blocks.
+    covers one block row, and ``a.column(...)`` for several. A verified
+    build computes each block's checksums and magnitudes once, from the
+    operand's own blocks.
 
     The geometry comes from :func:`strip_layout`, built once per plan;
     a call only binds views onto its operands and C.
@@ -480,12 +465,12 @@ def build_groups(
 
         side = a_sides.get((row0, lo, row1, hi, ki))
         if side is None:
-            operand_a = cs_a = mag_a = None
+            cs_a = mag_a = None
             if row0 == row1:
                 operand_a = a.block(row0, ki)
                 if hi - lo < m_sizes[row0]:
                     operand_a = operand_a[lo:hi]
-            elif verifying or grouped:
+            else:
                 # Several block rows only come from GOTO's one-strip rows,
                 # which the span never cuts: they are whole.
                 operand_a = a.column(ki, start=row0, stop=row1 + 1)
@@ -516,14 +501,14 @@ def build_groups(
         groups.append(
             StripGroup(
                 tasks=tasks,
+                panel=c[m_off[row0] + lo : m_off[row1] + hi, n0:n1],
+                operand_a=operand_a,
                 index=index,
                 coord=slot.coord,
                 label=label,
                 checksum_a=cs_a,
                 checksum_b=cs_b,
-                panel=c[m_off[row0] + lo : m_off[row1] + hi, n0:n1],
                 fresh_panel=fresh,
-                operand_a=operand_a,
                 mag_a=mag_a,
                 mag_b=mag_b,
                 first_strip=first_strip,
@@ -540,18 +525,12 @@ def resolve_workers(workers: int | None) -> int:
     """Validate an explicit worker count (``None`` -> 1, serial).
 
     The engines leave ``workers=None`` to the core budget
-    (:mod:`repro.gemm.budget`) instead of calling this with it. Any
-    Python or NumPy integer is accepted; a bool or a non-integral value
-    raises ``TypeError``.
+    (:mod:`repro.gemm.budget`) instead of calling this with it. Counts
+    follow :func:`~repro.util.require_count`, as ``processes`` does.
     """
     if workers is None:
         return 1
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-        raise TypeError(
-            f"workers must be an int, got {type(workers).__name__}"
-        )
-    require_positive("workers", workers)
-    return int(workers)
+    return require_count("workers", workers)
 
 
 def check_multiply_operands(
@@ -567,13 +546,11 @@ def check_multiply_operands(
     fixed-width integers silently wraps on overflow, which no GEMM user
     wants from a library that otherwise reproduces BLAS semantics.
 
-    Dtype rejections raise the structured
+    The rejection raises the structured
     :class:`~repro.errors.BackendCapabilityError` (a ``TypeError``
-    subclass) naming the backend that refused — both for the universal
-    integer/boolean rejection and for dtypes outside the selected
-    ``backend``'s declared capability envelope (e.g. complex operands on
-    the torch backend), so capability failures never surface as a
-    generic ``TypeError`` deep in a kernel.
+    subclass) naming the selected ``backend``, never a generic
+    ``TypeError`` deep in a kernel. Every backend accepts every float
+    and complex dtype.
 
     Layout is deliberately *not* validated: F-ordered, transposed and
     non-contiguous operands are first-class. A C-ordered operand is read
@@ -598,15 +575,6 @@ def check_multiply_operands(
             f"accumulation in {out} integer arithmetic wraps silently on "
             f"overflow; cast the operands to a floating dtype first "
             f"(e.g. a.astype(np.float64))",
-            dtype=out,
-        )
-    if backend is not None and not backend.supports_dtype(out):
-        raise BackendCapabilityError(
-            name,
-            f"does not support {out} accumulation "
-            f"(operands {a.dtype} x {b.dtype}); select a backend whose "
-            f"capabilities cover this dtype (the 'numpy' oracle always "
-            f"does) or cast the operands",
             dtype=out,
         )
     return out
@@ -657,50 +625,44 @@ def _timed_group(
     return time.perf_counter() - start
 
 
-def _as_group(group: "StripGroup | Sequence[StripTask]", index: int) -> StripGroup:
-    if isinstance(group, StripGroup):
-        return group
-    return StripGroup(tasks=group, index=index)
-
-
-def run_strip_groups(
-    groups: "Iterable[StripGroup | Sequence[StripTask]]",
-    kernel: MicroKernel,
+def execute_groups(
+    groups: Sequence[StripGroup],
+    backend: Backend,
     *,
     workers: int = 1,
-    exact_tiles: bool = False,
     timers: PhaseTimers | None = None,
-    verifier: "GroupVerifier | None" = None,
-    faults: "NumericFaultInjector | None" = None,
-    backend: Backend | None = None,
-) -> PhaseTimers:
+    verify: VerifyConfig | None = None,
+    kernel: MicroKernel | None = None,
+    checksum_elements: int = 0,
+) -> VerifyReport | None:
     """Execute an ordered sequence of strip groups, barrier per group.
 
-    Numeric work flows through the ``backend``
-    (:mod:`repro.gemm.backends`); ``None`` means the per-strip NumPy
-    oracle built from ``kernel``/``exact_tiles`` — the pre-backend
-    behaviour, bit for bit. ``workers=1`` runs every strip inline (no
-    pool, no thread hop); ``workers>1`` cuts each group's strips into
-    ``workers`` contiguous runs, runs the first on this thread and hands
-    the others to a pool of ``workers - 1`` threads: one hand-off per
-    extra worker and barrier, not one per strip. Both paths issue
+    The one executor behind the in-process engines, every shard worker
+    and the tests. Numeric work flows through ``backend``
+    (:mod:`repro.gemm.backends`). ``workers=1`` runs every strip inline
+    (no pool, no thread hop); ``workers>1`` cuts each group's strips
+    into ``workers`` contiguous runs, runs the first on this thread and
+    hands the others to a pool of ``workers - 1`` threads: one hand-off
+    per extra worker and barrier, not one per strip. Both paths issue
     identical backend calls in a per-C-row identical order, so for a
     fixed backend the numeric result is bit-for-bit the same for any
     worker count.
 
-    ``grouped`` backends short-circuit the fan-out: a group carrying
-    its group-contiguous views executes as **one** backend call on this
-    (the orchestrator) thread — one GIL-released library call per
-    barrier, which is the whole point of such backends — and worker
-    count becomes trivially irrelevant to the bits.
+    ``grouped`` backends short-circuit the fan-out: each group executes
+    as **one** backend call on this (the orchestrator) thread — one
+    GIL-released library call per barrier, which is the whole point of
+    such backends — and worker count becomes trivially irrelevant to the
+    bits.
 
-    Groups may be plain sequences of :class:`StripTask` (unverified runs)
-    or :class:`StripGroup` records carrying checksum material. With a
-    ``verifier``, each group gets a restore point before dispatch and is
-    checked —
-    recovering if needed — at its barrier, on this (the orchestrator)
-    thread; ``faults`` deterministically corrupts strip outputs to drive
-    the recovery ladder.
+    ``verify`` asks for verification and fault injection
+    (:class:`~repro.gemm.verify.VerifyConfig`). A verified run checks
+    each group — recovering if needed — at its barrier, on this thread,
+    with ``kernel`` (the plan's micro-kernel) as the recovery ladder's
+    oracle, and returns its :class:`~repro.gemm.verify.VerifyReport`
+    (``checksum_elements`` is the checksum surface the groups carry);
+    otherwise the result is ``None``. An injection plan deterministically
+    corrupts strip outputs, verified or not. Phase times accumulate into
+    ``timers``.
 
     The pool is created per call, which keeps one engine object safe to
     run from multiple threads concurrently (no shared mutable executor
@@ -708,8 +670,15 @@ def run_strip_groups(
     """
     timers = timers if timers is not None else PhaseTimers()
     timers.workers = max(timers.workers, workers)
-    if backend is None:
-        backend = NumpyBackend(kernel, exact_tiles=exact_tiles)
+    verifier = faults = report = None
+    if verify is not None:
+        if verify.inject is not None:
+            from repro.runtime.faults import NumericFaultInjector  # lazy: pkg cycle
+
+            faults = NumericFaultInjector(verify.inject)
+        if verify.enabled:
+            report = VerifyReport(checksum_elements=checksum_elements)
+            verifier = GroupVerifier(verify, report, timers, kernel)
     if workers <= 1 or backend.capabilities.grouped:
         pool_ctx = None
     else:
@@ -717,14 +686,13 @@ def run_strip_groups(
             max_workers=workers - 1, thread_name_prefix="cake-gemm"
         )
     try:
-        for index, raw in enumerate(groups):
-            group = _as_group(raw, index)
+        for group in groups:
             snaps = (
-                verifier.snapshot(group, backend=backend)
+                verifier.snapshot(group, backend)
                 if verifier is not None
                 else None
             )
-            if pool_ctx is None or group_eligible(backend, group):
+            if pool_ctx is None:
                 timers.compute_seconds += _timed_group(backend, group, faults)
             else:
                 strips = list(enumerate(group.tasks, group.first_strip))
@@ -748,51 +716,8 @@ def run_strip_groups(
                 # Inside the barrier: the next group does not start until
                 # this one verified (and healed), so recovery is ordered
                 # identically for any worker count.
-                verifier.check_and_recover(
-                    group, snaps, kernel, exact_tiles, faults,
-                    backend=backend,
-                )
+                verifier.check_and_recover(group, snaps, faults, backend)
     finally:
         if pool_ctx is not None:
             pool_ctx.shutdown(wait=True)
-    return timers
-
-
-def execute_groups(
-    groups: Sequence[StripGroup],
-    kernel: MicroKernel,
-    *,
-    verify: VerifyConfig | None,
-    checksum_elements: int,
-    workers: int,
-    backend: Backend,
-    exact_tiles: bool,
-    timers: PhaseTimers,
-) -> VerifyReport | None:
-    """Run built groups with the verification and fault injection ``verify`` asks for.
-
-    The body shared by the in-process engines and every shard worker.
-    Returns the :class:`~repro.gemm.verify.VerifyReport` of a verified
-    run (``checksum_elements`` is the checksum surface it carried), else
-    ``None``.
-    """
-    verifier = faults = report = None
-    if verify is not None:
-        if verify.inject is not None:
-            from repro.runtime.faults import NumericFaultInjector  # lazy: pkg cycle
-
-            faults = NumericFaultInjector(verify.inject)
-        if verify.enabled:
-            report = VerifyReport(checksum_elements=checksum_elements)
-            verifier = GroupVerifier(verify, report, timers)
-    run_strip_groups(
-        groups,
-        kernel,
-        workers=workers,
-        exact_tiles=exact_tiles,
-        timers=timers,
-        verifier=verifier,
-        faults=faults,
-        backend=backend,
-    )
     return report

@@ -62,8 +62,7 @@ class GemmRun:
         Name of the compute backend the numerics executed through
         (:mod:`repro.gemm.backends`): ``"numpy"`` (the per-strip
         oracle — also recorded for analytic-only runs, which execute
-        nothing), ``"blas-group"``, ``"torch"``, or a user backend's
-        name. Results from different backends agree within each
+        nothing), ``"blas-group"``, or a user backend's name. Results from different backends agree within each
         backend's declared agreement band; results from the *same*
         backend are bit-identical across worker counts.
     phase_seconds:

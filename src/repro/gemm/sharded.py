@@ -5,8 +5,8 @@ same geometry that tiles one core's cache hierarchy tiles a pool of
 *processes* one level up. This module is that next level — it partitions
 the M x N grid of C into a near-square **shard grid**, gives each shard
 to a worker process, and runs the existing threaded strip-group executor
-(:mod:`repro.gemm.parallel`, with any registered backend) inside each
-shard.
+(:mod:`repro.gemm.parallel`, with a backend rebuilt by name from the
+registry) inside each shard.
 
 Transport is ``multiprocessing.shared_memory``: the parent copies A and
 B once each, flat, into the process-wide shared-memory arena (a
@@ -76,14 +76,12 @@ The warm runtime
 Shard processes and shared-memory segments outlive one multiply:
 
 * **Pools.** A process-wide cache holds idle worker pools keyed by start
-  method, process count and the backend registry's generation
-  (:func:`~repro.gemm.backends.registry.registry_generation`, bumped by
-  every registration, so a forked pool never predates a backend it is
-  asked to run). A multiply leases one pool exclusively and returns it
-  only if every future completed. A broken, timed-out or raising call
-  tears its pool down with :func:`~repro.runtime.restart.kill_pool`
-  instead; an idle pool found dead at lease time is replaced without
-  charging the caller's ``max_pool_rebuilds``. Pools retire after
+  method and process count. A multiply leases one pool exclusively and
+  returns it only if every future completed. A broken, timed-out or
+  raising call tears its pool down with
+  :func:`~repro.runtime.restart.kill_pool` instead; an idle pool found
+  dead at lease time is replaced without charging the caller's
+  ``max_pool_rebuilds``. Pools retire after
   :data:`POOL_IDLE_SECONDS` idle, and at exit; every worker also exits
   by itself once its parent dies.
 * **Arena.** One process-wide :class:`~repro.packing.pool.SharedBufferPool`
@@ -131,11 +129,7 @@ import numpy as np
 
 from repro.errors import CakeError, ConfigurationError, DeadlineExceededError
 from repro.gemm.budget import blas_lease, blas_threads_now, pin_blas_thread
-from repro.gemm.backends.registry import (
-    backend_spec,
-    registered_backends,
-    registry_generation,
-)
+from repro.gemm.backends.registry import backend_spec
 from repro.gemm.parallel import (
     GroupSlot,
     PhaseTimers,
@@ -148,7 +142,12 @@ from repro.gemm.verify import VerifyConfig, VerifyReport
 from repro.packing.pool import SegmentSpec, SharedBufferPool
 from repro.runtime.faults import mark_worker_process
 from repro.runtime.restart import RestartPolicy, RestartTracker, kill_pool
-from repro.util import require_nonnegative, require_positive, split_even
+from repro.util import (
+    require_count,
+    require_nonnegative,
+    require_positive,
+    split_even,
+)
 
 #: Documented slack on the memory-independent communication lower bound:
 #: the shard grid meets the bound up to (a) the AM-GM gap of the best
@@ -179,9 +178,10 @@ class ShardConfig:
     Parameters
     ----------
     processes:
-        Worker processes requested. The usable count may be smaller when
-        the CB block grid has fewer than ``processes`` blocks
-        (:func:`plan_shards` clamps); 1 means no sharding at all.
+        Worker processes requested: a Python or NumPy integer, stored as
+        ``int`` (the rule ``workers`` follows). The usable count may be
+        smaller when the CB block grid has fewer than ``processes``
+        blocks (:func:`plan_shards` clamps); 1 means no sharding at all.
     max_pool_rebuilds:
         How many times a crashed worker pool is rebuilt (unfinished
         shards zeroed and resubmitted) before degrading.
@@ -193,10 +193,7 @@ class ShardConfig:
     start_method:
         ``multiprocessing`` start method; ``None`` picks ``fork`` where
         available (cheap, inherits the imported interpreter) and
-        ``spawn`` otherwise. Fork workers run every backend registered
-        before the pool forked (a registration retires the warm pools
-        from use); spawn workers import the package afresh, so they see
-        only the backends registered at import time.
+        ``spawn`` otherwise.
     deadline:
         Absolute ``time.monotonic()`` instant by which the run must
         finish, or ``None`` for no bound. When the instant passes while
@@ -214,7 +211,9 @@ class ShardConfig:
     deadline: float | None = None
 
     def __post_init__(self) -> None:
-        require_positive("processes", self.processes)
+        object.__setattr__(
+            self, "processes", require_count("processes", self.processes)
+        )
         require_nonnegative("max_pool_rebuilds", self.max_pool_rebuilds)
         if (
             self.start_method is not None
@@ -232,23 +231,16 @@ def resolve_shards(
     """Normalize an engine's ``processes`` parameter.
 
     ``None`` and 1 mean in-process, and resolve to ``None``: the engine
-    then takes its ordinary in-process path. Any other int wraps into a
+    then takes its ordinary in-process path. Any other count (a Python
+    or NumPy integer, :func:`~repro.util.require_count`) wraps into a
     default :class:`ShardConfig`; a config passes through, or resolves
     to ``None`` when it asks for one process.
     """
     if processes is None:
         return None
-    if isinstance(processes, ShardConfig):
-        return processes if processes.processes > 1 else None
-    if isinstance(processes, bool) or not isinstance(processes, int):
-        raise TypeError(
-            f"processes must be an int or ShardConfig, "
-            f"got {type(processes).__name__}"
-        )
-    require_positive("processes", processes)
-    if processes == 1:
-        return None
-    return ShardConfig(processes=processes)
+    if not isinstance(processes, ShardConfig):
+        processes = ShardConfig(processes=processes)
+    return processes if processes.processes > 1 else None
 
 
 # -- shard-grid selection ------------------------------------------------------
@@ -538,7 +530,6 @@ class _ShardTask:
     workers: int
     backend: str
     verify: VerifyConfig | None
-    exact_tiles: bool
 
 
 # -- worker side ---------------------------------------------------------------
@@ -558,7 +549,6 @@ def _run_attached(
     its own blocks, as an in-process run does.
     """
     verifying = task.verify is not None and task.verify.enabled
-    spec = backend_spec(task.backend)
     a, b = grid_operands(
         task.plan, attach(task.a_segment), attach(task.b_segment)
     )
@@ -574,20 +564,18 @@ def _run_attached(
         span=span,
         strips=task.strips,
         verifying=verifying,
-        grouped=spec.capabilities.grouped,
     )
     timers = PhaseTimers()
     timers.verify_seconds = built.checksum_seconds
     kernel = task.plan.kernel
     report = execute_groups(
         built.groups,
-        kernel,
-        verify=task.verify,
-        checksum_elements=built.checksum_elements,
+        backend_spec(task.backend).create(kernel=kernel),
         workers=task.workers,
-        backend=spec.create(kernel=kernel, exact_tiles=task.exact_tiles),
-        exact_tiles=task.exact_tiles,
         timers=timers,
+        verify=task.verify,
+        kernel=kernel,
+        checksum_elements=built.checksum_elements,
     )
     return {
         "shard": task.span.index,
@@ -702,8 +690,8 @@ def _retire(
             kill_pool(pool)
 
 
-#: (start method, worker processes, backend registry generation).
-PoolKey = tuple[str, int, int]
+#: (start method, worker processes).
+PoolKey = tuple[str, int]
 
 
 class _WarmRuntime:
@@ -752,7 +740,7 @@ class _WarmRuntime:
                 bucket = self.idle.get(key)
                 pool = bucket.pop()[0] if bucket else None
             if pool is None:
-                start_method, processes, _ = key
+                start_method, processes = key
                 return ProcessPoolExecutor(
                     max_workers=processes,
                     mp_context=mp.get_context(start_method),
@@ -892,7 +880,6 @@ def run_sharded(
     workers: int,
     backend: str,
     verify: VerifyConfig | None,
-    exact_tiles: bool,
     timers: PhaseTimers,
     element_bytes: int,
 ) -> tuple[ShardReport, VerifyReport | None]:
@@ -900,22 +887,17 @@ def run_sharded(
 
     ``plan``/``order``/``strips`` are the engine's group-builder inputs
     (each worker builds its span's groups from them); ``shards`` is the
-    shard grid; ``workers`` is each shard's engine threads. ``a``,
-    ``b`` and ``c`` must have been leased from ``pool`` (the arena of
-    :func:`shard_arena`), with A and B filled; each shard zeroes its own
-    C panel. On return, ``c`` holds the
-    product — the caller copies it out before releasing its segments.
+    shard grid; ``workers`` is each shard's engine threads, and
+    ``backend`` the registered name each worker rebuilds its backend
+    from. ``a``, ``b`` and ``c`` must have been leased from ``pool``
+    (the arena of :func:`shard_arena`), with A and B filled; each shard
+    zeroes its own C panel. On return, ``c`` holds the product — the
+    caller copies it out before releasing its segments.
     The worker pool is leased from the warm runtime and returned only if
     every shard completed in it. Worker phase timers are summed into
     ``timers``; per-shard breakdowns, rebuild counts and the IPC-vs-bound
     comparison come back in the :class:`ShardReport`.
     """
-    if backend not in registered_backends():
-        raise ConfigurationError(
-            f"sharded execution requires a registered backend name "
-            f"(worker processes rebuild the backend from its registry "
-            f"entry); {backend!r} is not registered"
-        )
     a_segment, b_segment, c_segment = (pool.segment_of(x) for x in (a, b, c))
     tasks = {
         span.index: _ShardTask(
@@ -929,7 +911,6 @@ def run_sharded(
             workers=workers,
             backend=backend,
             verify=verify,
-            exact_tiles=exact_tiles,
         )
         for span in shards.spans
     }
@@ -955,7 +936,7 @@ def run_sharded(
     exhausted = False
     inline = 0
     pool_exec: ProcessPoolExecutor | None = None
-    pool_key: PoolKey = (start_method, 0, 0)
+    pool_key: PoolKey = (start_method, 0)
     barrier_start = time.perf_counter()
     try:
         while pending:
@@ -981,11 +962,7 @@ def run_sharded(
                         inline += 1
                 break
             if pool_exec is None:
-                pool_key = (
-                    start_method,
-                    min(config.processes, len(pending)),
-                    registry_generation(),
-                )
+                pool_key = (start_method, min(config.processes, len(pending)))
                 pool_exec = _RUNTIME.lease(pool_key)
             broken = False
             try:

@@ -43,11 +43,9 @@ dtype-aware band: ``atol + rtol * ref`` where ``ref`` is a running
 panel's accumulated bound, which keeps the band honest under
 cancellation without re-scanning ``|C|`` every group. The update
 magnitudes come from per-block ``|A|``/``|B|`` axis sums, computed
-with the checksums, so the per-group band is
-O(m + n) vector arithmetic; groups built without magnitudes fall back
-to an exact ``|A| @ |B|`` scan. ``rtol`` defaults to
-``8 * eps * (m + k + 2)`` for the group's extents in the accumulation
-dtype. Non-finite values
+with the checksums, so the per-group band is O(m + n) vector
+arithmetic. ``rtol`` defaults to ``8 * eps * (m + k + 2)`` for the
+group's extents in the accumulation dtype. Non-finite values
 (inf/NaN from a flipped exponent bit) always count as mismatches —
 comparisons are written so NaN fails them.
 
@@ -66,13 +64,13 @@ bit-deterministic for any worker count:
    mid-accumulation, from the copy taken at dispatch — then recompute
    the group inline through the *same* backend calls the clean path
    issued, up to ``max_retries`` times: a transient fault does not
-   recur, and a reproducible backend's recomputed bits equal the clean
-   run's exactly;
-2. restore and recompute through the **oracle path**: per-strip
-   micro-kernel arithmetic with operand checks enabled and fault
-   injection bypassed (bit-exact for the oracle backend; the trusted
-   reference product for any other — this is the rung that makes a
-   *fast untrusted backend* safe to run verified);
+   recur, and the backend's recomputed bits equal the clean run's
+   exactly;
+2. restore and recompute through the **oracle path**: per-strip panel
+   products through the plan's micro-kernel, with operand checks
+   enabled and fault injection bypassed (bit-exact for the oracle
+   backend; the trusted reference product for any other — this is the
+   rung that makes a *fast untrusted backend* safe to run verified);
 3. raise :class:`NumericFaultError` carrying the block coordinates, the
    failing identity, the strip (when the row identity localized one),
    and the residual/tolerance pair.
@@ -92,7 +90,6 @@ import numpy as np
 
 from repro.errors import CakeError
 from repro.gemm.backends.base import Backend, execute_group
-from repro.gemm.backends.numpy_backend import NumpyBackend
 from repro.util import require_nonnegative
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -104,16 +101,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 #: ~100x above the rounding noise observed for random operands, while
 #: still far below any injected corruption kind.
 _RTOL_SAFETY = 8.0
-
-
-def _stack(parts: "Sequence[np.ndarray]") -> np.ndarray:
-    """A new contiguous array holding the strips, stacked in order.
-
-    Always copies — snapshots must not alias the live panel, and
-    whole-panel reductions on the copy beat per-strip reductions on the
-    views by an order of magnitude in call overhead.
-    """
-    return np.concatenate(parts, axis=0)
 
 
 class NumericFaultError(CakeError):
@@ -328,7 +315,8 @@ class GroupVerifier:
     One verifier serves one run; the executor calls :meth:`snapshot`
     before a group's strips are submitted and :meth:`check_and_recover`
     at the group barrier. Both run on the orchestrator thread, so the
-    verifier needs no locking of its own.
+    verifier needs no locking of its own. ``kernel`` is the plan's
+    micro-kernel, the ladder's oracle rung.
     """
 
     def __init__(
@@ -336,10 +324,12 @@ class GroupVerifier:
         config: VerifyConfig,
         report: VerifyReport,
         timers: "PhaseTimers",
+        kernel: "MicroKernel",
     ) -> None:
         self.config = config
         self.report = report
         self.timers = timers
+        self.kernel = kernel
         self._panels: dict[tuple, _PanelState] = {}
         # Verified groups per panel, in accumulation order. A panel with
         # full history needs no pre-group snapshot copy: restoring it is
@@ -365,9 +355,9 @@ class GroupVerifier:
     # -- executor hooks ------------------------------------------------------
 
     def snapshot(
-        self, group: "StripGroup", backend: "Backend | None" = None
+        self, group: "StripGroup", backend: Backend
     ) -> "_Snapshot | None":
-        """Capture the group's C panel (strips stacked) before it runs.
+        """Capture the group's C panel before ``backend`` runs it.
 
         Fresh panels and panels whose verified history this verifier
         holds need no copy (``_Snapshot(None)``): their pre-group state
@@ -382,20 +372,14 @@ class GroupVerifier:
         """
         if group.checksum_a is None:
             return None
-        replayable = backend is None or backend.capabilities.deterministic
         if group.fresh_panel or (
-            replayable and self._panel_key(group) in self._history
+            backend.capabilities.deterministic
+            and self._panel_key(group) in self._history
         ):
             return _Snapshot(None)
         start = time.perf_counter()
-        if group.panel is not None:
-            buf = self._scratch_like(
-                "snap", group.panel.shape, group.panel.dtype
-            )
-            np.copyto(buf, group.panel)
-            snap = buf
-        else:
-            snap = _stack([task.c for task in group.tasks])
+        snap = self._scratch_like("snap", group.panel.shape, group.panel.dtype)
+        np.copyto(snap, group.panel)
         self.timers.verify_seconds += time.perf_counter() - start
         return _Snapshot(snap)
 
@@ -403,18 +387,15 @@ class GroupVerifier:
         self,
         group: "StripGroup",
         snap: "_Snapshot | None",
-        kernel: "MicroKernel",
-        exact_tiles: bool,
         faults: "NumericFaultInjector | None",
-        backend: "Backend | None" = None,
+        backend: Backend,
     ) -> None:
         """Verify the group; on mismatch walk the recovery ladder.
 
         ``backend`` is the backend the clean path executed with; the
-        retry rung recomputes through it (a reproducible backend then
-        heals transient faults bit-exactly), while the oracle rung always
-        recomputes through the checked micro-kernel. ``None`` means the
-        oracle executed the group (the pre-backend behaviour).
+        retry rung recomputes through it (the backend then heals
+        transient faults bit-exactly), while the oracle rung always
+        recomputes through the checked micro-kernel.
         """
         if snap is None:
             return
@@ -423,7 +404,7 @@ class GroupVerifier:
         self.timers.verify_seconds += time.perf_counter() - start
         counted = group.first_strip == 0
         self.report.blocks += counted
-        replayable = backend is None or backend.capabilities.deterministic
+        replayable = backend.capabilities.deterministic
         if failure is None:
             self.report.verified += counted
             if replayable:
@@ -434,9 +415,7 @@ class GroupVerifier:
         self.report.mismatches += 1
         start = time.perf_counter()
         try:
-            self._recover(
-                group, snap, kernel, exact_tiles, faults, failure, backend
-            )
+            self._recover(group, snap, faults, failure, backend)
         finally:
             self.timers.recover_seconds += time.perf_counter() - start
         self.report.verified += counted
@@ -449,19 +428,15 @@ class GroupVerifier:
         self,
         group: "StripGroup",
         snap: "_Snapshot",
-        kernel: "MicroKernel",
-        exact_tiles: bool,
         faults: "NumericFaultInjector | None",
         failure: IdentityFailure,
-        backend: "Backend | None" = None,
+        backend: Backend,
     ) -> None:
-        if backend is None:
-            backend = NumpyBackend(kernel, exact_tiles=exact_tiles)
         for _ in range(self.config.max_retries):
-            self._restore(group, snap, kernel, exact_tiles, backend)
+            self._restore(group, snap, backend)
             # Recompute through the same backend calls the clean path
-            # issued (group-mode stays group-mode): a reproducible
-            # backend then reproduces the clean bits exactly.
+            # issued (group-mode stays group-mode): the backend then
+            # reproduces the clean bits exactly.
             execute_group(backend, group, faults)
             self.report.retries += 1
             recheck = self._verify_group(group, snap)
@@ -477,11 +452,9 @@ class GroupVerifier:
             # backends they are the trusted oracle's bits (the group's
             # update is then exact-by-construction, re-verified below
             # within the tolerance band).
-            self._restore(group, snap, kernel, exact_tiles, backend)
+            self._restore(group, snap, backend)
             for task in group.tasks:
-                kernel.panel_matmul(
-                    task.a, task.b, task.c, exact_tiles=exact_tiles, checked=True
-                )
+                self.kernel.panel_matmul(task.a, task.b, task.c, checked=True)
             oracle_failure = self._verify_group(group, snap)
             if oracle_failure is None:
                 self.report.oracle_recoveries += 1
@@ -490,12 +463,7 @@ class GroupVerifier:
         raise NumericFaultError(group.label, group.coord, failure)
 
     def _restore(
-        self,
-        group: "StripGroup",
-        snap: "_Snapshot",
-        kernel: "MicroKernel",
-        exact_tiles: bool,
-        backend: "Backend | None" = None,
+        self, group: "StripGroup", snap: "_Snapshot", backend: Backend
     ) -> None:
         if snap.data is None:
             # No snapshot was taken: zero the panel and replay its
@@ -504,24 +472,11 @@ class GroupVerifier:
             # snapshots). Replay is injection-free — every verified
             # group's accepted bits equal a clean run's, so one
             # unchecked pass reproduces the pre-group state bit-exactly.
-            if backend is None:
-                backend = NumpyBackend(kernel, exact_tiles=exact_tiles)
-            if group.panel is not None:
-                group.panel.fill(0)
-            else:
-                for task in group.tasks:
-                    task.c.fill(0)
+            group.panel.fill(0)
             for past in self._history.get(self._panel_key(group), []):
                 execute_group(backend, past, None)
             return
-        if group.panel is not None:
-            np.copyto(group.panel, snap.data)
-            return
-        r0 = 0
-        for task in group.tasks:
-            rows = task.c.shape[0]
-            np.copyto(task.c, snap.data[r0 : r0 + rows])
-            r0 += rows
+        np.copyto(group.panel, snap.data)
 
     # -- identity evaluation -------------------------------------------------
 
@@ -565,25 +520,8 @@ class GroupVerifier:
     ) -> tuple[IdentityFailure | None, "_PanelState | None"]:
         tasks = group.tasks
         b = tasks[0].b
-        c_full = (
-            group.panel
-            if group.panel is not None
-            else _stack([task.c for task in tasks])
-        )
-        if group.operand_a is not None:
-            a_full = group.operand_a
-        elif len(tasks) == 1:
-            a_full = tasks[0].a
-        else:
-            parts = [task.a for task in tasks]
-            rows = sum(part.shape[0] for part in parts)
-            a_full = np.concatenate(
-                parts,
-                axis=0,
-                out=self._scratch_like(
-                    "a_full", (rows, parts[0].shape[1]), parts[0].dtype
-                ),
-            )
+        c_full = group.panel
+        a_full = group.operand_a
         m, k = a_full.shape
         rtol, atol = self._band(c_full.dtype, m, k)
 
@@ -594,23 +532,12 @@ class GroupVerifier:
             else:
                 prior = _PanelState.from_snapshot(snap.data)
 
-        if group.mag_a is not None and group.mag_b is not None:
-            # Per-block magnitudes: bound the update's column magnitudes
-            # by max(|A|-colsum) * |B|-colsum and its row magnitudes by
-            # |A|-rowsum * max(|B|-rowsum) — sound upper bounds on
-            # colsum(|A||B|) / rowsum(|A||B|), O(m + n) to evaluate.
-            col_upd = float(group.mag_a[0].max()) * group.mag_b[0]
-            row_upd = group.mag_a[1] * float(group.mag_b[1].max())
-        else:
-            abs_a = np.abs(
-                a_full,
-                out=self._scratch_like("abs_a", a_full.shape, a_full.dtype),
-            )
-            abs_b = np.abs(
-                b, out=self._scratch_like("abs_b", b.shape, b.dtype)
-            )
-            col_upd = abs_a.sum(axis=0) @ abs_b
-            row_upd = abs_a @ abs_b.sum(axis=1)
+        # Per-block magnitudes: bound the update's column magnitudes by
+        # max(|A|-colsum) * |B|-colsum and its row magnitudes by
+        # |A|-rowsum * max(|B|-rowsum) — sound upper bounds on
+        # colsum(|A||B|) / rowsum(|A||B|), O(m + n) to evaluate.
+        col_upd = float(group.mag_a[0].max()) * group.mag_b[0]
+        row_upd = group.mag_a[1] * float(group.mag_b[1].max())
 
         # Column identity over the whole group.
         col_after = c_full.sum(axis=0)
@@ -624,13 +551,11 @@ class GroupVerifier:
         # to the strip that owns it (numbered as in the serial run).
         row_after = c_full.sum(axis=1)
         row_mag = prior.row_mag + row_upd
-        cs_b = group.checksum_b
-        if cs_b is not None:
-            residual = (row_after - prior.rowsum) - a_full @ cs_b
-            bad = self._worst(residual, atol + rtol * row_mag)
-            if bad is not None:
-                strip = group.first_strip + self._strip_of(tasks, bad[0])
-                return IdentityFailure("row", strip, bad[1], bad[2]), None
+        residual = (row_after - prior.rowsum) - a_full @ group.checksum_b
+        bad = self._worst(residual, atol + rtol * row_mag)
+        if bad is not None:
+            strip = group.first_strip + self._strip_of(tasks, bad[0])
+            return IdentityFailure("row", strip, bad[1], bad[2]), None
 
         return None, _PanelState(col_after, row_after, col_mag, row_mag)
 

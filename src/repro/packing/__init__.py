@@ -9,9 +9,8 @@ skewed shapes it can be a significant fraction of total time.
 
 :mod:`repro.packing.cost` charges for that traffic in every modelled run.
 :mod:`repro.packing.pack` builds the blocked buffers themselves, for the
-benchmark ladder and as the ``exact_pack`` oracle: a multiply reads A and
-B in place instead, because each backend call is a BLAS call that packs
-its operands itself. :mod:`repro.packing.pool` holds the shared-memory
+benchmark ladder: a multiply reads A and B in place instead, because
+each backend call is a BLAS call that packs its operands itself. :mod:`repro.packing.pool` holds the shared-memory
 arena's buffer pool, through which sharded runs copy their operands.
 """
 

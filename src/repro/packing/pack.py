@@ -13,22 +13,16 @@ packs its operands itself, so the engines read A and B in place through
 :class:`~repro.gemm.parallel.GridOperand` views cut at the same edges;
 :mod:`repro.packing.cost` still prices the paper's packing. What stays
 here is the packing the paper describes, for the benchmark ladder's
-kernel rung (``pack_a_cake``/``pack_b_cake``) and as an oracle:
+kernel rung (``pack_a_cake``/``pack_b_cake``).
 
-* The **vectorized** default builds at most four large block-major
-  buffers (uniform interior, ragged right edge, ragged bottom edge,
-  corner) with one strided ``np.copyto`` each; individual blocks are
-  C-contiguous views into those buffers. Because the copy source is a
-  stride-tricks view of the original operand, any input layout —
-  F-ordered, transposed, or otherwise non-contiguous — is packed with
-  exactly **one** data copy (no contiguous staging copy first).
-* The **loop oracle** (``exact=True``) is the original nested-Python-loop
-  packer: one ``np.ascontiguousarray`` per block. It is the ground truth
-  the vectorized path is hypothesis-tested against, and what the
-  engines' ``exact_pack=True`` hands the strip groups instead of views.
-
-Both produce bit-identical blocks, and both expose them through the
-accessors the group builder reads (``block``, ``panel``, ``column``).
+The packer builds at most four large block-major buffers (uniform
+interior, ragged right edge, ragged bottom edge, corner) with one
+strided ``np.copyto`` each; individual blocks are C-contiguous views
+into those buffers. Because the copy source is a stride-tricks view of
+the original operand, any input layout — F-ordered, transposed, or
+otherwise non-contiguous — is packed with exactly **one** data copy (no
+contiguous staging copy first). The tests hold a nested-loop packer,
+one contiguous copy per block, as its oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.util import require_positive, split_length
+from repro.util import require_positive
 
 
 @dataclass(frozen=True)
@@ -73,20 +67,6 @@ class PackedA:
         """The contiguous ``mc x kc`` sub-block at (strip, k_panel)."""
         return self.blocks[strip][k_panel]
 
-    def column(
-        self, k_panel: int, start: int = 0, stop: int | None = None
-    ) -> np.ndarray:
-        """One contiguous operand spanning strips ``start:stop`` at ``k_panel``.
-
-        The ``mc``-row strips (by default every one) at this K panel,
-        stacked in strip order as a single C-contiguous array: the packed
-        block itself for a single strip, else a fresh concatenation.
-        """
-        parts = [row[k_panel] for row in self.blocks[start:stop]]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts, axis=0)
-
 
 @dataclass(frozen=True)
 class PackedB:
@@ -120,23 +100,15 @@ class PackedB:
         return self.panels[k_panel][n_panel]
 
 
-def pack_a(a: np.ndarray, mc: int, kc: int, *, exact: bool = False) -> PackedA:
-    """Pack matrix ``a`` into contiguous ``mc x kc`` sub-blocks.
-
-    ``exact=True`` routes through the per-block loop oracle (bit-identical
-    output); the default builds the same blocks with a few large strided
-    copies.
-    """
+def pack_a(a: np.ndarray, mc: int, kc: int) -> PackedA:
+    """Pack matrix ``a`` into contiguous ``mc x kc`` sub-blocks."""
     _check_matrix("a", a)
     require_positive("mc", mc)
     require_positive("kc", kc)
-    pack = _pack_grid_loop if exact else _pack_grid
-    return PackedA(blocks=pack(a, mc, kc), mc=mc, kc=kc)
+    return PackedA(blocks=_pack_grid(a, mc, kc), mc=mc, kc=kc)
 
 
-def pack_b(
-    b: np.ndarray, kc: int, n_block: int, *, exact: bool = False
-) -> PackedB:
+def pack_b(b: np.ndarray, kc: int, n_block: int) -> PackedB:
     """Pack matrix ``b`` into contiguous ``kc x n_block`` panels.
 
     Same contract as :func:`pack_a` (B's rows are cut by ``kc``, its
@@ -145,8 +117,7 @@ def pack_b(
     _check_matrix("b", b)
     require_positive("kc", kc)
     require_positive("n_block", n_block)
-    pack = _pack_grid_loop if exact else _pack_grid
-    return PackedB(panels=pack(b, kc, n_block), kc=kc, n_block=n_block)
+    return PackedB(panels=_pack_grid(b, kc, n_block), kc=kc, n_block=n_block)
 
 
 # CAKE-named aliases of the packers, for callers that name the CB block
@@ -208,29 +179,6 @@ def _pack_grid(
             else:
                 row.append(corner)
         grid.append(row)
-    return grid
-
-
-# -- the loop oracle ----------------------------------------------------------
-
-
-def _pack_grid_loop(
-    x: np.ndarray, row_chunk: int, col_chunk: int
-) -> list[list[np.ndarray]]:
-    """The original nested-loop packer: one contiguous copy per block."""
-    rows, cols = x.shape
-    r_sizes = split_length(rows, min(row_chunk, rows))
-    c_sizes = split_length(cols, min(col_chunk, cols))
-    grid: list[list[np.ndarray]] = []
-    r0 = 0
-    for rs in r_sizes:
-        row: list[np.ndarray] = []
-        c0 = 0
-        for cs in c_sizes:
-            row.append(np.ascontiguousarray(x[r0 : r0 + rs, c0 : c0 + cs]))
-            c0 += cs
-        grid.append(row)
-        r0 += rs
     return grid
 
 

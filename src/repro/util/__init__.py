@@ -20,6 +20,7 @@ from repro.util.units import (
     mm_flops,
 )
 from repro.util.validation import (
+    require_count,
     require_positive,
     require_nonnegative,
     require_at_least,
@@ -42,6 +43,7 @@ __all__ = [
     "gb_per_s_to_elements_per_cycle",
     "gflops",
     "mm_flops",
+    "require_count",
     "require_positive",
     "require_nonnegative",
     "require_at_least",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gemm import CakeGemm
+from repro.gemm.backends import NumpyBackend
 from repro.schedule import analyze_reuse
 
 from tests.conftest import assert_product_close
@@ -39,8 +40,11 @@ class TestNumericalCorrectness:
     def test_exact_tiles_mode(self, arm, rng):
         a = rng.standard_normal((70, 40))
         b = rng.standard_normal((40, 50))
-        run = CakeGemm(arm, exact_tiles=True).multiply(a, b)
+        kernel = CakeGemm(arm).plan_for(70, 50, 40).kernel
+        tiles = NumpyBackend(kernel, exact_tiles=True)
+        run = CakeGemm(arm, backend=tiles).multiply(a, b)
         assert_product_close(run.c, a, b)
+        assert run.backend == "numpy"
 
     def test_single_core(self, intel, rng):
         a = rng.standard_normal((100, 60))

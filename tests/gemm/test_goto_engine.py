@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gemm import GotoGemm
+from repro.gemm.backends import NumpyBackend
 
 from tests.conftest import assert_product_close
 
@@ -31,8 +32,11 @@ class TestNumericalCorrectness:
     def test_exact_tiles_mode(self, arm, rng):
         a = rng.standard_normal((70, 40))
         b = rng.standard_normal((40, 50))
-        run = GotoGemm(arm, exact_tiles=True).multiply(a, b)
+        kernel = GotoGemm(arm).plan_for(70, 50, 40).kernel
+        tiles = NumpyBackend(kernel, exact_tiles=True)
+        run = GotoGemm(arm, backend=tiles).multiply(a, b)
         assert_product_close(run.c, a, b)
+        assert run.backend == "numpy"
 
     @settings(max_examples=20, deadline=None)
     @given(

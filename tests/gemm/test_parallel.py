@@ -14,17 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gemm import CakeGemm, GotoGemm
+from repro.gemm.backends import NumpyBackend
 from repro.gemm.parallel import (
     PhaseTimers,
+    StripGroup,
     StripTask,
     check_multiply_operands,
+    execute_groups,
     resolve_workers,
-    run_strip_groups,
 )
 from repro.gemm.microkernel import MicroKernel
 from repro.machines import intel_i9_10900k
 
-from tests.conftest import assert_product_close
+from tests.conftest import assert_product_close, loop_packed_product
 
 ENGINES = {"cake": CakeGemm, "goto": GotoGemm}
 
@@ -66,11 +68,14 @@ class TestParallelExactness:
         assert serial.counters == parallel.counters
 
     def test_exact_pack_oracle_matches(self, intel, engine_cls, rng):
+        # Views of A and B give the bits of the loop packer's blocks.
         a, b = _operands(rng)
-        fast = engine_cls(intel, workers=2).multiply(a, b)
-        oracle = engine_cls(intel, exact_pack=True).multiply(a, b)
-        assert np.array_equal(fast.c, oracle.c)
-        assert fast.counters == oracle.counters
+        for backend in ("numpy", "blas-group"):
+            fast = engine_cls(intel, workers=2, backend=backend).multiply(a, b)
+            oracle = loop_packed_product(
+                engine_cls(intel, backend=backend), a, b
+            )
+            assert np.array_equal(fast.c, oracle), backend
 
     def test_correct_product(self, intel, engine_cls, rng):
         a, b = _operands(rng)
@@ -166,11 +171,10 @@ class TestOperandHandling:
         # both must take the same in-place BLAS call.
         for row in rng.standard_normal((4, 1, k)):
             for backend in ("numpy", "blas-group"):
-                default = engine_cls(intel, backend=backend).multiply(row, row.T)
-                packed = engine_cls(
-                    intel, backend=backend, exact_pack=True
-                ).multiply(row, row.T)
-                assert np.array_equal(default.c, packed.c), backend
+                engine = engine_cls(intel, backend=backend)
+                default = engine.multiply(row, row.T)
+                packed = loop_packed_product(engine, row, row.T)
+                assert np.array_equal(default.c, packed), backend
 
     def test_float32_stays_float32(self, intel, engine_cls, rng):
         a, b = _operands(rng, m=64, k=48, n=52)
@@ -268,21 +272,33 @@ class TestPhaseTimers:
 
 
 class TestExecutorUnit:
-    """Direct run_strip_groups coverage, independent of the engines."""
+    """Direct execute_groups coverage, independent of the engines.
+
+    Hand-built groups carry the stacked views ``build_groups`` gives:
+    ``panel`` (the strips' C rows) and ``operand_a`` (their A rows).
+    """
 
     def _groups(self, rng, c):
         a1 = rng.standard_normal((4, 6))
         a2 = rng.standard_normal((4, 6))
         b = rng.standard_normal((6, 5))
-        g1 = [StripTask(a1, b, c[:4]), StripTask(a2, b, c[4:])]
-        g2 = [StripTask(a1, b, c[:4])]  # second accumulation pass on rows 0-3
+        g1 = StripGroup(
+            tasks=[StripTask(a1, b, c[:4]), StripTask(a2, b, c[4:])],
+            panel=c,
+            operand_a=np.concatenate([a1, a2]),
+        )
+        # A second accumulation pass on rows 0-3.
+        g2 = StripGroup(
+            tasks=[StripTask(a1, b, c[:4])], panel=c[:4], operand_a=a1,
+            index=1,
+        )
         return [g1, g2], (a1, a2, b)
 
     def test_groups_are_ordered_barriers(self, rng):
         kernel = MicroKernel(mr=2, nr=2, kc=6)
         c_par = np.zeros((8, 5))
         groups, (a1, a2, b) = self._groups(rng, c_par)
-        run_strip_groups(groups, kernel, workers=4)
+        execute_groups(groups, NumpyBackend(kernel), workers=4)
         expected = np.zeros((8, 5))
         expected[:4] += a1 @ b
         expected[4:] += a2 @ b
@@ -291,30 +307,39 @@ class TestExecutorUnit:
 
     def test_worker_exception_propagates(self, rng):
         kernel = MicroKernel(mr=2, nr=2, kc=4)
+        a, c = np.zeros((2, 3)), np.zeros((2, 2))
         bad = [
-            [StripTask(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((2, 2)))]
+            StripGroup(
+                tasks=[StripTask(a, np.zeros((4, 2)), c)], panel=c, operand_a=a
+            )
         ]
         # checked=False in the executor means the mismatch surfaces as
         # numpy's own error — it must propagate out of the pool, not hang.
         with pytest.raises(ValueError):
-            run_strip_groups(bad, kernel, workers=2)
+            execute_groups(bad, NumpyBackend(kernel), workers=2)
 
     def test_exception_in_a_handed_off_run_propagates(self, rng):
         # Two strips on two workers: the calling thread runs the first,
         # the pool the second, whose error must still surface.
         kernel = MicroKernel(mr=2, nr=2, kc=4)
-        good = StripTask(np.zeros((2, 4)), np.zeros((4, 2)), np.zeros((2, 2)))
-        bad = StripTask(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((2, 2)))
+        c = np.zeros((4, 2))
+        good = StripTask(np.zeros((2, 4)), np.zeros((4, 2)), c[:2])
+        bad = StripTask(np.zeros((2, 3)), np.zeros((4, 2)), c[2:])
+        # The bad strip's A is narrower, so the stacked A is ragged: the
+        # per-strip backend never reads it.
+        group = StripGroup(tasks=[good, bad], panel=c, operand_a=good.a)
         with pytest.raises(ValueError):
-            run_strip_groups([[good, bad]], kernel, workers=2)
+            execute_groups([group], NumpyBackend(kernel), workers=2)
 
     def test_timers_accumulate(self, rng):
         kernel = MicroKernel(mr=2, nr=2, kc=6)
         timers = PhaseTimers()
         c = np.zeros((8, 5))
         groups, _ = self._groups(rng, c)
-        out = run_strip_groups(groups, kernel, workers=2, timers=timers)
-        assert out is timers
+        report = execute_groups(
+            groups, NumpyBackend(kernel), workers=2, timers=timers
+        )
+        assert report is None  # unverified
         assert timers.compute_seconds > 0
         assert timers.workers == 2
 

@@ -14,14 +14,18 @@ import pytest
 
 from repro.gemm import CakeGemm, GotoGemm
 from repro.gemm.engine import LoopOrder, loop_order
-from repro.gemm.parallel import StripLayout, build_groups, strip_layout
+from repro.gemm.parallel import (
+    StripLayout,
+    build_groups,
+    grid_operands,
+    strip_layout,
+)
 from repro.gemm.plan import (
     PLAN_MEMO_MAXSIZE,
     clear_plan_memos,
     plan_cache_info,
 )
 from repro.gemm.sharded import plan_shards
-from repro.packing.pack import pack_a, pack_b
 
 ENGINES = {"cake": CakeGemm, "goto": GotoGemm}
 #: At ``cores=4`` on the i9 preset: three K panels for both engines,
@@ -57,7 +61,7 @@ def _describe(groups):
     return [
         (
             g.index, g.first_strip, g.label, g.coord, g.fresh_panel,
-            _view(g.panel),
+            _view(g.panel), _view(g.operand_a),
             [(_view(t.a), _view(t.b), _view(t.c)) for t in g.tasks],
         )
         for g in groups
@@ -76,10 +80,7 @@ def test_memoized_groups_equal_a_fresh_build(intel, name):
     m, n, k = SHAPE
     engine = ENGINES[name](intel, cores=4)
     plan = engine.plan_for(m, n, k)
-    a, b = _operands(m, n, k)
-    block = plan.grid().nominal
-    packed_a = pack_a(a, block.m, block.k)
-    packed_b = pack_b(b, block.k, block.n)
+    a, b = grid_operands(plan, *_operands(m, n, k))
     c = np.zeros((m, n))
     order = loop_order(type(engine), plan, None)
     spans = _spans(engine, plan, order)
@@ -87,7 +88,7 @@ def test_memoized_groups_equal_a_fresh_build(intel, name):
     def build(span):
         return build_groups(
             loop_order(type(engine), plan, None).slots, plan,
-            packed_a, packed_b, c,
+            a, b, c,
             span=span, strips=order.strips,
         ).groups
 
@@ -100,9 +101,9 @@ def test_memoized_groups_equal_a_fresh_build(intel, name):
         assert _describe(build(span)) == warm[span], span
     # The spans' groups tile the in-process ones: the same strip views,
     # each keeping its serial group index and strip number.
-    for index, first_strip, _, _, _, _, tasks in warm[None]:
+    for index, first_strip, _, _, _, _, _, tasks in warm[None]:
         pieces = sorted(
-            (g[1], g[6]) for s in spans[1:] for g in warm[s] if g[0] == index
+            (g[1], g[7]) for s in spans[1:] for g in warm[s] if g[0] == index
         )
         assert first_strip == pieces[0][0] == 0
         assert [t for _, part in pieces for t in part] == tasks

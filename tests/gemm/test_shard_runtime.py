@@ -2,9 +2,9 @@
 
 Shard worker pools and the shared-memory arena outlive one multiply.
 What must still hold: workers die with their parent, idle pools and
-the arena retire without leaving processes or segments behind, a pool
-that died while idle is replaced without charging the caller's rebuild
-budget, and a fork pool never runs a backend registered after it forked.
+the arena retire without leaving processes or segments behind, and a
+pool that died while idle is replaced without charging the caller's
+rebuild budget.
 """
 
 from __future__ import annotations
@@ -23,16 +23,10 @@ import pytest
 
 import repro
 from repro.gemm import CakeGemm
-from repro.gemm.backends import registry as backend_registry
-from repro.gemm.backends.numpy_backend import NumpyBackend
-from repro.gemm.backends.registry import BackendSpec, register_backend
 from repro.gemm.sharded import POOL_IDLE_SECONDS, ShardConfig
 
 needs_proc = pytest.mark.skipif(
     not Path("/proc/self/stat").exists(), reason="needs /proc"
-)
-needs_fork = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(), reason="needs fork"
 )
 
 SHAPE = (300, 420, 170)  # a 2x2 CB block grid at cores=1
@@ -159,28 +153,3 @@ def test_a_pool_that_died_idle_is_replaced_for_free(intel, operands):
     assert np.array_equal(run.c, serial.c)
     assert run.shards.pool_rebuilds == 0
     assert run.shards.inline_shards == 0
-
-
-@needs_fork
-def test_a_backend_registered_after_the_pool_forked(intel, operands):
-    a, b = operands
-    fork = ShardConfig(processes=2, start_method="fork")
-    CakeGemm(intel, cores=1, processes=fork).multiply(a, b)  # warm fork pool
-    spec = BackendSpec(
-        name="test-late-numpy",
-        capabilities=NumpyBackend.capabilities,
-        factory=lambda *, kernel, exact_tiles=False: NumpyBackend(
-            kernel, exact_tiles=exact_tiles
-        ),
-    )
-    register_backend(spec)
-    try:
-        run = CakeGemm(
-            intel, cores=1, processes=fork, backend="test-late-numpy"
-        ).multiply(a, b)
-    finally:
-        backend_registry._REGISTRY.pop("test-late-numpy", None)
-    serial = CakeGemm(intel, cores=1).multiply(a, b)
-    assert run.shards.processes == 2
-    assert run.shards.pool_rebuilds == 0
-    assert np.array_equal(run.c, serial.c)

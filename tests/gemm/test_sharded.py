@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.errors import ConfigurationError
 from repro.gemm import CakeGemm, GotoGemm
+from repro.gemm.backends import BlasGroupBackend, NumpyBackend
 from repro.gemm.sharded import (
     IPC_SLACK_FACTOR,
     ShardConfig,
@@ -218,10 +219,45 @@ class TestResolveShards:
         with pytest.raises(ConfigurationError, match="start method"):
             ShardConfig(processes=2, start_method="no-such-method")
 
+    def test_processes_follow_the_workers_count_rule(self, intel):
+        # One rule for both counts (repro.util.require_count): Python or
+        # NumPy integers, stored as int; bools and non-integral values
+        # are a TypeError naming the argument.
+        for good in (2, np.int64(2), np.int32(3)):
+            for cfg in (ShardConfig(processes=good), resolve_shards(good)):
+                assert type(cfg.processes) is int
+                assert cfg.processes == good
+        engine = CakeGemm(intel, processes=np.int64(2))
+        assert engine.shards == ShardConfig(processes=2)
+        for bad in (2.5, 2.0, True, np.bool_(True), "2"):
+            for make in (
+                lambda: ShardConfig(processes=bad),
+                lambda: resolve_shards(bad),
+                lambda: CakeGemm(intel, processes=bad),
+            ):
+                with pytest.raises(TypeError, match="processes"):
+                    make()
+
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_exact_pack_is_incompatible(self, intel, engine):
-        with pytest.raises(ConfigurationError, match="exact_pack"):
-            ENGINES[engine](intel, processes=2, exact_pack=True)
+    def test_a_backend_instance_cannot_shard(self, intel, engine):
+        # Shard workers rebuild their backend from the registry by name,
+        # so an instance would run as the registered backend of its
+        # name: the tile walk's bits would silently become the panel
+        # product's. The registry's own specs shard; instances run in
+        # process.
+        cls = ENGINES[engine]
+        kernel = cls(intel).plan_for(300, 257, 211).kernel
+        for instance in (
+            NumpyBackend(kernel, exact_tiles=True),
+            NumpyBackend(kernel),
+            BlasGroupBackend(),
+        ):
+            for processes in (2, ShardConfig(processes=2)):
+                with pytest.raises(ConfigurationError, match="by name"):
+                    cls(intel, processes=processes, backend=instance)
+            assert cls(intel, processes=1, backend=instance).shards is None
+        for name in ("numpy", "blas-group", None):
+            assert cls(intel, processes=2, backend=name).shards is not None
 
 
 # -- bit-identity --------------------------------------------------------------

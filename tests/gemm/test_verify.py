@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import cake_matmul, goto_matmul
 from repro.gemm import CakeGemm, GotoGemm
+from repro.gemm.backends import NumpyBackend
+from repro.gemm.microkernel import MicroKernel
 from repro.gemm.parallel import PhaseTimers, StripGroup, StripTask
 from repro.gemm.verify import (
     GroupVerifier,
@@ -159,11 +161,13 @@ class TestCleanBitIdentity:
         assert run.phase_seconds["recover"] == 0.0
 
     def test_exact_paths_verified(self, intel, rng):
+        # The register-tile walk, verified, keeps its own bits.
         a, b = _operands(rng, m=90, k=70, n=80)
-        run = CakeGemm(
-            intel, verify=True, exact_pack=True, exact_tiles=True
-        ).multiply(a, b)
-        ref = CakeGemm(intel, exact_pack=True, exact_tiles=True).multiply(a, b)
+        tiles = NumpyBackend(
+            CakeGemm(intel).plan_for(90, 80, 70).kernel, exact_tiles=True
+        )
+        run = CakeGemm(intel, verify=True, backend=tiles).multiply(a, b)
+        ref = CakeGemm(intel, backend=tiles).multiply(a, b)
         assert np.array_equal(run.c, ref.c)
         assert run.verify.mismatches == 0
 
@@ -297,8 +301,13 @@ class TestRecovery:
 # -- verifier unit behavior ---------------------------------------------------
 
 
+_KERNEL = MicroKernel(mr=4, nr=4, kc=9)
+_ORACLE = NumpyBackend(_KERNEL)
+
+
 class TestGroupVerifierUnit:
     def _group(self, rng, m=12, k=9, n=10):
+        """A fresh group with every field ``build_groups`` supplies."""
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
         c = np.zeros((m, n))
@@ -307,47 +316,49 @@ class TestGroupVerifierUnit:
             StripTask(a[:half], b, c[:half]),
             StripTask(a[half:], b, c[half:]),
         ]
+        abs_a, abs_b = np.abs(a), np.abs(b)
         group = StripGroup(
             tasks=tasks,
+            panel=c,
+            operand_a=a,
             index=0,
             coord=(0, 0, 0),
             label="unit block",
             checksum_a=a.sum(axis=0),
             checksum_b=b.sum(axis=1),
+            fresh_panel=True,
+            mag_a=(abs_a.sum(axis=0), abs_a.sum(axis=1)),
+            mag_b=(abs_b.sum(axis=0), abs_b.sum(axis=1)),
         )
         return group, a, b, c
 
     def _verifier(self, **cfg_kw):
         report = VerifyReport()
         return (
-            GroupVerifier(VerifyConfig(**cfg_kw), report, PhaseTimers()),
+            GroupVerifier(
+                VerifyConfig(**cfg_kw), report, PhaseTimers(), _KERNEL
+            ),
             report,
         )
 
     def test_clean_group_verifies(self, rng):
-        from repro.gemm.microkernel import MicroKernel
-
-        kernel = MicroKernel(mr=4, nr=4, kc=9)
         group, a, b, c = self._group(rng)
         verifier, report = self._verifier()
-        snaps = verifier.snapshot(group)
+        snaps = verifier.snapshot(group, _ORACLE)
         for task in group.tasks:
-            kernel.panel_matmul(task.a, task.b, task.c)
-        verifier.check_and_recover(group, snaps, kernel, False, None)
+            _KERNEL.panel_matmul(task.a, task.b, task.c)
+        verifier.check_and_recover(group, snaps, None, _ORACLE)
         assert report.verified == 1 and report.mismatches == 0
         np.testing.assert_allclose(c, a @ b)
 
     def test_row_identity_localizes_strip(self, rng):
-        from repro.gemm.microkernel import MicroKernel
-
-        kernel = MicroKernel(mr=4, nr=4, kc=9)
         group, a, b, c = self._group(rng)
         verifier, report = self._verifier(
             max_retries=0, oracle_fallback=False
         )
-        snaps = verifier.snapshot(group)
+        snaps = verifier.snapshot(group, _ORACLE)
         for task in group.tasks:
-            kernel.panel_matmul(task.a, task.b, task.c)
+            _KERNEL.panel_matmul(task.a, task.b, task.c)
         # Corrupt one row of strip 1 only: the column identity (summed
         # over all rows) sees it, but so does the per-strip row identity,
         # which pins the strip — whichever fires first must report.
@@ -356,23 +367,20 @@ class TestGroupVerifierUnit:
         # only the row identity to catch it.
         group.tasks[1].c[1, :] -= 7.0
         with pytest.raises(NumericFaultError) as exc:
-            verifier.check_and_recover(group, snaps, kernel, False, None)
+            verifier.check_and_recover(group, snaps, None, _ORACLE)
         assert exc.value.identity == "row"
         assert exc.value.strip == 1
 
     def test_unverified_group_skipped(self, rng):
+        a, c = rng.standard_normal((4, 3)), np.zeros((4, 5))
         group = StripGroup(
-            tasks=[
-                StripTask(
-                    rng.standard_normal((4, 3)),
-                    rng.standard_normal((3, 5)),
-                    np.zeros((4, 5)),
-                )
-            ]
+            tasks=[StripTask(a, rng.standard_normal((3, 5)), c)],
+            panel=c,
+            operand_a=a,
         )
         verifier, report = self._verifier()
-        assert verifier.snapshot(group) is None
-        verifier.check_and_recover(group, None, None, False, None)
+        assert verifier.snapshot(group, _ORACLE) is None
+        verifier.check_and_recover(group, None, None, _ORACLE)
         assert report.blocks == 0
 
     def test_report_checksum_bytes(self):

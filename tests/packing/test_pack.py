@@ -18,6 +18,8 @@ from repro.packing import (
 from repro.machines import intel_i9_10900k
 from repro.util import split_length
 
+from tests.conftest import LoopPacked, loop_pack
+
 
 def small_matrix(max_dim=60):
     shapes = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim))
@@ -103,21 +105,20 @@ def _assert_grids_bit_identical(fast, oracle):
 
 
 class TestVectorizedVsOracle:
-    """The strided packer must match the loop oracle bit for bit."""
+    """The strided packer must match the loop oracle (``loop_pack``, one
+    contiguous copy per block) bit for bit."""
 
     @settings(max_examples=40)
     @given(small_matrix(), st.integers(1, 16), st.integers(1, 16))
     def test_pack_a_matches_oracle(self, a, mc, kc):
         fast = pack_a(a, mc, kc)
-        oracle = pack_a(a, mc, kc, exact=True)
-        _assert_grids_bit_identical(fast.blocks, oracle.blocks)
+        _assert_grids_bit_identical(fast.blocks, loop_pack(a, mc, kc))
 
     @settings(max_examples=40)
     @given(small_matrix(), st.integers(1, 16), st.integers(1, 16))
     def test_pack_b_matches_oracle(self, b, kc, nb):
         fast = pack_b(b, kc, nb)
-        oracle = pack_b(b, kc, nb, exact=True)
-        _assert_grids_bit_identical(fast.panels, oracle.panels)
+        _assert_grids_bit_identical(fast.panels, loop_pack(b, kc, nb))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1), (31, 29), (97, 89)])
     def test_prime_ragged_shapes(self, shape, rng):
@@ -125,32 +126,32 @@ class TestVectorizedVsOracle:
         for chunk in (1, 2, 7, 13, max(shape)):
             _assert_grids_bit_identical(
                 pack_a(x, chunk, chunk).blocks,
-                pack_a(x, chunk, chunk, exact=True).blocks,
+                loop_pack(x, chunk, chunk),
             )
 
     def test_fortran_ordered_input(self, rng):
         x = np.asfortranarray(rng.standard_normal((45, 37)))
         _assert_grids_bit_identical(
-            pack_a(x, 8, 5).blocks, pack_a(x, 8, 5, exact=True).blocks
+            pack_a(x, 8, 5).blocks, loop_pack(x, 8, 5)
         )
 
     def test_transposed_view_input(self, rng):
         x = rng.standard_normal((37, 45)).T  # F-ordered view, no copy
         _assert_grids_bit_identical(
-            pack_a(x, 8, 5).blocks, pack_a(x, 8, 5, exact=True).blocks
+            pack_a(x, 8, 5).blocks, loop_pack(x, 8, 5)
         )
 
     def test_strided_slice_input(self, rng):
         base = rng.standard_normal((90, 74))
         x = base[::2, ::2]  # non-contiguous in both dimensions
         _assert_grids_bit_identical(
-            pack_a(x, 8, 5).blocks, pack_a(x, 8, 5, exact=True).blocks
+            pack_a(x, 8, 5).blocks, loop_pack(x, 8, 5)
         )
 
     def test_reverse_strided_input(self, rng):
         x = rng.standard_normal((25, 17))[::-1]
         _assert_grids_bit_identical(
-            pack_a(x, 8, 5).blocks, pack_a(x, 8, 5, exact=True).blocks
+            pack_a(x, 8, 5).blocks, loop_pack(x, 8, 5)
         )
 
     def test_float32_dtype_preserved(self, rng):
@@ -158,7 +159,7 @@ class TestVectorizedVsOracle:
         packed = pack_a(x, 8, 5)
         assert all(b.dtype == np.float32 for row in packed.blocks for b in row)
         _assert_grids_bit_identical(
-            packed.blocks, pack_a(x, 8, 5, exact=True).blocks
+            packed.blocks, loop_pack(x, 8, 5)
         )
 
 
@@ -192,7 +193,7 @@ class TestGridOperand:
 
     def test_column_is_one_view_of_the_stacked_strips(self, rng):
         a = rng.standard_normal((25, 17))
-        views, packed = _views(a, 8, 5), pack_a(a, 8, 5, exact=True)
+        views, packed = _views(a, 8, 5), LoopPacked(a, 8, 5)
         for start, stop in ((0, None), (1, 3), (2, 3)):
             column = views.column(2, start=start, stop=stop)
             assert np.shares_memory(column, a)
@@ -253,10 +254,10 @@ class TestChecksums:
     def test_exact_path_checksums_bit_identical(self, rng):
         a = rng.standard_normal((31, 29))
         views = _BlockSums(_views(a, 8, 5).block, axis=0)
-        oracle = pack_a(a, 8, 5, exact=True)
+        oracle = LoopPacked(a, 8, 5)
         blocks = _BlockSums(oracle.block, axis=0)
-        for si in range(oracle.strips):
-            for ki in range(oracle.k_panels):
+        for si in range(len(oracle.blocks)):
+            for ki in range(len(oracle.blocks[0])):
                 (v_cs, v_mags), (o_cs, o_mags) = views(si, ki), blocks(si, ki)
                 assert v_cs.tobytes() == o_cs.tobytes()
                 for v, o in zip(v_mags, o_mags):
