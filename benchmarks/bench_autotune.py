@@ -16,7 +16,7 @@ analytic plan:
   criterion); CI relaxes it via ``CAKE_AUTOTUNE_BENCH_FLOOR=1.0``.
 
 Results land in ``benchmarks/results/BENCH_autotune.json``
-(cake-bench/v1): one row per shape with the re-measured analytic and
+(cake-bench/v2): one row per shape with the re-measured analytic and
 tuned seconds, the winning override, the cold-tune cost, and the
 cache-hit cost it amortizes down to.
 

@@ -26,7 +26,7 @@ scenario: ``blas-group`` with an injected strip corruption must heal
 back to the bit-identical clean blas-group product.
 
 Results land in ``benchmarks/results/BENCH_backends.json``
-(cake-bench/v1), one row per (shape, engine, backend) plus the verified
+(cake-bench/v2), one row per (shape, engine, backend) plus the verified
 row, each with wall seconds and the speedup over the oracle baseline.
 
 Environment knobs:

@@ -23,7 +23,7 @@ still runs everything (exactness always asserted) but records the curve
 without failing on physics.
 
 Results land in ``benchmarks/results/BENCH_multiply_parallel.json``
-(cake-bench/v1), one row per (shape, engine, workers) with the speedup
+(cake-bench/v2), one row per (shape, engine, workers) with the speedup
 and the pack/compute/reduce phase breakdown from ``GemmRun``.
 
 Environment knobs:
@@ -68,6 +68,14 @@ REPEATS = 2
 
 
 def _timed_multiply(engine, a, b):
+    """Best of ``REPEATS`` timed calls, after one untimed call.
+
+    The untimed call gives every engine the same start, the serial
+    baseline (timed first) included: first-call costs (the plan and its
+    memoized loop order and accounting, the BLAS handle) are paid before
+    the clock runs.
+    """
+    engine.multiply(a, b)
     best, run = float("inf"), None
     for _ in range(REPEATS):
         start = time.perf_counter()

@@ -20,7 +20,7 @@ Three phases, all audited bit-for-bit:
   hang variant must expire via its deadline rather than stall the run.
 
 Results land in ``benchmarks/results/BENCH_serve.json``
-(cake-bench/v1), one row per concurrency level plus one soak row.
+(cake-bench/v2), one row per concurrency level plus one soak row.
 
 Environment knobs:
 

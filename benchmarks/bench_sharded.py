@@ -31,7 +31,7 @@ the speedup without enforcing it; CI sets ``CAKE_SHARDED_BENCH_FLOOR``
 explicitly on its multi-core runners.
 
 Results land in ``benchmarks/results/BENCH_sharded.json``
-(cake-bench/v1), one row per (shape, engine, processes), each with the
+(cake-bench/v2), one row per (shape, engine, processes), each with the
 shard grid, wall seconds, speedup over the 1-process baseline, and the
 measured-vs-bound IPC traffic.
 

@@ -16,7 +16,7 @@ Always asserted, at every scale and on every host:
   clean product, with the recovery visible in the run's VerifyReport.
 
 Results land in ``benchmarks/results/BENCH_verify_overhead.json``
-(cake-bench/v1), one row per (engine, workers, mode) with the overhead
+(cake-bench/v2), one row per (engine, workers, mode) with the overhead
 ratio and the verify/recover phase breakdown.
 
 Environment knobs:

@@ -1,63 +1,40 @@
 """Shared helpers for the benchmark harness.
 
-Each bench runs one experiment generator (the exact code behind a paper
-table/figure) through the parallel experiment runtime, times it with
-pytest-benchmark, writes the paper-style rows to
-``benchmarks/results/<id>.txt`` plus machine-readable rows to
+Each figure bench runs one experiment generator (the exact code behind a
+paper table/figure) inline, times it with pytest-benchmark, writes the
+paper-style rows to ``benchmarks/results/<id>.txt`` plus machine-readable
+rows (:func:`~repro.runtime.jsonout.rows_from_report`) to
 ``benchmarks/results/BENCH_<id>.json``, prints them, and asserts the
 figure's qualitative claims (who wins, by what factor, where crossovers
 fall).
-
-Environment knobs:
-
-``CAKE_BENCH_WORKERS``
-    Worker processes for grid fan-out (default 1: serial, so CI timing
-    is not at the mercy of the box's core count).
-``CAKE_BENCH_CACHE``
-    Directory for the on-disk result cache (default: no memoization, so
-    every bench run measures real work).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
 from repro.bench import ExperimentReport, run_experiment
-from repro.runtime import ExperimentRuntime, rows_from_report, write_bench_json
+from repro.runtime import rows_from_report, write_bench_json
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def _runtime_from_env() -> ExperimentRuntime:
-    workers = int(os.environ.get("CAKE_BENCH_WORKERS", "1"))
-    cache_dir = os.environ.get("CAKE_BENCH_CACHE") or None
-    return ExperimentRuntime(workers=workers, cache_dir=cache_dir)
-
-
 def run_and_emit(benchmark, experiment_id: str, scale: str = "full") -> ExperimentReport:
     """Benchmark one experiment generator and persist its report + rows."""
-    runtime = _runtime_from_env()
     start = time.perf_counter()
     report = benchmark.pedantic(
-        run_experiment,
-        args=(experiment_id, scale),
-        kwargs={"runtime": runtime},
-        rounds=1,
-        iterations=1,
+        run_experiment, args=(experiment_id, scale), rounds=1, iterations=1
     )
     wall = time.perf_counter() - start
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{experiment_id}.txt").write_text(report.text())
-    rows = runtime.drain_rows()
     write_bench_json(
         RESULTS_DIR,
         experiment_id,
-        rows or rows_from_report(report),
+        rows_from_report(report),
         wall_seconds=wall,
         scale=scale,
-        runtime_stats=runtime.last_stats if rows else None,
     )
     print()
     print(report.text())

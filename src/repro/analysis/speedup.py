@@ -46,39 +46,17 @@ def speedup_series(
     *,
     engine: str,
     max_cores: int | None = None,
-    runtime=None,
 ) -> SpeedupSeries:
     """Speedup curve for a square ``n x n x n`` MM on ``machine``.
 
     ``engine`` is ``"cake"`` or ``"goto"``. Cores sweep 1..max_cores.
-    With a ``runtime``, the per-core-count predictions run as experiment
-    tasks (parallel and memoized) instead of an inline loop.
     """
     require_positive("n", n)
     if engine not in ("cake", "goto"):
         raise ValueError(f"engine must be 'cake' or 'goto', got {engine!r}")
     max_cores = machine.cores if max_cores is None else max_cores
     cores = tuple(range(1, max_cores + 1))
-    if runtime is not None:
-        from repro.runtime.outcome import ensure_rows
-        from repro.runtime.task import ExperimentTask, machine_key
-
-        key = machine_key(machine)
-        # ensure_rows unwraps collect-mode RunReports and raises
-        # IncompleteRunError when any core count permanently failed.
-        rows = ensure_rows(
-            runtime.run(
-                [
-                    ExperimentTask(
-                        kind="predict", engine=engine, machine=key,
-                        m=n, n=n, k=n, cores=p,
-                    )
-                    for p in cores
-                ]
-            )
-        )
-        seconds = tuple(row["seconds"] for row in rows)
-    elif engine == "cake":
+    if engine == "cake":
         seconds = tuple(
             predict_cake(machine, n, n, n, cores=p).seconds for p in cores
         )

@@ -45,14 +45,10 @@ def relative_throughput_grid(
     m_values: tuple[int, ...] = (1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000),
     k_values: tuple[int, ...] = (1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000),
     cores: int | None = None,
-    runtime=None,
 ) -> ShapeSweepResult:
     """One Figure 8 panel: ``M = aspect * N`` with M and K swept.
 
-    ``aspect`` of 1, 2, 4, 8 reproduces panels (a)-(d). With a
-    ``runtime`` (:class:`~repro.runtime.executor.ExperimentRuntime`) the
-    CAKE/GOTO pair grid is fanned out as experiment tasks — parallel,
-    memoized, and byte-identical to the inline loop.
+    ``aspect`` of 1, 2, 4, 8 reproduces panels (a)-(d).
     """
     require_positive("aspect", aspect)
     cells = [
@@ -61,31 +57,10 @@ def relative_throughput_grid(
         for mi, m in enumerate(m_values)
     ]
     ratio = np.empty((len(k_values), len(m_values)))
-    if runtime is not None:
-        from repro.runtime.outcome import ensure_rows
-        from repro.runtime.task import ExperimentTask, machine_key
-
-        key = machine_key(machine)
-        tasks = [
-            ExperimentTask(
-                kind="predict", engine=engine, machine=key,
-                m=m, n=n, k=k, cores=cores,
-            )
-            for _, _, m, n, k in cells
-            for engine in ("cake", "goto")
-        ]
-        # A collect-mode runtime hands back a RunReport; the grid needs
-        # every cell, so missing rows surface as IncompleteRunError (the
-        # completed cells are already checkpointed in the cache).
-        rows = ensure_rows(runtime.run(tasks))
-        for cell_index, (ki, mi, _, _, _) in enumerate(cells):
-            cake_row, goto_row = rows[2 * cell_index], rows[2 * cell_index + 1]
-            ratio[ki, mi] = cake_row["gflops"] / goto_row["gflops"]
-    else:
-        for ki, mi, m, n, k in cells:
-            cake = predict_cake(machine, m, n, k, cores=cores)
-            goto = predict_goto(machine, m, n, k, cores=cores)
-            ratio[ki, mi] = cake.gflops / goto.gflops
+    for ki, mi, m, n, k in cells:
+        cake = predict_cake(machine, m, n, k, cores=cores)
+        goto = predict_goto(machine, m, n, k, cores=cores)
+        ratio[ki, mi] = cake.gflops / goto.gflops
     return ShapeSweepResult(
         machine_name=machine.name,
         aspect=aspect,

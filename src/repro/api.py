@@ -18,7 +18,7 @@ from repro.gemm.sharded import ShardConfig
 from repro.gemm.verify import VerifyConfig
 from repro.machines.presets import intel_i9_10900k
 from repro.machines.spec import MachineSpec
-from repro.runtime.executor import RetryPolicy
+from repro.runtime.restart import RetryPolicy
 from repro.serve.server import MultiplyServer
 
 

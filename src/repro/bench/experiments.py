@@ -29,7 +29,7 @@ from repro.memsim.profile import profile_cake, profile_goto
 from repro.util.units import bytes_to_gib, bytes_to_mib
 
 
-def table2_machines(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def table2_machines(scale: str = "full") -> ExperimentReport:
     """Table 2: the CPUs used in the evaluation."""
     rep = ExperimentReport("table2", "CPUs used in CAKE evaluation")
     rows = []
@@ -52,7 +52,7 @@ def table2_machines(scale: str = "full", *, runtime=None) -> ExperimentReport:
     return rep
 
 
-def fig4_cb_scaling(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def fig4_cb_scaling(scale: str = "full") -> ExperimentReport:
     """Figure 4: growing CB blocks keep external bandwidth constant.
 
     Blocks (a)-(c) of the figure: core count grows 1x, 2x, px; volume and
@@ -85,7 +85,7 @@ def fig4_cb_scaling(scale: str = "full", *, runtime=None) -> ExperimentReport:
     return rep
 
 
-def fig7a_intel_stalls(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def fig7a_intel_stalls(scale: str = "full") -> ExperimentReport:
     """Figure 7a: memory-request stalls per level, CAKE vs MKL (Intel).
 
     The paper uses 10000x10000; any size whose C surface exceeds the
@@ -115,7 +115,7 @@ def fig7a_intel_stalls(scale: str = "full", *, runtime=None) -> ExperimentReport
     return rep
 
 
-def fig7b_arm_accesses(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def fig7b_arm_accesses(scale: str = "full") -> ExperimentReport:
     """Figure 7b: cache hits and DRAM accesses, CAKE vs ARMPL (ARM).
 
     Paper size is 3000x3000; the full scale uses 1920 (same mechanism,
@@ -145,7 +145,7 @@ def fig7b_arm_accesses(scale: str = "full", *, runtime=None) -> ExperimentReport
     return rep
 
 
-def fig8_shape_contours(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def fig8_shape_contours(scale: str = "full") -> ExperimentReport:
     """Figure 8: relative throughput CAKE/MKL over matrix shapes (Intel)."""
     machine = intel_i9_10900k()
     if scale == "full":
@@ -158,8 +158,7 @@ def fig8_shape_contours(scale: str = "full", *, runtime=None) -> ExperimentRepor
     panels = {}
     for aspect in (1.0, 2.0, 4.0, 8.0):
         panel = relative_throughput_grid(
-            machine, aspect=aspect, m_values=values, k_values=values,
-            runtime=runtime,
+            machine, aspect=aspect, m_values=values, k_values=values
         )
         panels[aspect] = panel
         rep.add_line(f"-- panel M = {aspect:.0f}N --")
@@ -178,11 +177,11 @@ def fig8_shape_contours(scale: str = "full", *, runtime=None) -> ExperimentRepor
     return rep
 
 
-def _speedup_report(machine, sizes, rep: ExperimentReport, goto_label: str, runtime=None):
+def _speedup_report(machine, sizes, rep: ExperimentReport, goto_label: str):
     series = {}
     for n in sizes:
-        cake = speedup_series(machine, n, engine="cake", runtime=runtime)
-        goto = speedup_series(machine, n, engine="goto", runtime=runtime)
+        cake = speedup_series(machine, n, engine="cake")
+        goto = speedup_series(machine, n, engine="goto")
         series[n] = (cake, goto)
         headers = ["cores"] + [str(p) for p in cake.cores]
         rep.add_line(f"-- M = N = K = {n} --")
@@ -198,18 +197,18 @@ def _speedup_report(machine, sizes, rep: ExperimentReport, goto_label: str, runt
     return rep
 
 
-def fig9a_intel_speedup(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def fig9a_intel_speedup(scale: str = "full") -> ExperimentReport:
     """Figure 9a: speedup for square matrices, CAKE vs MKL (Intel)."""
     rep = ExperimentReport("fig9a", "Speedup for square matrices, Intel i9")
     sizes = (1000, 2000, 3000) if scale == "full" else (1000, 2000)
-    return _speedup_report(intel_i9_10900k(), sizes, rep, "MKL(GOTO)", runtime)
+    return _speedup_report(intel_i9_10900k(), sizes, rep, "MKL(GOTO)")
 
 
-def fig9b_arm_speedup(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def fig9b_arm_speedup(scale: str = "full") -> ExperimentReport:
     """Figure 9b: speedup for square matrices, CAKE vs ARMPL (ARM)."""
     rep = ExperimentReport("fig9b", "Speedup for square matrices, ARM A53")
     sizes = (1000, 2000, 3000) if scale == "full" else (1000, 2000)
-    return _speedup_report(arm_cortex_a53(), sizes, rep, "ARMPL(GOTO)", runtime)
+    return _speedup_report(arm_cortex_a53(), sizes, rep, "ARMPL(GOTO)")
 
 
 def _scaling_report(
@@ -220,11 +219,9 @@ def _scaling_report(
     extrapolate_to: int,
     core_step: int,
     goto_label: str,
-    runtime=None,
 ) -> ExperimentReport:
     points = scaling_series(
-        machine, n, extrapolate_to=extrapolate_to, core_step=core_step,
-        runtime=runtime,
+        machine, n, extrapolate_to=extrapolate_to, core_step=core_step
     )
     rows = []
     for pt in points:
@@ -253,7 +250,7 @@ def _scaling_report(
     return rep
 
 
-def fig10_intel_scaling(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def fig10_intel_scaling(scale: str = "full") -> ExperimentReport:
     """Figure 10: Intel i9, 23040^2 MM — DRAM BW, throughput, internal BW."""
     n = 23040 if scale == "full" else 5760
     rep = ExperimentReport(
@@ -261,11 +258,11 @@ def fig10_intel_scaling(scale: str = "full", *, runtime=None) -> ExperimentRepor
     )
     return _scaling_report(
         rep, intel_i9_10900k(), n, extrapolate_to=20, core_step=1,
-        goto_label="MKL", runtime=runtime,
+        goto_label="MKL",
     )
 
 
-def fig11_arm_scaling(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def fig11_arm_scaling(scale: str = "full") -> ExperimentReport:
     """Figure 11: ARM A53, 3000^2 MM — DRAM BW, throughput, internal BW."""
     n = 3000 if scale == "full" else 1000
     rep = ExperimentReport(
@@ -273,11 +270,11 @@ def fig11_arm_scaling(scale: str = "full", *, runtime=None) -> ExperimentReport:
     )
     return _scaling_report(
         rep, arm_cortex_a53(), n, extrapolate_to=8, core_step=1,
-        goto_label="ARMPL", runtime=runtime,
+        goto_label="ARMPL",
     )
 
 
-def fig12_amd_scaling(scale: str = "full", *, runtime=None) -> ExperimentReport:
+def fig12_amd_scaling(scale: str = "full") -> ExperimentReport:
     """Figure 12: AMD 5950X, 23040^2 MM — CAKE vs OpenBLAS(GOTO)."""
     n = 23040 if scale == "full" else 5760
     rep = ExperimentReport(
@@ -285,7 +282,7 @@ def fig12_amd_scaling(scale: str = "full", *, runtime=None) -> ExperimentReport:
     )
     return _scaling_report(
         rep, amd_ryzen_9_5950x(), n, extrapolate_to=32, core_step=2,
-        goto_label="OpenBLAS", runtime=runtime,
+        goto_label="OpenBLAS",
     )
 
 
@@ -303,23 +300,8 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentReport]] = {
 }
 
 
-def run_experiment(
-    name: str, scale: str = "full", *, runtime=None
-) -> ExperimentReport:
-    """Run one experiment by id (including the ablations).
-
-    A ``runtime`` (:class:`~repro.runtime.executor.ExperimentRuntime`)
-    is forwarded to generators that support grid fan-out; experiments
-    that are single cells (or predate the runtime) simply ignore it.
-
-    When a collect-mode runtime ends a grid with permanently failed
-    cells, the resulting
-    :class:`~repro.runtime.outcome.IncompleteRunError` is re-raised
-    tagged with this experiment's name; the completed cells are already
-    checkpointed, so a rerun only executes what is missing.
-    """
-    import inspect
-
+def run_experiment(name: str, scale: str = "full") -> ExperimentReport:
+    """Run one experiment by id (including the ablations)."""
     from repro.bench.ablations import ABLATIONS
 
     registry = {**EXPERIMENTS, **ABLATIONS}
@@ -329,11 +311,4 @@ def run_experiment(
         raise ValueError(
             f"unknown experiment {name!r}; available: {sorted(registry)}"
         ) from None
-    if runtime is not None and "runtime" in inspect.signature(fn).parameters:
-        from repro.runtime.outcome import IncompleteRunError
-
-        try:
-            return fn(scale, runtime=runtime)
-        except IncompleteRunError as exc:
-            raise IncompleteRunError(exc.report, experiment=name) from exc
     return fn(scale)

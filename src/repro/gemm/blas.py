@@ -8,10 +8,10 @@ existing frameworks"; those calls are ``?gemm``:
 with optional transposition of either operand. This module provides that
 surface on top of any engine (CAKE or GOTO), preserving the engine's
 traffic/timing report. Transposed operands are passed to the engine as
-plain views: the packing pass copies every operand block-contiguous in a
-single strided pass regardless of layout (Section 5.2.1), so a transposed
-input costs exactly the same single copy as a plain one — no contiguous
-staging copy happens here.
+plain views and no staging copy happens here: the engine reads a
+C-ordered operand in place and copies any other layout (a transposed
+view is F-ordered) once, flat, into C order, so a transposed input costs
+one copy of its own and a plain one none.
 """
 
 from __future__ import annotations

@@ -108,13 +108,13 @@ from repro.gemm.backends.base import Backend, execute_group
 from repro.gemm.microkernel import MicroKernel
 from repro.gemm.plan import PLAN_MEMO_MAXSIZE
 from repro.gemm.verify import GroupVerifier, VerifyConfig, VerifyReport
+from repro.runtime.faults import NumericFaultInjector
 from repro.util import ceil_div, require_count, split_length
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.gemm.backends.registry import BackendSpec
     from repro.gemm.plan import CakePlan, GotoPlan
     from repro.gemm.sharded import ShardSpan
-    from repro.runtime.faults import NumericFaultInjector
 
 
 class StripTask(NamedTuple):
@@ -673,8 +673,6 @@ def execute_groups(
     verifier = faults = report = None
     if verify is not None:
         if verify.inject is not None:
-            from repro.runtime.faults import NumericFaultInjector  # lazy: pkg cycle
-
             faults = NumericFaultInjector(verify.inject)
         if verify.enabled:
             report = VerifyReport(checksum_elements=checksum_elements)

@@ -94,8 +94,8 @@ Shard processes and shared-memory segments outlive one multiply:
 Fault tolerance
 ---------------
 
-A shard worker dying (``BrokenProcessPool``) triggers the same
-pool-rebuild ladder the experiment runtime uses: the unfinished shards'
+A shard worker dying (``BrokenProcessPool``) walks the shared restart
+ladder (:mod:`repro.runtime.restart`): the unfinished shards'
 C panels are zeroed and resubmitted to a fresh pool, up to
 ``max_pool_rebuilds`` times, then degraded to inline in-parent execution
 (where kill-type faults are inert by construction). With the fallback

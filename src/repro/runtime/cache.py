@@ -1,18 +1,18 @@
-"""On-disk memoization of completed experiment tasks.
+"""A directory of atomic, versioned JSON rows keyed by content hash.
 
-One JSON file per task id. The id is a content hash over every
-result-determining task field (machine, engine, shape, cores, plan
-parameters — see :class:`~repro.runtime.task.ExperimentTask.task_id`),
-so a cache hit is definitionally the same experiment. Writes are atomic
-(temp file + ``os.replace``) so a crashed or killed run never leaves a
-truncated row for a later run to trip over.
+One JSON file per key. The key is a content hash over every field that
+decides the row — :class:`repro.tune.cache.PlanCache`, this class's one
+user, keys a tuned plan by :attr:`~repro.tune.space.TuneKey.key_id` —
+so a hit is definitionally the same question. Writes are atomic (temp
+file + ``os.replace``) so a crashed or killed process never leaves a
+truncated row for a later one to trip over.
 
 Entries are stored in a versioned envelope —
 ``{"schema": "cake-cache/v2", "row": {...}}`` — and an entry whose
 schema is missing or unknown is treated as a miss (then overwritten by
 the fresh store), so old caches upgrade in place without manual
 clearing. A file that fails to parse at all is **quarantined** to
-``<task_id>.corrupt`` rather than deleted: the slot is immediately
+``<key>.corrupt`` rather than deleted: the slot is immediately
 reusable, but the evidence survives for postmortems of what wrote it.
 """
 
@@ -42,29 +42,29 @@ class CacheStats:
 
 
 class ResultCache:
-    """Directory-backed map from task id to result row."""
+    """Directory-backed map from content-hash key to JSON row."""
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
 
-    def _path(self, task_id: str) -> Path:
-        return self.root / f"{task_id}.json"
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key}.json"
 
-    def _quarantine_path(self, task_id: str) -> Path:
-        return self.root / f"{task_id}.corrupt"
+    def _quarantine_path(self, key: str) -> Path:
+        return self.root / f"{key}.corrupt"
 
-    def load(self, task_id: str) -> dict[str, Any] | None:
-        """The cached row for ``task_id``, or None.
+    def load(self, key: str) -> dict[str, Any] | None:
+        """The cached row for ``key``, or None.
 
         A file that does not parse (interrupted legacy write, stray
         garbage) counts as a miss and is quarantined to
-        ``<task_id>.corrupt`` for inspection; an entry with a missing or
+        ``<key>.corrupt`` for inspection; an entry with a missing or
         unknown schema version counts as a stale miss and is left to be
         overwritten by the fresh store.
         """
-        path = self._path(task_id)
+        path = self._path(key)
         try:
             with path.open("r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -75,7 +75,7 @@ class ResultCache:
             self.stats.corrupt += 1
             self.stats.misses += 1
             try:
-                path.replace(self._quarantine_path(task_id))
+                path.replace(self._quarantine_path(key))
             except OSError:
                 path.unlink(missing_ok=True)
             return None
@@ -90,18 +90,18 @@ class ResultCache:
         self.stats.hits += 1
         return doc["row"]
 
-    def store(self, task_id: str, row: dict[str, Any]) -> None:
-        """Persist ``row`` atomically under ``task_id``."""
+    def store(self, key: str, row: dict[str, Any]) -> None:
+        """Persist ``row`` atomically under ``key``."""
         payload = json.dumps(
             {"schema": CACHE_SCHEMA, "row": row}, sort_keys=True, indent=1
         )
         fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=f".{task_id}.", suffix=".tmp"
+            dir=self.root, prefix=f".{key}.", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-            os.replace(tmp, self._path(task_id))
+            os.replace(tmp, self._path(key))
         except BaseException:
             try:
                 os.unlink(tmp)

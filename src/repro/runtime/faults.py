@@ -1,59 +1,40 @@
-"""Deterministic fault injection for the experiment runtime.
+"""Deterministic numeric fault injection for the GEMM engines.
 
 Recovery code that is never exercised is recovery code that does not
-work. This module injects *scripted* failures into task execution so
-tests — and the ``cake-bench --inject-faults`` smoke mode — can drive
-every path of the fault-tolerance layer on demand:
+work. :class:`NumericFaultRule` corrupts the **numeric output of one
+strip** inside the strip-group executor (:mod:`repro.gemm.parallel`) —
+a bit flip, a scaled perturbation, or a zeroed panel — which is how the
+ABFT verification layer (:mod:`repro.gemm.verify`) proves its detection
+and recovery ladder end-to-end. Two more kinds misbehave without
+corrupting anything: ``kill`` ends a shard worker process and ``hang``
+stalls it, which is how the sharded executor's restart ladder and the
+serve layer's deadlines are driven on demand.
 
-* ``raise``: the attempt raises :class:`InjectedFault` (exercises
-  per-task capture and the retry/backoff loop);
-* ``hang``: the attempt sleeps ``hang_seconds`` (exercises per-shard
-  timeouts and pool teardown);
-* ``kill``: the worker process dies via ``os._exit`` (exercises
-  ``BrokenProcessPool`` recovery).
+Rules are keyed by ``(block, strip)`` indices of the executor's
+deterministic group schedule and fire on the first ``times``
+*attempts* of each matching strip (a recomputation during recovery is a
+new attempt), so the corruption schedule is a pure function of the plan
+— never of thread timing or worker count. With a ``state_dir`` the
+firing counts live on disk and therefore survive worker kills and pool
+rebuilds, which is how "kill the worker once, then let the re-run
+succeed" is expressed across process boundaries.
 
-Faults are keyed by ``task_id`` prefix (or ``"*"``), so a plan names
-exactly which cells misbehave regardless of sharding, worker count, or
-execution order — the injection schedule is a pure function of the plan
-and the task, never of timing. Each rule fires at most ``times`` times;
-with a ``state_dir`` the firing counts live on disk and therefore
-survive worker kills and pool rebuilds, which is how "fail once, then
-succeed on retry" is expressed across process boundaries.
-
-Plans arrive through the :class:`~repro.runtime.executor.ExperimentRuntime`
-``faults=`` constructor hook or the ``CAKE_FAULT_PLAN`` environment
-variable (inline JSON, or ``@/path/to/plan.json``)::
+Plans arrive through :attr:`repro.gemm.verify.VerifyConfig.inject`,
+built in code or from JSON (:meth:`NumericFaultPlan.from_json`)::
 
     {"state_dir": "/tmp/faults", "rules": [
-        {"match": "*", "kind": "raise", "times": 1},
-        {"match": "6b1f", "kind": "kill"}
+        {"block": 0, "strip": 1, "kind": "bitflip"},
+        {"block": "*", "strip": 0, "kind": "kill"}
     ]}
 
 Safety: ``kill`` and ``hang`` only physically fire inside pool worker
-processes (marked via the pool initializer). In inline execution —
-including the runtime's degraded serial fallback — they downgrade to
-``raise`` so an injected fault can never take down or stall the
-orchestrating process itself.
-
-Numeric faults
---------------
-
-The rules above misbehave at the *task* boundary. The GEMM engines have
-a second, finer-grained backend: :class:`NumericFaultRule` corrupts the
-**numeric output of one strip** inside the strip-group executor
-(:mod:`repro.gemm.parallel`) — a bit flip, a scaled perturbation, or a
-zeroed panel — which is how the ABFT verification layer
-(:mod:`repro.gemm.verify`) proves its detection and recovery ladder
-end-to-end. Rules are keyed by ``(block, strip)`` indices of the
-executor's deterministic group schedule and fire on the first ``times``
-*attempts* of each matching strip (a recomputation during recovery is a
-new attempt), so the corruption schedule is a pure function of the plan
-— never of thread timing or worker count.
+processes, which the shard pool's initializer marks with
+:func:`mark_worker_process`. In the orchestrating process they are
+inert, so an injection plan can never take down or stall it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -61,13 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from repro.errors import CakeError
-
-#: Environment variable holding a fault plan (JSON text or ``@path``).
-FAULT_PLAN_ENV = "CAKE_FAULT_PLAN"
-
-_KINDS = ("raise", "hang", "kill")
 
 _IN_WORKER = False
 
@@ -82,134 +56,6 @@ def in_worker_process() -> bool:
     """True inside a pool worker (where kill/hang faults may fire)."""
     return _IN_WORKER
 
-
-class InjectedFault(CakeError):
-    """The error raised (or left behind) by a scripted fault."""
-
-
-@dataclass(frozen=True, slots=True)
-class FaultRule:
-    """One scripted misbehavior, matched by task-id prefix."""
-
-    match: str
-    kind: str = "raise"
-    times: int = 1
-    hang_seconds: float = 30.0
-    message: str = "injected fault"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of {_KINDS}"
-            )
-        if self.times < 1:
-            raise ValueError(f"fault times must be >= 1, got {self.times}")
-
-    def matches(self, task_id: str) -> bool:
-        return self.match == "*" or task_id.startswith(self.match)
-
-
-@dataclass(frozen=True, slots=True)
-class FaultPlan:
-    """A picklable set of fault rules plus optional on-disk firing state.
-
-    Without ``state_dir``, firing counts are per-injector (per worker
-    process); with it, counts persist across kills, rebuilds, and runs.
-    """
-
-    rules: tuple[FaultRule, ...]
-    state_dir: str | None = None
-
-    @classmethod
-    def from_json(cls, doc: object) -> "FaultPlan":
-        """Build a plan from a decoded JSON document.
-
-        Accepts either ``{"state_dir": ..., "rules": [...]}`` or a bare
-        rule list.
-        """
-        if isinstance(doc, list):
-            doc = {"rules": doc}
-        if not isinstance(doc, dict):
-            raise ValueError(f"fault plan must be a JSON object or list, got {doc!r}")
-        rules = tuple(FaultRule(**rule) for rule in doc.get("rules", ()))
-        if not rules:
-            raise ValueError("fault plan has no rules")
-        state_dir = doc.get("state_dir")
-        return cls(rules=rules, state_dir=None if state_dir is None else str(state_dir))
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "FaultPlan":
-        """Parse ``spec`` as inline JSON, or ``@path`` to a JSON file."""
-        text = spec.strip()
-        if text.startswith("@"):
-            text = Path(text[1:]).read_text(encoding="utf-8")
-        return cls.from_json(json.loads(text))
-
-    @classmethod
-    def from_env(cls, environ: dict[str, str] | None = None) -> "FaultPlan | None":
-        """The plan named by :data:`FAULT_PLAN_ENV`, or None when unset."""
-        env = os.environ if environ is None else environ
-        spec = env.get(FAULT_PLAN_ENV)
-        if not spec:
-            return None
-        return cls.from_spec(spec)
-
-
-class FaultInjector:
-    """Applies a :class:`FaultPlan` at task-attempt boundaries."""
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self._counts: dict[tuple[int, str], int] = {}
-        if plan.state_dir is not None:
-            Path(plan.state_dir).mkdir(parents=True, exist_ok=True)
-
-    def _state_path(self, rule_index: int, task_id: str) -> Path:
-        return Path(self.plan.state_dir) / f"{task_id}.{rule_index}.fired"  # type: ignore[arg-type]
-
-    def fired(self, rule_index: int, task_id: str) -> int:
-        """How many times rule ``rule_index`` has fired for ``task_id``."""
-        if self.plan.state_dir is None:
-            return self._counts.get((rule_index, task_id), 0)
-        try:
-            return int(self._state_path(rule_index, task_id).read_text())
-        except (FileNotFoundError, ValueError):
-            return 0
-
-    def _mark_fired(self, rule_index: int, task_id: str) -> None:
-        count = self.fired(rule_index, task_id) + 1
-        self._counts[(rule_index, task_id)] = count
-        if self.plan.state_dir is not None:
-            self._state_path(rule_index, task_id).write_text(str(count))
-
-    def before_attempt(self, task_id: str, attempt: int) -> None:
-        """Fire the first unexhausted matching rule, if any.
-
-        Firing is recorded *before* the fault takes effect, so a kill or
-        a timed-out hang still counts — the rebuilt pool (reading the
-        shared ``state_dir``) will not re-fire an exhausted rule.
-        """
-        for rule_index, rule in enumerate(self.plan.rules):
-            if not rule.matches(task_id):
-                continue
-            if self.fired(rule_index, task_id) >= rule.times:
-                continue
-            self._mark_fired(rule_index, task_id)
-            self._fire(rule, task_id, attempt)
-            return
-
-    def _fire(self, rule: FaultRule, task_id: str, attempt: int) -> None:
-        if rule.kind == "kill" and in_worker_process():
-            os._exit(3)
-        if rule.kind == "hang" and in_worker_process():
-            time.sleep(rule.hang_seconds)
-        raise InjectedFault(
-            f"{rule.kind} fault injected for task {task_id} "
-            f"(attempt {attempt}): {rule.message}"
-        )
-
-
-# -- numeric faults (strip-output corruption) ---------------------------------
 
 _NUMERIC_KINDS = ("bitflip", "scale", "zero", "kill", "hang")
 
@@ -240,11 +86,10 @@ class NumericFaultRule:
     * ``zero`` — overwrite the strip panel with zeros;
     * ``kill`` — terminate the hosting process mid-group via
       ``os._exit``, the crash a shard worker of the process-sharded
-      executor must survive. Like the task-level kill rule it only
-      physically fires inside a pool worker (marked by the pool
-      initializer); in inline execution it is inert — it neither kills
-      nor consumes its budget, so an inline-fallback re-run of a killed
-      shard computes cleanly.
+      executor must survive. It only physically fires inside a pool
+      worker (marked by the pool initializer); in inline execution it is
+      inert — it neither kills nor consumes its budget, so an
+      inline-fallback re-run of a killed shard computes cleanly.
     * ``hang`` — sleep ``hang_seconds`` mid-group without corrupting
       anything, the stall a per-request deadline must preempt (the
       sharded executor's deadline kills the hung pool; the serve layer
@@ -290,10 +135,9 @@ class NumericFaultPlan:
 
     Without ``state_dir`` firing counts live in the injector (per
     process); with it they persist on disk keyed by ``(rule, block,
-    strip)``, surviving worker kills and pool rebuilds — the numeric
-    analogue of :attr:`FaultPlan.state_dir`, and the only way to express
-    "kill the shard worker once, then let the re-run succeed" across a
-    process boundary.
+    strip)``, surviving worker kills and pool rebuilds — the only way to
+    express "kill the shard worker once, then let the re-run succeed"
+    across a process boundary.
     """
 
     rules: tuple[NumericFaultRule, ...]

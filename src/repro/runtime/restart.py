@@ -3,16 +3,17 @@
 Every recovery loop in the repo follows one ladder: something crashed
 or hung → tear it down → wait a bounded, deterministically-jittered
 backoff → rebuild → and after a capped number of rebuilds stop
-pretending and fail *structured*. The experiment runtime walks it for
-broken process pools (:class:`~repro.runtime.executor.ExperimentRuntime`),
-the shard executor for killed shard workers, and the serving fleet's
-supervisor for dead or hung worker processes
+pretending and fail *structured*. The shard executor walks it for
+killed shard workers (:mod:`repro.gemm.sharded`), and the serving
+fleet's supervisor for dead or hung worker processes
 (:mod:`repro.serve.supervisor`). This module is that ladder as a
-reusable object, built on the same :class:`~repro.runtime.executor.RetryPolicy`
-backoff arithmetic the per-task retry path uses.
+reusable object.
 
-Three pieces:
+Four pieces:
 
+* :class:`RetryPolicy` — capped exponential backoff with deterministic
+  jitter. The server retries transient request failures under it, and
+  it is the delay curve between a ladder's restarts.
 * :class:`RestartPolicy` — the immutable knobs: how many restarts
   before the terminal state, the backoff curve between them, and an
   optional *health reset* (an incident after ``reset_after`` healthy
@@ -22,25 +23,42 @@ Three pieces:
   (restart count), owned by whatever is being supervised. ``None``
   from :meth:`RestartTracker.next_delay` *is* the terminal signal.
 * :func:`kill_pool` — the forced teardown of a broken or hung process
-  pool, the "tear it down" step of both pool ladders.
+  pool, the "tear it down" step of the shard ladder.
 """
 
 from __future__ import annotations
 
+import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.runtime.executor import RetryPolicy
+from dataclasses import dataclass
 
 
-def _default_backoff() -> "RetryPolicy":
-    # Imported lazily: executor.py itself builds its pool-rebuild ladder
-    # from this module, so a top-level import would be circular.
-    from repro.runtime.executor import RetryPolicy
+@dataclass(frozen=True, slots=True)
+class RetryPolicy:
+    """Capped exponential backoff with per-seed deterministic jitter.
 
-    return RetryPolicy(retries=0, base_delay=0.1, max_delay=5.0)
+    The delay before the retry following failed attempt ``attempt`` is
+    ``min(max_delay, base_delay * 2**(attempt-1))`` scaled by a jitter
+    factor in ``[0.5, 1.5)`` drawn from ``random.Random`` seeded by
+    ``(seed, attempt)`` — reproducible for a given seed, decorrelated
+    across seeds so retry storms do not re-synchronize.
+    """
+
+    retries: int = 0
+    base_delay: float = 0.05
+    max_delay: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.base_delay < 0 or self.max_delay < 0:
+            raise ValueError("backoff delays must be >= 0")
+
+    def delay(self, seed: int, attempt: int) -> float:
+        """Seconds to back off after failed attempt ``attempt`` (1-based)."""
+        base = min(self.max_delay, self.base_delay * (2 ** (attempt - 1)))
+        jitter = random.Random(seed * 1_000_003 + attempt).random()
+        return base * (0.5 + jitter)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +75,7 @@ class RestartPolicy:
         The delay curve between restarts; only its ``base_delay``/
         ``max_delay``/jitter arithmetic is used (``retries`` plays no
         part — the cap lives in ``max_restarts``). A zero-delay policy
-        restarts immediately, which is what the experiment runtime's
-        pool rebuilds use.
+        restarts immediately.
     reset_after:
         Healthy seconds after which the next failure starts a fresh
         budget (see :meth:`RestartTracker.note_healthy_seconds`);
@@ -67,7 +84,7 @@ class RestartPolicy:
     """
 
     max_restarts: int = 5
-    backoff: RetryPolicy = field(default_factory=_default_backoff)
+    backoff: RetryPolicy = RetryPolicy(retries=0, base_delay=0.1, max_delay=5.0)
     reset_after: float | None = 30.0
 
     def __post_init__(self) -> None:
@@ -85,8 +102,7 @@ class RestartTracker:
     """Mutable state of one restart ladder (not thread-safe; callers lock).
 
     ``seed`` decorrelates the backoff jitter between sibling ladders
-    (e.g. fleet worker slots) exactly the way task seeds decorrelate
-    retry storms in the experiment runtime.
+    (e.g. fleet worker slots).
     """
 
     def __init__(self, policy: RestartPolicy, seed: int = 0) -> None:

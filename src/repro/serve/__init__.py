@@ -38,8 +38,7 @@ from repro.errors import (
     ProtocolError,
     WorkerCrashError,
 )
-from repro.runtime.executor import RetryPolicy
-from repro.runtime.restart import RestartPolicy, RestartTracker
+from repro.runtime.restart import RestartPolicy, RestartTracker, RetryPolicy
 from repro.serve.admission import admission_decision, retry_after_hint
 from repro.serve.batching import EngineCache, Rung, degradation_rungs
 from repro.serve.classifier import ShapeClass, classify

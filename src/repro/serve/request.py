@@ -35,12 +35,11 @@ def content_seed(a: np.ndarray, b: np.ndarray) -> int:
     """A stable seed derived from the operands' content.
 
     Retry backoff jitter is seeded from this (through
-    :meth:`~repro.runtime.executor.RetryPolicy.delay`), so replaying
-    the same request produces the same retry schedule — the serving
-    analogue of the experiment runtime's task-seeded jitter. Hashing
-    the full operands would cost a pass over the data per request;
-    shape/dtype plus a corner sample is stable, cheap, and decorrelated
-    enough across requests to avoid synchronized retry storms.
+    :meth:`~repro.runtime.restart.RetryPolicy.delay`), so replaying
+    the same request produces the same retry schedule. Hashing the full
+    operands would cost a pass over the data per request; shape/dtype
+    plus a corner sample is stable, cheap, and decorrelated enough
+    across requests to avoid synchronized retry storms.
     """
     descriptor = repr(
         (a.shape, a.dtype.str, b.shape, b.dtype.str)

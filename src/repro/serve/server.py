@@ -28,7 +28,7 @@ Robustness invariants, each pinned by the serve test suite:
   per-request :class:`~repro.gemm.sharded.ShardConfig` deadline kills
   the pool). A product computed after expiry is discarded.
 * **Deterministic retries.** Transient failures back off through
-  :class:`~repro.runtime.executor.RetryPolicy` seeded from request
+  :class:`~repro.runtime.restart.RetryPolicy` seeded from request
   *content*, so a replayed request replays its retry schedule.
 * **Bit-identical degradation.** Every ladder rung executes a path
   that is bit-identical to the serial numpy oracle (the repo-wide
@@ -48,8 +48,7 @@ from repro.gemm.sharded import ShardExecutionError, arena_stats, resolve_shards
 from repro.gemm.verify import NumericFaultError
 from repro.machines.presets import intel_i9_10900k
 from repro.machines.spec import MachineSpec
-from repro.runtime.executor import RetryPolicy
-from repro.runtime.faults import InjectedFault
+from repro.runtime.restart import RetryPolicy
 from repro.serve.admission import FrontDoor, Pending
 from repro.serve.batching import EngineCache, Rung, degradation_rungs
 from repro.serve.classifier import ShapeClass, classify
@@ -59,7 +58,6 @@ from repro.serve.classifier import ShapeClass, classify
 #: are excluded — retrying cannot change either.
 TRANSIENT_ERRORS = (
     NumericFaultError,
-    InjectedFault,
     ShardExecutionError,
     BrokenProcessPool,
 )

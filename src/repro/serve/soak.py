@@ -42,9 +42,8 @@ from pathlib import Path
 from repro.gemm.sharded import ShardConfig
 from repro.gemm.verify import VerifyConfig
 from repro.machines.presets import intel_i9_10900k
-from repro.runtime.executor import RetryPolicy
 from repro.runtime.faults import NumericFaultPlan, NumericFaultRule
-from repro.runtime.restart import RestartPolicy
+from repro.runtime.restart import RestartPolicy, RetryPolicy
 from repro.serve.fleet import FleetServer
 from repro.serve.loadgen import Call, OperandSet, drive
 from repro.serve.server import MultiplyServer

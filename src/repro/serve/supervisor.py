@@ -22,7 +22,7 @@ Per slot the supervisor runs the classic state machine::
   pipe the moment the child dies, no polling latency.
 * **Restarts** walk the shared capped-backoff ladder
   (:class:`~repro.runtime.restart.RestartTracker` — the same machinery
-  as the experiment runtime's pool rebuilds), with a health reset so a
+  as the shard executor's pool rebuilds), with a health reset so a
   long-lived worker that dies occasionally is not marched toward
   TERMINAL by sheer uptime. An exhausted budget is *structured*: the
   slot goes TERMINAL and the fleet is told via ``on_down(...,

@@ -6,8 +6,8 @@ the engine kind, the problem extents and dtype (the serve layer's
 is priced on, the modelled core count, and the execution environment
 (backend, process count) the timed validation runs under. Two requests
 with equal :class:`TuneKey`\\ s are definitionally the same tuning
-problem, so the key's content hash is the plan-cache slot — the same
-idiom as :meth:`repro.runtime.task.ExperimentTask.task_id`.
+problem, so :attr:`TuneKey.key_id`, a SHA-256 over the key's fields, is
+the plan-cache slot in :class:`~repro.runtime.cache.ResultCache`.
 
 The candidate grid is deliberately conservative:
 

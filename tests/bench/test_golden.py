@@ -23,14 +23,18 @@ from pathlib import Path
 import pytest
 
 from repro.bench import run_experiment
-from repro.runtime import ExperimentRuntime, rows_from_report
+from repro.runtime import rows_from_report
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 #: Experiments pinned by golden files: the cheap, fully deterministic
 #: generators spanning every analysis family (machine table, CB
-#: scaling, stall/access profiles, shape sweep, speedup, core scaling).
-PINNED = ("table2", "fig4", "fig7a", "fig7b", "fig8", "fig9a", "fig10")
+#: scaling, stall/access profiles, shape sweep, speedup, core scaling),
+#: including every figure grid of Figs. 8-12.
+PINNED = (
+    "table2", "fig4", "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "fig10",
+    "fig11", "fig12",
+)
 
 
 def _canonical_rows(name: str) -> str:
@@ -57,17 +61,6 @@ def test_rows_match_golden(name):
         "change is intentional, regenerate with CAKE_REGEN_GOLDEN=1 and "
         "review the diff"
     )
-
-
-def test_golden_rows_survive_the_runtime():
-    """Routing a pinned experiment through the runtime changes nothing."""
-    name = "fig8"
-    direct = _canonical_rows(name)
-    report = run_experiment(name, "quick", runtime=ExperimentRuntime(workers=2))
-    routed = json.dumps(
-        rows_from_report(report), sort_keys=True, indent=1, default=str
-    ) + "\n"
-    assert routed == direct
 
 
 def test_no_orphan_golden_fixtures():

@@ -91,10 +91,10 @@ class TestCli:
         an IndexError (''.splitlines()[0] was the old failure mode)."""
         from repro.bench.cli import describe_experiment
 
-        def undocumented(scale="full", *, runtime=None):
+        def undocumented(scale="full"):
             pass
 
-        def blank(scale="full", *, runtime=None):
+        def blank(scale="full"):
             """   """
 
         assert describe_experiment(undocumented) == "(no description)"
@@ -110,79 +110,19 @@ class TestCli:
         assert main(["fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
-
-class TestCliFaultTolerance:
-    """--retries / --task-timeout / --on-error / --inject-faults plumbing."""
-
-    def _transient_plan(self, tmp_path) -> str:
+    def test_json_carries_the_report_rows(self, capsys, tmp_path):
+        """--json writes the printed report's tables as v2 rows."""
         import json
 
-        return json.dumps(
-            {
-                "state_dir": str(tmp_path / "fault-state"),
-                "rules": [{"match": "*", "kind": "raise", "times": 1}],
-            }
-        )
+        from repro.runtime import BENCH_SCHEMA, rows_from_report
 
-    def test_inject_faults_with_retries_completes_cleanly(self, tmp_path, capsys):
-        status = main(
-            [
-                "fig9a",
-                "--scale",
-                "quick",
-                "--retries",
-                "2",
-                "--inject-faults",
-                self._transient_plan(tmp_path),
-            ]
-        )
-        assert status == 0
-        assert "CAKE" in capsys.readouterr().out
-
-    def test_collect_mode_failure_exits_nonzero_and_marks_json(
-        self, tmp_path, capsys
-    ):
-        import json
-
-        plan = json.dumps({"rules": [{"match": "*", "times": 999}]})
-        out_dir = tmp_path / "json"
-        status = main(
-            [
-                "fig9a",
-                "--scale",
-                "quick",
-                "--on-error",
-                "collect",
-                "--inject-faults",
-                plan,
-                "--json",
-                str(out_dir),
-            ]
-        )
-        assert status == 1
-        err = capsys.readouterr().err
-        assert "FAILED" in err and "InjectedFault" in err
-        payload = json.loads((out_dir / "BENCH_fig9a.json").read_text())
-        assert payload["complete"] is False
-        assert payload["failures"]
-
-    def test_inject_faults_plan_file(self, tmp_path, capsys):
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(self._transient_plan(tmp_path))
-        status = main(
-            ["fig9a", "--scale", "quick", "--retries", "1",
-             "--inject-faults", f"@{plan_path}"]
-        )
-        assert status == 0
+        assert main(["fig9a", "--scale", "quick", "--json", str(tmp_path)]) == 0
         capsys.readouterr()
-
-    def test_bare_inject_faults_requires_env(self, monkeypatch, capsys):
-        monkeypatch.delenv("CAKE_FAULT_PLAN", raising=False)
-        with pytest.raises(SystemExit):
-            main(["fig9a", "--scale", "quick", "--inject-faults"])
-        assert "CAKE_FAULT_PLAN" in capsys.readouterr().err
-
-    def test_rejects_bad_on_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig9a", "--on-error", "explode"])
-        capsys.readouterr()
+        payload = json.loads((tmp_path / "BENCH_fig9a.json").read_text())
+        assert payload["schema"] == BENCH_SCHEMA == "cake-bench/v2"
+        assert set(payload) == {
+            "schema", "experiment", "scale", "wall_seconds", "rows",
+        }
+        assert (payload["experiment"], payload["scale"]) == ("fig9a", "quick")
+        expected = rows_from_report(run_experiment("fig9a", "quick"))
+        assert payload["rows"] == json.loads(json.dumps(expected))

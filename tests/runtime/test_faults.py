@@ -1,119 +1,15 @@
-"""Fault injector: rule matching, firing budgets, plan parsing, safety."""
-
-import json
+"""Numeric fault injector: the worker-process guard and the kill rule."""
 
 import pytest
 
-from repro.errors import CakeError
-from repro.runtime import FaultInjector, FaultPlan, FaultRule, InjectedFault
 from repro.runtime.faults import in_worker_process
 
 
-class TestFaultRule:
-    def test_prefix_and_wildcard_matching(self):
-        rule = FaultRule(match="abc")
-        assert rule.matches("abc123")
-        assert not rule.matches("xyz")
-        assert FaultRule(match="*").matches("anything")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultRule(match="*", kind="explode")
-
-    def test_rejects_nonpositive_times(self):
-        with pytest.raises(ValueError, match="times"):
-            FaultRule(match="*", times=0)
-
-    def test_injected_fault_is_a_cake_error(self):
-        assert issubclass(InjectedFault, CakeError)
-
-
-class TestFiringBudget:
-    def test_rule_fires_exactly_times_then_passes(self):
-        plan = FaultPlan(rules=(FaultRule(match="*", times=2),))
-        injector = FaultInjector(plan)
-        for attempt in (1, 2):
-            with pytest.raises(InjectedFault):
-                injector.before_attempt("task-a", attempt)
-        injector.before_attempt("task-a", 3)  # exhausted: no raise
-
-    def test_budgets_are_per_task(self):
-        plan = FaultPlan(rules=(FaultRule(match="*", times=1),))
-        injector = FaultInjector(plan)
-        with pytest.raises(InjectedFault):
-            injector.before_attempt("task-a", 1)
-        with pytest.raises(InjectedFault):
-            injector.before_attempt("task-b", 1)
-        injector.before_attempt("task-a", 2)
-        injector.before_attempt("task-b", 2)
-
-    def test_state_dir_persists_across_injector_instances(self, tmp_path):
-        plan = FaultPlan(rules=(FaultRule(match="*", times=1),), state_dir=str(tmp_path))
-        with pytest.raises(InjectedFault):
-            FaultInjector(plan).before_attempt("task-a", 1)
-        # A fresh injector (think: rebuilt worker process) sees the
-        # firing count on disk and does not re-fire.
-        FaultInjector(plan).before_attempt("task-a", 1)
-
-    def test_nonmatching_rules_never_fire(self):
-        plan = FaultPlan(rules=(FaultRule(match="zzz"),))
-        FaultInjector(plan).before_attempt("task-a", 1)  # no raise
-
-
 class TestInlineSafety:
-    """kill/hang only physically fire in pool workers; inline they raise."""
+    """kill/hang only physically fire in pool workers."""
 
     def test_not_in_worker_process_here(self):
         assert not in_worker_process()
-
-    @pytest.mark.parametrize("kind", ["kill", "hang"])
-    def test_kill_and_hang_downgrade_to_raise_inline(self, kind):
-        plan = FaultPlan(rules=(FaultRule(match="*", kind=kind, hang_seconds=9999.0),))
-        with pytest.raises(InjectedFault, match=kind):
-            FaultInjector(plan).before_attempt("task-a", 1)
-
-
-class TestPlanParsing:
-    def test_from_json_object(self):
-        plan = FaultPlan.from_json(
-            {"state_dir": "/tmp/x", "rules": [{"match": "*", "kind": "raise", "times": 3}]}
-        )
-        assert plan.state_dir == "/tmp/x"
-        assert plan.rules == (FaultRule(match="*", kind="raise", times=3),)
-
-    def test_from_json_bare_list(self):
-        plan = FaultPlan.from_json([{"match": "ab"}])
-        assert plan.state_dir is None
-        assert plan.rules[0].match == "ab"
-
-    def test_from_spec_inline_and_file(self, tmp_path):
-        doc = {"rules": [{"match": "*", "times": 2}]}
-        inline = FaultPlan.from_spec(json.dumps(doc))
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps(doc))
-        from_file = FaultPlan.from_spec(f"@{path}")
-        assert inline == from_file
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("CAKE_FAULT_PLAN", '{"rules": [{"match": "*"}]}')
-        plan = FaultPlan.from_env()
-        assert plan is not None and plan.rules[0].match == "*"
-        monkeypatch.delenv("CAKE_FAULT_PLAN")
-        assert FaultPlan.from_env() is None
-
-    def test_empty_plan_rejected(self):
-        with pytest.raises(ValueError, match="no rules"):
-            FaultPlan.from_json({"rules": []})
-
-    def test_non_object_plan_rejected(self):
-        with pytest.raises(ValueError, match="fault plan"):
-            FaultPlan.from_json("nope")
-
-    def test_plan_is_picklable(self):
-        import pickle
-
-        plan = FaultPlan(rules=(FaultRule(match="*", kind="kill"),), state_dir="/tmp/s")
-        assert pickle.loads(pickle.dumps(plan)) == plan
 
 
 class TestNumericKillRule:

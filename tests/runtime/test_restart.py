@@ -1,16 +1,28 @@
 """Tests for the shared capped-backoff restart ladder.
 
-Both the experiment runtime's pool rebuilds and the fleet supervisor's
+Both the shard executor's pool rebuilds and the fleet supervisor's
 worker restarts walk a :class:`~repro.runtime.restart.RestartTracker`;
 these tests pin the ladder's arithmetic on its own: the cap, the
 deterministic backoff schedule, the zero-delay fast path, and the
 health reset that keeps long-lived workers off the terminal track.
+The :class:`~repro.runtime.restart.RetryPolicy` backoff curve under it
+(and under the server's request retries) is pinned here too.
 """
 
 import pytest
 
-from repro.runtime.executor import RetryPolicy
-from repro.runtime.restart import RestartPolicy, RestartTracker
+from repro.runtime.restart import RestartPolicy, RestartTracker, RetryPolicy
+
+
+class TestRetryPolicy:
+    def test_backoff_schedule_is_deterministic_and_capped(self):
+        policy = RetryPolicy(retries=3, base_delay=0.05, max_delay=2.0)
+        d1 = policy.delay(seed=12345, attempt=1)
+        assert d1 == policy.delay(seed=12345, attempt=1)
+        assert d1 != policy.delay(seed=12345, attempt=2)
+        assert d1 != policy.delay(seed=54321, attempt=1)
+        for attempt in range(1, 50):
+            assert 0.0 <= policy.delay(seed=7, attempt=attempt) <= 2.0 * 1.5
 
 
 class TestRestartPolicy:
@@ -60,8 +72,7 @@ class TestRestartTracker:
         assert tracker.total_restarts == 0
 
     def test_zero_base_delay_restarts_immediately(self):
-        # The experiment runtime's pool-rebuild ladder: no backoff,
-        # just a capped count.
+        # A zero-delay ladder: no backoff, just a capped count.
         tracker = RestartTracker(self._policy(3, base_delay=0.0))
         assert tracker.next_delay() == 0.0
 

@@ -25,7 +25,7 @@ from repro.errors import (
 from repro.gemm.cake import CakeGemm
 from repro.gemm.goto import GotoGemm
 from repro.machines.presets import intel_i9_10900k
-from repro.runtime.executor import RetryPolicy
+from repro.runtime import RetryPolicy
 from repro.runtime.restart import RestartPolicy
 from repro.serve.fleet import FleetClient, FleetFrontDoor, FleetServer
 from repro.serve.protocol import (

@@ -24,7 +24,7 @@ from repro.gemm.cake import CakeGemm
 from repro.gemm.goto import GotoGemm
 from repro.gemm.sharded import ShardConfig
 from repro.gemm.verify import NumericFaultError, VerifyConfig
-from repro.runtime.executor import RetryPolicy
+from repro.runtime import RetryPolicy
 from repro.runtime.faults import NumericFaultPlan, NumericFaultRule
 from repro.serve.batching import Rung, degradation_rungs, oracle_rung
 from repro.serve.loadgen import OperandSet, run_load

@@ -19,14 +19,6 @@ from repro.errors import (
 )
 from repro.gemm.sharded import ShardExecutionError
 from repro.gemm.verify import IdentityFailure, NumericFaultError
-from repro.runtime.faults import InjectedFault
-from repro.runtime.executor import RuntimeStats
-from repro.runtime.outcome import (
-    IncompleteRunError,
-    RunReport,
-    TaskExecutionError,
-    TaskOutcome,
-)
 
 
 class TestHierarchy:
@@ -47,13 +39,6 @@ class TestHierarchy:
     def test_distinct_types(self):
         assert not issubclass(ScheduleError, ConfigurationError)
         assert not issubclass(SimulationError, ScheduleError)
-
-
-def _failed_outcome() -> TaskOutcome:
-    return TaskOutcome(
-        task_id="grid/0", ok=False, error_type="ValueError",
-        error_message="boom", attempts=3,
-    )
 
 
 #: One representative instance per CakeError subclass. Every entry must
@@ -94,19 +79,6 @@ _EXAMPLES = {
         ),
     ),
     ShardExecutionError: lambda: ShardExecutionError([(0, 1), (1, 0)], 2),
-    InjectedFault: lambda: InjectedFault("scripted worker crash"),
-    TaskExecutionError: lambda: TaskExecutionError(_failed_outcome()),
-    IncompleteRunError: lambda: IncompleteRunError(
-        RunReport(
-            rows=[None],
-            failures=[_failed_outcome()],
-            stats=RuntimeStats(
-                tasks=1, cache_hits=0, executed=1, workers=1,
-                shards=0, wall_seconds=0.1,
-            ),
-        ),
-        experiment="bench",
-    ),
 }
 
 
@@ -148,8 +120,6 @@ class TestPickleRoundTrip:
         # Payload attributes survive, not just the formatted message.
         for name, value in vars(original).items():
             got = getattr(clone, name)
-            if isinstance(value, (TaskOutcome, RunReport)):
-                continue  # nested dataclasses compared by their fields
             assert got == value, f"{cls.__name__}.{name} lost in transit"
 
     def test_backend_capability_dtype_survives(self):
@@ -177,10 +147,3 @@ class TestPickleRoundTrip:
         assert clone.restarts == 2
         assert clone.request_id == "3:deadbeef"
         assert isinstance(clone, FleetError)  # catchable as the family
-
-    def test_task_execution_error_keeps_outcome(self):
-        clone = pickle.loads(
-            pickle.dumps(TaskExecutionError(_failed_outcome()))
-        )
-        assert clone.outcome.task_id == "grid/0"
-        assert clone.failures[0].error_type == "ValueError"
