@@ -6,8 +6,8 @@ Three phases, all audited bit-for-bit:
   stream Fig-8 skewed multiplies through one
   :class:`~repro.serve.server.MultiplyServer` per level. Every
   successful response is checked ``np.array_equal`` against a direct
-  ``cake_matmul`` reference — the server may coalesce, retry, and
-  degrade, but it may not change bits. With a deadline configured,
+  ``cake_matmul`` reference — the server may coalesce, but it may not
+  change bits. With a deadline configured,
   the p99 latency of admitted-and-completed requests must sit under
   it (the deadline machinery would have expired anything slower).
 * **Fleet sweep.** The same closed-loop load driven through the
@@ -15,7 +15,7 @@ Three phases, all audited bit-for-bit:
   one or more worker-process counts (``workers`` axis) — same contract
   assertions, plus zero worker restarts expected under fault-free load.
 * **Fault soak.** A short :func:`~repro.serve.soak.run_soak` with
-  kill/hang/bitflip/transient rules firing while traffic flows. Zero
+  kill/hang/bitflip/detect-and-raise rules firing while traffic flows. Zero
   silent wrong answers and zero deadlocks are hard assertions; the
   hang variant must expire via its deadline rather than stall the run.
 
@@ -106,8 +106,6 @@ def test_serve(benchmark):
                     "deadline_seconds": DEADLINE_SECONDS,
                     "batches": stats.batches,
                     "coalesced": stats.coalesced,
-                    "retries": stats.retries,
-                    "degradations": stats.degradations,
                     "pool_hits": stats.pool.get("hits", 0),
                     "pool_misses": stats.pool.get("misses", 0),
                 }

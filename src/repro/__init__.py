@@ -38,8 +38,8 @@ The package is organised around the paper's structure:
     The experiment registry and harness shared by ``benchmarks/``.
 ``repro.serve``
     GEMM-as-a-service: an admission-controlled, deadline-aware
-    multiply server with request coalescing, retry/backoff, and a
-    graceful degradation ladder over the engines above.
+    multiply server with request coalescing over the engines above,
+    and a supervised fleet of such servers.
 
 Quickstart::
 

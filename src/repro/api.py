@@ -18,7 +18,6 @@ from repro.gemm.sharded import ShardConfig
 from repro.gemm.verify import VerifyConfig
 from repro.machines.presets import intel_i9_10900k
 from repro.machines.spec import MachineSpec
-from repro.runtime.restart import RetryPolicy
 from repro.serve.server import MultiplyServer
 
 
@@ -30,7 +29,6 @@ def serve(
     max_batch: int = 8,
     cores: int | None = None,
     default_deadline: float | None = None,
-    retry_policy: RetryPolicy | None = None,
     tune: object = False,
     workers: int = 1,
 ) -> MultiplyServer:
@@ -38,11 +36,12 @@ def serve(
 
     Convenience constructor over
     :class:`~repro.serve.server.MultiplyServer` — admission-controlled
-    bounded queue, per-request deadlines, shape-class batching with
-    shared plan/buffer reuse, content-seeded retry with backoff, and a
-    graceful degradation ladder, all over the same engines
-    :func:`cake_matmul` uses (responses are bit-identical to direct
-    calls). Use as a context manager or call ``stop()`` when done::
+    bounded queue, per-request deadlines and shape-class batching with
+    shared plan reuse, over the same engines :func:`cake_matmul` uses:
+    each request runs once, on the configuration it names, so a
+    response is bit-identical to the direct call or ends in the
+    engine's structured error. Use as a context manager or call
+    ``stop()`` when done::
 
         with serve(default_deadline=0.5) as server:
             handle = server.submit(a, b)
@@ -76,7 +75,6 @@ def serve(
             max_batch=max_batch,
             cores=cores,
             default_deadline=default_deadline,
-            retry_policy=retry_policy,
         ).start()
     return MultiplyServer(
         machine,
@@ -85,7 +83,6 @@ def serve(
         max_batch=max_batch,
         cores=cores,
         default_deadline=default_deadline,
-        retry_policy=retry_policy,
         tune=tune,
     ).start()
 

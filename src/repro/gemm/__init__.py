@@ -43,7 +43,6 @@ from repro.gemm.result import GemmRun, degenerate_run
 from repro.gemm.sharded import (
     IPC_SLACK_FACTOR,
     ShardConfig,
-    ShardExecutionError,
     ShardPlan,
     ShardReport,
     ShardSpan,
@@ -83,7 +82,6 @@ __all__ = [
     "degenerate_run",
     "IPC_SLACK_FACTOR",
     "ShardConfig",
-    "ShardExecutionError",
     "ShardPlan",
     "ShardReport",
     "ShardSpan",

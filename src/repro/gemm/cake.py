@@ -101,8 +101,8 @@ class CakeGemm(GemmEngine):
         panel.
         ``None``/1 is the ordinary in-process path; an int requests that
         many processes (clamped to the block grid); a
-        :class:`~repro.gemm.sharded.ShardConfig` tunes rebuild/fallback
-        behaviour. The product is bit-identical to the in-process run on
+        :class:`~repro.gemm.sharded.ShardConfig` also names the start
+        method and an absolute deadline. The product is bit-identical to the in-process run on
         the same backend for every process and worker count (shards
         tile whole backend calls). Shard workers rebuild the backend
         by name, so ``processes > 1`` with a

@@ -364,7 +364,11 @@ class _BlockSums:
     Computed from the block (or its ``rows``, for a shard's part of a CB
     block) on first use and cached, so each block is reduced once per
     build. ``elements`` counts the elements computed and ``seconds``
-    the time it took.
+    the time it took. ``axis`` 0 reduces A blocks, 1 B panels. A block
+    with an inf or NaN element, or whose checksum overflows its dtype,
+    has a non-finite checksum and raises ``ValueError`` naming the
+    operand and the block: its checksum identities cannot hold, so
+    verification could only fail it after every recovery rung.
     """
 
     def __init__(
@@ -387,6 +391,14 @@ class _BlockSums:
                 block = block[rows[0] : rows[1]]
             ab = np.abs(block)
             hit = (block.sum(axis=self.axis), (ab.sum(axis=0), ab.sum(axis=1)))
+            if not np.isfinite(hit[0]).all():
+                operand = "AB"[self.axis]
+                raise ValueError(
+                    f"operand {operand} block ({i}, {j}) has a non-finite "
+                    f"ABFT checksum (an inf or NaN element, or a sum that "
+                    f"overflows {block.dtype}); a verified multiply needs "
+                    f"finite operands"
+                )
             self.cache[(i, j, rows)] = hit
             self.elements += hit[0].size + ab.shape[0] + ab.shape[1]
             self.seconds += time.perf_counter() - start

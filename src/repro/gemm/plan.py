@@ -123,7 +123,8 @@ class PlanOverride:
         Host threads for the numeric executor, in place of the core
         budget's default (:mod:`repro.gemm.budget`); applies only when
         the engine was not given an explicit ``workers`` argument (an
-        explicit request, e.g. a serve degradation rung, always wins).
+        explicit request, e.g. a served request's ``workers``, always
+        wins).
     ``schedule``
         Block-order variant name (:mod:`repro.schedule.variants`). Only
         reduction-complete orders (``k-first``, ``naive``) are legal

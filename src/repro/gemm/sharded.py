@@ -80,8 +80,8 @@ Shard processes and shared-memory segments outlive one multiply:
   returns it only if every future completed. A broken, timed-out or
   raising call tears its pool down with
   :func:`~repro.runtime.restart.kill_pool` instead; an idle pool found
-  dead at lease time is replaced without charging the caller's
-  ``max_pool_rebuilds``. Pools retire after
+  dead at lease time is replaced without charging the run's
+  :data:`MAX_POOL_REBUILDS`. Pools retire after
   :data:`POOL_IDLE_SECONDS` idle, and at exit; every worker also exits
   by itself once its parent dies.
 * **Arena.** One process-wide :class:`~repro.packing.pool.SharedBufferPool`
@@ -97,13 +97,11 @@ Fault tolerance
 A shard worker dying (``BrokenProcessPool``) walks the shared restart
 ladder (:mod:`repro.runtime.restart`): the unfinished shards'
 C panels are zeroed and resubmitted to a fresh pool, up to
-``max_pool_rebuilds`` times, then degraded to inline in-parent execution
-(where kill-type faults are inert by construction). With the fallback
-disabled, a structured :class:`ShardExecutionError` names the shards
-that never completed — a partially-computed C is never returned
-silently. ABFT verification (:mod:`repro.gemm.verify`) runs *inside*
-each shard worker, so checksum mismatches heal locally through the
-usual ladder and unrecoverable ones propagate as
+:data:`MAX_POOL_REBUILDS` times, then run inline in the parent (where
+kill-type faults are inert by construction), so a partially-computed C
+is never returned. ABFT verification (:mod:`repro.gemm.verify`) runs
+*inside* each shard worker, so checksum mismatches heal locally
+through the usual ladder and unrecoverable ones propagate as
 :class:`~repro.gemm.verify.NumericFaultError`.
 """
 
@@ -127,7 +125,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import CakeError, ConfigurationError, DeadlineExceededError
+from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.gemm.budget import blas_lease, blas_threads_now, pin_blas_thread
 from repro.gemm.backends.registry import backend_spec
 from repro.gemm.parallel import (
@@ -144,7 +142,6 @@ from repro.runtime.faults import mark_worker_process
 from repro.runtime.restart import RestartPolicy, RestartTracker, kill_pool
 from repro.util import (
     require_count,
-    require_nonnegative,
     require_positive,
     split_even,
 )
@@ -166,6 +163,9 @@ POOL_IDLE_SECONDS = 1.0
 ARENA_RETAINED_BYTES = 64 * 1024 * 1024
 #: How often a shard worker checks that its parent is still alive.
 PARENT_POLL_SECONDS = 0.2
+#: Pool rebuilds one run grants after worker deaths; the shards still
+#: unfinished after the last one run inline in the parent.
+MAX_POOL_REBUILDS = 2
 
 
 # -- configuration -------------------------------------------------------------
@@ -182,14 +182,6 @@ class ShardConfig:
         ``int`` (the rule ``workers`` follows). The usable count may be
         smaller when the CB block grid has fewer than ``processes``
         blocks (:func:`plan_shards` clamps); 1 means no sharding at all.
-    max_pool_rebuilds:
-        How many times a crashed worker pool is rebuilt (unfinished
-        shards zeroed and resubmitted) before degrading.
-    inline_fallback:
-        After the rebuild budget, run the remaining shards inline in the
-        parent (kill faults are inert there, so the run still completes
-        correctly). ``False`` raises :class:`ShardExecutionError`
-        instead — never a silently partial C.
     start_method:
         ``multiprocessing`` start method; ``None`` picks ``fork`` where
         available (cheap, inherits the imported interpreter) and
@@ -205,8 +197,6 @@ class ShardConfig:
     """
 
     processes: int = 1
-    max_pool_rebuilds: int = 2
-    inline_fallback: bool = True
     start_method: str | None = None
     deadline: float | None = None
 
@@ -214,7 +204,6 @@ class ShardConfig:
         object.__setattr__(
             self, "processes", require_count("processes", self.processes)
         )
-        require_nonnegative("max_pool_rebuilds", self.max_pool_rebuilds)
         if (
             self.start_method is not None
             and self.start_method not in mp.get_all_start_methods()
@@ -404,33 +393,7 @@ def plan_shards(
     )
 
 
-# -- results and errors --------------------------------------------------------
-
-
-class ShardExecutionError(CakeError):
-    """Shard workers did not complete and the inline fallback is off.
-
-    Carries the ``(row, col)`` grid coordinates of every unfinished
-    shard and the rebuilds attempted — the structured "C was not
-    computed" signal, as opposed to silently returning a partial
-    product.
-    """
-
-    def __init__(
-        self, shards: Sequence[tuple[int, int]], rebuilds: int
-    ) -> None:
-        self.shards = tuple(shards)
-        self.rebuilds = rebuilds
-        names = ", ".join(f"({r}, {c})" for r, c in self.shards)
-        super().__init__(
-            f"{len(self.shards)} shard worker(s) did not complete after "
-            f"{rebuilds} pool rebuild(s) [shards {names}]; refusing to "
-            f"return a partially-computed C (enable inline_fallback to "
-            f"degrade to in-process execution instead)"
-        )
-
-    def __reduce__(self):
-        return (ShardExecutionError, (self.shards, self.rebuilds))
+# -- results -------------------------------------------------------------------
 
 
 @dataclass(slots=True)
@@ -899,7 +862,7 @@ def run_sharded(
     comparison come back in the :class:`ShardReport`.
     """
     a_segment, b_segment, c_segment = (pool.segment_of(x) for x in (a, b, c))
-    tasks = {
+    pending = {
         span.index: _ShardTask(
             plan=plan,
             order=order,
@@ -925,13 +888,12 @@ def run_sharded(
             raise DeadlineExceededError("shard")
         return remaining
 
-    pending = dict(tasks)
     results: dict[int, dict] = {}
     # Pool deaths climb one restart ladder (rebuilds are immediate: its
     # delay is never slept). The death it refuses is terminal and still
     # counts as a rebuild in the report.
     ladder = RestartTracker(
-        RestartPolicy(max_restarts=config.max_pool_rebuilds, reset_after=None)
+        RestartPolicy(max_restarts=MAX_POOL_REBUILDS, reset_after=None)
     )
     exhausted = False
     inline = 0
@@ -942,14 +904,6 @@ def run_sharded(
         while pending:
             _remaining()
             if exhausted:
-                if not config.inline_fallback:
-                    raise ShardExecutionError(
-                        shards=tuple(
-                            (tasks[i].span.row, tasks[i].span.col)
-                            for i in sorted(pending)
-                        ),
-                        rebuilds=ladder.total_restarts + 1,
-                    )
                 # Degraded mode: run the unfinished shards in-parent,
                 # over one BLAS thread like a shard worker. Kill-type
                 # numeric faults are inert here, so a persistently-killing

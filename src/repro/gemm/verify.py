@@ -47,7 +47,10 @@ with the checksums, so the per-group band is O(m + n) vector
 arithmetic. ``rtol`` defaults to ``8 * eps * (m + k + 2)`` for the
 group's extents in the accumulation dtype. Non-finite values
 (inf/NaN from a flipped exponent bit) always count as mismatches —
-comparisons are written so NaN fails them.
+comparisons are written so NaN fails them. Non-finite *operands* never
+get this far: the checksum pass of
+:func:`~repro.gemm.parallel.build_groups` refuses a block whose sums
+are not finite with a ``ValueError``.
 
 The recovery ladder
 -------------------

@@ -4,9 +4,7 @@ Five small modules that sit under more than one layer:
 
 * :mod:`repro.runtime.restart` — the one capped-backoff restart ladder
   (:class:`RestartPolicy`, :class:`RestartTracker`, ``kill_pool``) that
-  the shard executor and the serving fleet walk, and the
-  :class:`RetryPolicy` backoff curve under it and under the server's
-  request retries;
+  the shard executor and the serving fleet walk;
 * :mod:`repro.runtime.deadline` — the monotonic :class:`Deadline` a
   served request carries from admission to its shard workers;
 * :mod:`repro.runtime.faults` — deterministic numeric fault injection
@@ -35,7 +33,7 @@ from repro.runtime.jsonout import (
     rows_from_report,
     write_bench_json,
 )
-from repro.runtime.restart import RestartPolicy, RestartTracker, RetryPolicy
+from repro.runtime.restart import RestartPolicy, RestartTracker
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -50,5 +48,4 @@ __all__ = [
     "write_bench_json",
     "RestartPolicy",
     "RestartTracker",
-    "RetryPolicy",
 ]

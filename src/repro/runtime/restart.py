@@ -9,16 +9,14 @@ fleet's supervisor for dead or hung worker processes
 (:mod:`repro.serve.supervisor`). This module is that ladder as a
 reusable object.
 
-Four pieces:
+Three pieces:
 
-* :class:`RetryPolicy` — capped exponential backoff with deterministic
-  jitter. The server retries transient request failures under it, and
-  it is the delay curve between a ladder's restarts.
 * :class:`RestartPolicy` — the immutable knobs: how many restarts
-  before the terminal state, the backoff curve between them, and an
-  optional *health reset* (an incident after ``reset_after`` healthy
-  seconds starts a fresh budget, so a long-lived worker that dies once
-  a day is not marched toward terminal by sheer uptime).
+  before the terminal state, the capped exponential backoff between
+  them (deterministically jittered per seed), and an optional *health
+  reset* (an incident after ``reset_after`` healthy seconds starts a
+  fresh budget, so a long-lived worker that dies once a day is not
+  marched toward terminal by sheer uptime).
 * :class:`RestartTracker` — one ladder instance's mutable state
   (restart count), owned by whatever is being supervised. ``None``
   from :meth:`RestartTracker.next_delay` *is* the terminal signal.
@@ -34,34 +32,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
-class RetryPolicy:
-    """Capped exponential backoff with per-seed deterministic jitter.
-
-    The delay before the retry following failed attempt ``attempt`` is
-    ``min(max_delay, base_delay * 2**(attempt-1))`` scaled by a jitter
-    factor in ``[0.5, 1.5)`` drawn from ``random.Random`` seeded by
-    ``(seed, attempt)`` — reproducible for a given seed, decorrelated
-    across seeds so retry storms do not re-synchronize.
-    """
-
-    retries: int = 0
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("backoff delays must be >= 0")
-
-    def delay(self, seed: int, attempt: int) -> float:
-        """Seconds to back off after failed attempt ``attempt`` (1-based)."""
-        base = min(self.max_delay, self.base_delay * (2 ** (attempt - 1)))
-        jitter = random.Random(seed * 1_000_003 + attempt).random()
-        return base * (0.5 + jitter)
-
-
-@dataclass(frozen=True, slots=True)
 class RestartPolicy:
     """Knobs for one capped-backoff restart ladder.
 
@@ -71,11 +41,10 @@ class RestartPolicy:
         Restarts granted before :meth:`RestartTracker.next_delay`
         returns ``None`` (the structured-terminal signal). ``0`` means
         the first failure is terminal.
-    backoff:
-        The delay curve between restarts; only its ``base_delay``/
-        ``max_delay``/jitter arithmetic is used (``retries`` plays no
-        part — the cap lives in ``max_restarts``). A zero-delay policy
-        restarts immediately.
+    base_delay, max_delay:
+        The backoff curve between restarts (:meth:`delay`): doubling
+        from ``base_delay``, capped at ``max_delay``. A zero
+        ``base_delay`` restarts immediately.
     reset_after:
         Healthy seconds after which the next failure starts a fresh
         budget (see :meth:`RestartTracker.note_healthy_seconds`);
@@ -84,7 +53,8 @@ class RestartPolicy:
     """
 
     max_restarts: int = 5
-    backoff: RetryPolicy = RetryPolicy(retries=0, base_delay=0.1, max_delay=5.0)
+    base_delay: float = 0.1
+    max_delay: float = 5.0
     reset_after: float | None = 30.0
 
     def __post_init__(self) -> None:
@@ -92,10 +62,25 @@ class RestartPolicy:
             raise ValueError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
             )
+        if self.base_delay < 0 or self.max_delay < 0:
+            raise ValueError("backoff delays must be >= 0")
         if self.reset_after is not None and self.reset_after <= 0:
             raise ValueError(
                 f"reset_after must be positive or None, got {self.reset_after}"
             )
+
+    def delay(self, seed: int, attempt: int) -> float:
+        """Seconds to back off before restart ``attempt`` (1-based).
+
+        ``min(max_delay, base_delay * 2**(attempt-1))`` scaled by a
+        jitter factor in ``[0.5, 1.5)`` drawn from ``random.Random``
+        seeded by ``(seed, attempt)``: reproducible for a given seed,
+        decorrelated across seeds so sibling restarts do not
+        re-synchronize.
+        """
+        base = min(self.max_delay, self.base_delay * (2 ** (attempt - 1)))
+        jitter = random.Random(seed * 1_000_003 + attempt).random()
+        return base * (0.5 + jitter)
 
 
 class RestartTracker:
@@ -138,9 +123,9 @@ class RestartTracker:
             return None
         self.restarts += 1
         self.total_restarts += 1
-        if self.policy.backoff.base_delay == 0:
+        if self.policy.base_delay == 0:
             return 0.0
-        return self.policy.backoff.delay(self.seed, self.restarts)
+        return self.policy.delay(self.seed, self.restarts)
 
 
 def kill_pool(pool: ProcessPoolExecutor) -> None:

@@ -7,11 +7,13 @@ handles back; the server classifies requests by shape class
 into one engine pass per class, sharing its plan
 (:mod:`repro.serve.batching`), and executes them on the existing
 engines. Robustness is the design center — bounded admission
-(:mod:`repro.serve.admission`), per-request deadlines that propagate
-into the shard executor, content-seeded retry with backoff, and a
-graceful degradation ladder — with the repo-wide bit-identity
-contract intact: a served product is bit-identical to a direct
-engine call, or the request terminates with a structured error.
+(:mod:`repro.serve.admission`) and per-request deadlines that
+propagate into the shard executor — with the repo-wide bit-identity
+contract intact: each request runs once, on the configuration it
+names, so a served product is bit-identical to a direct engine call,
+or the request terminates with the engine's structured error. Faults
+heal where they happen: in the verifier's strip retries, the shard
+executor's pool rebuilds, and the fleet supervisor's restarts.
 
 PR 10 scales the same front door across processes:
 :class:`~repro.serve.fleet.FleetServer` runs N supervised worker
@@ -38,9 +40,9 @@ from repro.errors import (
     ProtocolError,
     WorkerCrashError,
 )
-from repro.runtime.restart import RestartPolicy, RestartTracker, RetryPolicy
+from repro.runtime.restart import RestartPolicy, RestartTracker
 from repro.serve.admission import admission_decision, retry_after_hint
-from repro.serve.batching import EngineCache, Rung, degradation_rungs
+from repro.serve.batching import EngineCache
 from repro.serve.classifier import ShapeClass, classify
 from repro.serve.fleet import (
     FleetClient,
@@ -91,12 +93,9 @@ __all__ = [
     "CircuitBreaker",
     "Supervisor",
     "WorkerOptions",
-    "RetryPolicy",
     "admission_decision",
     "retry_after_hint",
     "EngineCache",
-    "Rung",
-    "degradation_rungs",
     "ShapeClass",
     "classify",
     "LoadReport",

@@ -155,10 +155,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"restarts={stats.worker_restarts}"
             )
         else:
-            line += (
-                f"batches={stats.batches} coalesced={stats.coalesced} "
-                f"retries={stats.retries} degradations={stats.degradations}"
-            )
+            line += f"batches={stats.batches} coalesced={stats.coalesced}"
         print(line)
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,7 @@ answer bit-identical to direct ``cake_matmul`` or a structured
 process death included. The division of labour:
 
 * Each worker process hosts an untouched ``MultiplyServer`` (admission,
-  deadlines, degradation ladder), built and supervised by
+  coalescing, deadlines), built and supervised by
   :class:`~repro.serve.supervisor.Supervisor`.
 * The fleet owns **routing**: a bounded fleet queue, least-loaded slot
   choice among heartbeat-live workers whose circuit breaker allows
@@ -72,8 +72,7 @@ from repro.serve.supervisor import Supervisor, WorkerOptions
 #: the fleet's: the request id, status, deadline, queue wait and total
 #: time stay the fleet's own.
 WORKER_REPORT_FIELDS = (
-    "shape_class", "attempts", "retries", "degradations",
-    "execute_seconds", "backend", "workers", "processes",
+    "shape_class", "execute_seconds", "backend", "workers", "processes",
 )
 
 
@@ -147,7 +146,6 @@ class FleetServer(FrontDoor):
         max_batch: int = 8,
         cores: "int | None" = None,
         default_deadline: "float | None" = None,
-        retry_policy=None,
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: float = 2.0,
         startup_timeout: float = 120.0,
@@ -186,7 +184,6 @@ class FleetServer(FrontDoor):
             max_batch=max_batch,
             cores=cores,
             default_deadline=default_deadline,
-            retry_policy=retry_policy,
             # Each request then gets cores // (workers * executors).
             host_cores=max(1, budget.cores() // workers),
         )

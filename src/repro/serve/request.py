@@ -7,8 +7,9 @@ A client interacts with the server through exactly two objects: the
 ``result()`` blocks until the server resolves it with a
 :class:`~repro.gemm.result.GemmRun` or a structured error. Every handle
 also carries a :class:`ServeReport` recording what the server actually
-did — queueing time, attempts, retries, and each degradation-ladder
-step — so a response is auditable without trusting logs.
+did — queueing time, batch, execute time, and the backend, workers and
+processes that ran it — so a response is auditable without trusting
+logs.
 
 Resolution is **first-wins and final**: an executor racing a
 client-side deadline can never overwrite an already-resolved handle, so
@@ -20,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +35,11 @@ from repro.runtime.deadline import Deadline
 def content_seed(a: np.ndarray, b: np.ndarray) -> int:
     """A stable seed derived from the operands' content.
 
-    Retry backoff jitter is seeded from this (through
-    :meth:`~repro.runtime.restart.RetryPolicy.delay`), so replaying
-    the same request produces the same retry schedule. Hashing the full
-    operands would cost a pass over the data per request; shape/dtype
-    plus a corner sample is stable, cheap, and decorrelated enough
-    across requests to avoid synchronized retry storms.
+    The fleet's request ids carry it (:mod:`repro.serve.fleet`), so a
+    re-dispatched request keeps its identity. Hashing the full operands
+    would cost a pass over the data per request; shape/dtype plus a
+    corner sample is stable, cheap, and decorrelated enough across
+    requests.
     """
     descriptor = repr(
         (a.shape, a.dtype.str, b.shape, b.dtype.str)
@@ -59,8 +59,8 @@ class MultiplyRequest:
     Attributes
     ----------
     a, b:
-        2-D operands with matching inner dimension (any layout, any
-        float dtype the selected backend supports).
+        2-D floating-point operands with matching inner dimension
+        (any layout; every backend takes every float dtype).
     engine:
         ``"cake"`` or ``"goto"``.
     deadline:
@@ -97,19 +97,10 @@ class MultiplyRequest:
     workers: int | None = None
     processes: "int | ShardConfig | None" = None
 
-    def seed(self) -> int:
-        """The deterministic retry seed for this request's content."""
-        return content_seed(self.a, self.b)
-
 
 @dataclass(slots=True)
 class ServeReport:
-    """What the server did with one request (attached to its handle).
-
-    ``degradations`` lists each ladder step taken, oldest first, as
-    ``{"from": ..., "to": ..., "reason": ...}`` dicts where the rungs
-    are ``"processes=P workers=W backend=B"`` descriptions.
-    """
+    """What the server did with one request (attached to its handle)."""
 
     request_id: int
     shape_class: str = ""
@@ -121,13 +112,10 @@ class ServeReport:
     queue_seconds: float = 0.0
     execute_seconds: float = 0.0
     total_seconds: float = 0.0
-    attempts: int = 0
-    retries: int = 0
     batch_size: int = 1
     backend: str | None = None
     workers: int | None = None
     processes: int = 1
-    degradations: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -141,13 +129,10 @@ class ServeReport:
             "queue_seconds": self.queue_seconds,
             "execute_seconds": self.execute_seconds,
             "total_seconds": self.total_seconds,
-            "attempts": self.attempts,
-            "retries": self.retries,
             "batch_size": self.batch_size,
             "backend": self.backend,
             "workers": self.workers,
             "processes": self.processes,
-            "degradations": list(self.degradations),
         }
 
 

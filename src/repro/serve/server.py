@@ -1,13 +1,12 @@
-"""The multiply server: admission, execution, degradation.
+"""The multiply server: admission, queueing, execution.
 
 ``MultiplyServer`` is a thread-based (stdlib-only) front door over the
 existing GEMM engines. The lifecycle of one request::
 
     submit ──admit──▶ queue ──executor takes a batch──▶ execute ──▶ resolve
        │                 │                                 │
-       └─ AdmissionError └─ DeadlineExceededError          ├─ retry (backoff)
-          (shed)            (expired while queued)         ├─ degrade (ladder)
-                                                           └─ structured error
+       └─ AdmissionError └─ DeadlineExceededError          └─ structured error
+          (shed)            (expired while queued)
 
 One hop: the client's ``submit()`` queues the request, and one of
 ``executors`` threads takes it off the queue — coalesced with queued
@@ -27,40 +26,30 @@ Robustness invariants, each pinned by the serve test suite:
   request was queued, executing, or hung in a shard worker (the
   per-request :class:`~repro.gemm.sharded.ShardConfig` deadline kills
   the pool). A product computed after expiry is discarded.
-* **Deterministic retries.** Transient failures back off through
-  :class:`~repro.runtime.restart.RetryPolicy` seeded from request
-  *content*, so a replayed request replays its retry schedule.
-* **Bit-identical degradation.** Every ladder rung executes a path
-  that is bit-identical to the serial numpy oracle (the repo-wide
-  contract), so stepping down changes latency, never answers.
+* **One run, on the asked-for configuration.** An executor runs each
+  request once, with the engine, backend, workers and processes it
+  names, so a served product has the bits of the direct engine call.
+  Faults heal at the layer where they happen — the verifier's strip
+  retries and oracle rung (:mod:`repro.gemm.verify`), the shard
+  executor's pool rebuilds and inline fallback
+  (:mod:`repro.gemm.sharded`) — and what they cannot heal resolves the
+  handle with the engine's structured error.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
-from repro.errors import BackendCapabilityError, CakeError
+from repro.errors import CakeError
 from repro.gemm import budget
 from repro.gemm.backends import resolve_backend
-from repro.gemm.sharded import ShardExecutionError, arena_stats, resolve_shards
-from repro.gemm.verify import NumericFaultError
+from repro.gemm.sharded import arena_stats, resolve_shards
 from repro.machines.presets import intel_i9_10900k
 from repro.machines.spec import MachineSpec
-from repro.runtime.restart import RetryPolicy
 from repro.serve.admission import FrontDoor, Pending
-from repro.serve.batching import EngineCache, Rung, degradation_rungs
+from repro.serve.batching import EngineCache
 from repro.serve.classifier import ShapeClass, classify
-
-#: Failures worth retrying in place: numeric faults heal on recompute,
-#: shard/pool crashes heal on rebuild. Capability and deadline errors
-#: are excluded — retrying cannot change either.
-TRANSIENT_ERRORS = (
-    NumericFaultError,
-    ShardExecutionError,
-    BrokenProcessPool,
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,8 +68,6 @@ class ServerStats:
     shed_deadline: int
     shed_shutdown: int
     deadline_exceeded: int
-    retries: int
-    degradations: int
     batches: int
     coalesced: int
     p50_seconds: float
@@ -120,8 +107,8 @@ class MultiplyServer(FrontDoor):
     :class:`~repro.errors.AdmissionError`); ``handle.result()`` blocks
     for the product. Admission, the queue and the lifecycle are the
     shared :class:`~repro.serve.admission.FrontDoor`; this class adds
-    shape classification, coalescing, the executor loop its dispatch
-    threads run and the retry/degradation ladder.
+    shape classification, coalescing and the executor loop its
+    dispatch threads run.
 
     Parameters
     ----------
@@ -143,8 +130,6 @@ class MultiplyServer(FrontDoor):
     default_deadline:
         Budget in seconds applied when a request does not name one;
         ``None`` means unbounded by default.
-    retry_policy:
-        Backoff for transient failures (default: 2 retries from 10 ms).
     stats_window:
         Completed-request latencies retained for p50/p99.
     tune:
@@ -157,9 +142,7 @@ class MultiplyServer(FrontDoor):
         surface in :meth:`stats`.
     """
 
-    extra_counters = (
-        "executed", "retries", "degradations", "batches", "coalesced",
-    )
+    extra_counters = ("executed", "batches", "coalesced")
 
     def __init__(
         self,
@@ -170,7 +153,6 @@ class MultiplyServer(FrontDoor):
         max_batch: int = 8,
         cores: int | None = None,
         default_deadline: float | None = None,
-        retry_policy: RetryPolicy | None = None,
         stats_window: int = 512,
         tune: object = False,
     ) -> None:
@@ -185,11 +167,6 @@ class MultiplyServer(FrontDoor):
         self.machine = intel_i9_10900k() if machine is None else machine
         self.max_batch = max_batch
         self.cores = cores
-        self.retry_policy = (
-            RetryPolicy(retries=2, base_delay=0.01, max_delay=0.25)
-            if retry_policy is None
-            else retry_policy
-        )
         #: The host cores one executor's requests may use.
         self.request_cores = max(1, budget.cores() // executors)
         self.engines = EngineCache(self.machine)
@@ -336,16 +313,6 @@ class MultiplyServer(FrontDoor):
         with self._cond:
             self._counters[name] += 1
 
-    def _degrade(self, report, rung: Rung, to: Rung, err: Exception) -> None:
-        report.degradations.append(
-            {
-                "from": rung.describe(),
-                "to": to.describe(),
-                "reason": type(err).__name__,
-            }
-        )
-        self._count("degradations")
-
     def _run_one(self, pending: _Pending, *, batch_size: int) -> None:
         handle = pending.handle
         report = handle.report
@@ -359,89 +326,36 @@ class MultiplyServer(FrontDoor):
             self._finish(handle, error=handle.deadline_error("queue"))
             return
         self._count("executed")
-
-        rungs = degradation_rungs(request)
-        rung_index = 0
-        attempt_on_rung = 0
-        seed = None  # the content seed, computed on the first retry
         # Tuned-plan resolution is a memory/disk probe at most — a cold
         # class tunes on a background thread and this request (plus any
         # before the winner lands) serves the analytic plan.
-        tuned_plan = None
+        override = None
         if self.plans is not None:
             shards = resolve_shards(request.processes)
-            tuned_plan = self.plans.resolve(
+            override = self.plans.resolve(
                 pending.shape_class,
                 backend=resolve_backend(request.backend).name,
                 processes=1 if shards is None else shards.processes,
             )
-        while True:
-            rung = rungs[rung_index]
-            if handle.expired():
-                self._finish(handle, error=handle.deadline_error("execute"))
-                return
-            override = tuned_plan
-            if override is not None and rung_index > 0:
-                # A degraded rung exists because the stronger profile
-                # kept failing; tuned execution knobs (extra workers)
-                # must not re-complicate it. Plan-shape fields stay —
-                # they are bit-safe and orthogonal to the failure.
-                if override.workers is not None:
-                    override = replace(override, workers=None)
-            engine = self.engines.engine_for(
-                request,
-                pending.shape_class,
-                rung,
-                deadline_at=None if deadline is None else deadline.at,
-                override=override,
-            )
-            report.attempts += 1
-            started = time.perf_counter()
-            try:
-                run = engine.multiply(request.a, request.b)
-            except BackendCapabilityError as err:
-                report.execute_seconds += time.perf_counter() - started
-                if rung.backend != "numpy":
-                    oracle = Rung(1, rung.workers, "numpy")
-                    self._degrade(report, rung, oracle, err)
-                    rungs = rungs[: rung_index + 1] + [oracle]
-                    rung_index += 1
-                    attempt_on_rung = 0
-                    continue
-                self._finish(handle, error=err)
-                return
-            except TRANSIENT_ERRORS as err:
-                report.execute_seconds += time.perf_counter() - started
-                attempt_on_rung += 1
-                if attempt_on_rung <= self.retry_policy.retries:
-                    report.retries += 1
-                    self._count("retries")
-                    if seed is None:
-                        seed = request.seed()
-                    delay = self.retry_policy.delay(seed, attempt_on_rung)
-                    if deadline is not None:
-                        delay = min(delay, deadline.remaining())
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                if rung_index + 1 < len(rungs):
-                    self._degrade(report, rung, rungs[rung_index + 1], err)
-                    rung_index += 1
-                    attempt_on_rung = 0
-                    continue
-                self._finish(handle, error=err)
-                return
-            except Exception as err:  # noqa: BLE001 - fail structured, never strand
-                report.execute_seconds += time.perf_counter() - started
-                self._finish(handle, error=err)
-                return
-            report.execute_seconds += time.perf_counter() - started
-            report.backend = run.backend
-            report.workers = run.workers
-            report.processes = run.processes
-            if handle.expired():
-                # The product arrived after the budget: discard it.
-                self._finish(handle, error=handle.deadline_error("execute"))
-            else:
-                self._finish(handle, run=run)
+        engine = self.engines.engine_for(
+            request,
+            pending.shape_class,
+            deadline_at=None if deadline is None else deadline.at,
+            override=override,
+        )
+        started = time.perf_counter()
+        try:
+            run = engine.multiply(request.a, request.b)
+        except Exception as err:  # noqa: BLE001 - fail structured, never strand
+            report.execute_seconds = time.perf_counter() - started
+            self._finish(handle, error=err)
             return
+        report.execute_seconds = time.perf_counter() - started
+        report.backend = run.backend
+        report.workers = run.workers
+        report.processes = run.processes
+        if handle.expired():
+            # The product arrived after the budget: discard it.
+            self._finish(handle, error=handle.deadline_error("execute"))
+        else:
+            self._finish(handle, run=run)

@@ -14,10 +14,11 @@ what CI runs. The clients are the load generator's one audited closed
 loop (:func:`repro.serve.loadgen.drive`).
 
 :func:`run_soak` has two targets. By default it drives one
-``MultiplyServer`` with shard kills and hangs, bit flips and transient
-numeric corruption, scripted through ``state_dir``-backed
+``MultiplyServer`` with shard kills and hangs, bit flips that
+verification heals, and numeric corruption it detects and raises; the
+shard faults are scripted through ``state_dir``-backed
 :class:`~repro.runtime.faults.NumericFaultPlan` budgets (unique per
-request), so "fail once, heal on retry/rebuild" is deterministic across
+request), so "fail once, heal on rebuild" is deterministic across
 process boundaries. ``fleet=N`` drives a supervised
 :class:`~repro.serve.fleet.FleetServer` of N worker processes instead,
 SIGKILLing and hanging whole workers on timers while traffic flows, to
@@ -43,7 +44,7 @@ from repro.gemm.sharded import ShardConfig
 from repro.gemm.verify import VerifyConfig
 from repro.machines.presets import intel_i9_10900k
 from repro.runtime.faults import NumericFaultPlan, NumericFaultRule
-from repro.runtime.restart import RestartPolicy, RetryPolicy
+from repro.runtime.restart import RestartPolicy
 from repro.serve.fleet import FleetServer
 from repro.serve.loadgen import Call, OperandSet, drive
 from repro.serve.server import MultiplyServer
@@ -62,32 +63,12 @@ RESULT_TIMEOUT_SECONDS = 60.0
 def _variants(state_root: Path | None, include_sharded: bool) -> list[dict]:
     """The request mix, cycled per client iteration.
 
-    ``kwargs`` may be a callable of a unique request id — fault
-    variants need a fresh ``state_dir`` per request so each one
+    ``kwargs`` may be a callable of a unique request id — the shard
+    fault variants need a fresh ``state_dir`` per request so each one
     experiences its own fail-once budget. Without a ``state_root``
     (the fleet soak, whose faults are whole-worker kills and hangs)
-    only the four stateless variants run.
+    only the four healing variants run.
     """
-
-    def transient(uid: str) -> dict:
-        # Detection without recovery: the engine raises NumericFaultError
-        # on the corrupted first attempt; the *server's* retry reruns it
-        # against the spent on-disk budget and must come back clean.
-        return dict(
-            engine="cake",
-            verify=VerifyConfig(
-                max_retries=0,
-                oracle_fallback=False,
-                inject=NumericFaultPlan(
-                    rules=(
-                        NumericFaultRule(
-                            block=0, strip=0, kind="scale", factor=3.0
-                        ),
-                    ),
-                    state_dir=str(state_root / f"retry-{uid}"),
-                ),
-            ),
-        )
 
     def kill(uid: str) -> dict:
         # A shard worker dies mid-group; run_sharded's rebuild ladder
@@ -152,7 +133,28 @@ def _variants(state_root: Path | None, include_sharded: bool) -> list[dict]:
     ]
     if state_root is None:
         return variants
-    variants.append({"name": "transient-retry", "kwargs": transient})
+    variants.append(
+        {
+            "name": "detect-raise",
+            # Detection without recovery: the engine raises
+            # NumericFaultError on the corrupted group, and the server
+            # resolves the handle with it — a structured failure.
+            "kwargs": dict(
+                engine="cake",
+                verify=VerifyConfig(
+                    max_retries=0,
+                    oracle_fallback=False,
+                    inject=NumericFaultPlan(
+                        rules=(
+                            NumericFaultRule(
+                                block=0, strip=0, kind="scale", factor=3.0
+                            ),
+                        )
+                    ),
+                ),
+            ),
+        }
+    )
     if include_sharded:
         variants.append({"name": "kill-rebuild", "kwargs": kill})
         variants.append(
@@ -200,7 +202,6 @@ def run_soak(
     operands = OperandSet.figure8_skewed(
         n, seed=2021_08, machine=machine, cores=1
     )
-    retry = RetryPolicy(retries=2, base_delay=0.01, max_delay=0.2)
     result_timeout = RESULT_TIMEOUT_SECONDS
     if fleet:
         result_timeout = deadline + 30.0
@@ -210,7 +211,6 @@ def run_soak(
             capacity=4 * clients + 8,
             executors=2,
             cores=1,
-            retry_policy=retry,
             heartbeat_interval=0.1,
             heartbeat_timeout=1.0,
             # The chaos thread kills workers for the whole run: a huge
@@ -218,7 +218,8 @@ def run_soak(
             # unbounded here (tests pin the bounded/terminal path).
             restart_policy=RestartPolicy(
                 max_restarts=1_000_000,
-                backoff=RetryPolicy(retries=0, base_delay=0.05, max_delay=0.5),
+                base_delay=0.05,
+                max_delay=0.5,
                 reset_after=5.0,
             ),
             max_redispatch=3,
@@ -230,7 +231,6 @@ def run_soak(
             capacity=4 * clients + 8,
             executors=2,
             cores=1,
-            retry_policy=retry,
         )
 
     stop_at = time.monotonic() + seconds

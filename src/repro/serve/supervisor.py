@@ -4,7 +4,7 @@ The fleet's robustness story lives here, deliberately separated from
 request routing (:mod:`repro.serve.fleet`). A :class:`Supervisor` owns N
 worker *slots*; each slot runs :func:`worker_main` in its own spawned
 process hosting a full :class:`~repro.serve.server.MultiplyServer` —
-admission, deadlines, degradation ladder and all — and talks to the
+admission, coalescing, deadlines and all — and talks to the
 parent over a duplex :func:`multiprocessing.Pipe`.
 
 Per slot the supervisor runs the classic state machine::
@@ -72,7 +72,6 @@ class WorkerOptions:
     max_batch: int = 8
     cores: "int | None" = None
     default_deadline: "float | None" = None
-    retry_policy: object = None
     result_timeout: float = 300.0
     host_cores: "int | None" = None
 
@@ -105,7 +104,6 @@ def worker_main(conn, index: int, options: WorkerOptions) -> None:
             max_batch=options.max_batch,
             cores=options.cores,
             default_deadline=options.default_deadline,
-            retry_policy=options.retry_policy,
         )
     server.start()
     send_lock = threading.Lock()

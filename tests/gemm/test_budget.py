@@ -241,7 +241,7 @@ killing = VerifyConfig(inject=NumericFaultPlan(rules=(
     NumericFaultRule(block=0, strip="*", kind="kill", times=10**6),
 )))
 inline = CakeGemm(
-    machine, processes=ShardConfig(processes=2, max_pool_rebuilds=0),
+    machine, processes=ShardConfig(processes=2),
     verify=killing,
 ).multiply(a, b)
 restored("after an inline fallback")

@@ -103,9 +103,6 @@ def test_every_cell_matches_its_serial_run(
                 thread.join(timeout=60.0)
             runs = [handle.result(timeout=120.0) for handle in handles]
         assert len(runs) == 2
-        for handle in handles:
-            assert handle.report.attempts == 1
-            assert handle.report.degradations == []
     else:
         runs = [ENGINES[engine](
             machine,

@@ -30,7 +30,6 @@ from repro.gemm.backends import BlasGroupBackend, NumpyBackend
 from repro.gemm.sharded import (
     IPC_SLACK_FACTOR,
     ShardConfig,
-    ShardExecutionError,
     ipc_lower_bound_elements,
     plan_shards,
     resolve_shards,
@@ -200,7 +199,7 @@ class TestResolveShards:
     def test_int_wraps_config_passes_through(self):
         cfg = resolve_shards(4)
         assert cfg == ShardConfig(processes=4)
-        explicit = ShardConfig(processes=2, max_pool_rebuilds=0)
+        explicit = ShardConfig(processes=2)
         assert resolve_shards(explicit) is explicit
 
     def test_rejects_bools_and_nonsense(self):
@@ -214,8 +213,6 @@ class TestResolveShards:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ShardConfig(processes=0)
-        with pytest.raises(ValueError):
-            ShardConfig(processes=2, max_pool_rebuilds=-1)
         with pytest.raises(ConfigurationError, match="start method"):
             ShardConfig(processes=2, start_method="no-such-method")
 
@@ -529,31 +526,13 @@ class TestShardFaultTolerance:
         clean = _serial(intel, "cake", a, b)
         run = _sharded(
             intel, "cake", a, b,
-            ShardConfig(processes=2, max_pool_rebuilds=1),
+            ShardConfig(processes=2),
             verify=VerifyConfig(inject=_kill_plan()),
         )
         assert np.array_equal(run.c, clean.c)
         assert run.shards is not None
         assert run.shards.pool_rebuilds >= 1
         assert run.shards.inline_shards >= 1
-
-    def test_persistent_kill_without_fallback_is_structured(
-        self, intel, operands
-    ):
-        # inline_fallback=False: the run must refuse to return a
-        # partially-computed C, naming the shards that never finished.
-        a, b = operands
-        engine = CakeGemm(
-            intel, cores=1,
-            processes=ShardConfig(
-                processes=2, max_pool_rebuilds=1, inline_fallback=False
-            ),
-            verify=VerifyConfig(inject=_kill_plan()),
-        )
-        with pytest.raises(ShardExecutionError) as exc:
-            engine.multiply(a, b)
-        assert exc.value.shards  # the unfinished shard coordinates
-        assert exc.value.rebuilds >= 1
 
     def test_scale_fault_heals_inside_the_shard(self, intel, operands):
         # Ordinary ABFT corruption heals locally in the shard worker.

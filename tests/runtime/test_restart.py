@@ -5,18 +5,24 @@ worker restarts walk a :class:`~repro.runtime.restart.RestartTracker`;
 these tests pin the ladder's arithmetic on its own: the cap, the
 deterministic backoff schedule, the zero-delay fast path, and the
 health reset that keeps long-lived workers off the terminal track.
-The :class:`~repro.runtime.restart.RetryPolicy` backoff curve under it
-(and under the server's request retries) is pinned here too.
 """
+
+import random
 
 import pytest
 
-from repro.runtime.restart import RestartPolicy, RestartTracker, RetryPolicy
+from repro.runtime.restart import RestartPolicy, RestartTracker
 
 
-class TestRetryPolicy:
+class TestRestartPolicy:
+    def test_defaults_are_sane(self):
+        policy = RestartPolicy()
+        assert policy.max_restarts == 5
+        assert (policy.base_delay, policy.max_delay) == (0.1, 5.0)
+        assert policy.reset_after == 30.0
+
     def test_backoff_schedule_is_deterministic_and_capped(self):
-        policy = RetryPolicy(retries=3, base_delay=0.05, max_delay=2.0)
+        policy = RestartPolicy(base_delay=0.05, max_delay=2.0)
         d1 = policy.delay(seed=12345, attempt=1)
         assert d1 == policy.delay(seed=12345, attempt=1)
         assert d1 != policy.delay(seed=12345, attempt=2)
@@ -24,13 +30,20 @@ class TestRetryPolicy:
         for attempt in range(1, 50):
             assert 0.0 <= policy.delay(seed=7, attempt=attempt) <= 2.0 * 1.5
 
-
-class TestRestartPolicy:
-    def test_defaults_are_sane(self):
+    def test_backoff_curve_keeps_its_jitter(self):
+        # Pinned values, so supervisor and soak restart schedules stay
+        # reproducible: doubling from base_delay, capped at max_delay,
+        # scaled by a factor drawn from Random(seed * 1_000_003 + attempt).
         policy = RestartPolicy()
-        assert policy.max_restarts == 5
-        assert policy.backoff.base_delay > 0
-        assert policy.reset_after == 30.0
+        for seed, attempt in [(0, 1), (3, 2), (7, 6), (12345, 10)]:
+            base = min(5.0, 0.1 * 2 ** (attempt - 1))
+            jitter = random.Random(seed * 1_000_003 + attempt).random()
+            assert policy.delay(seed, attempt) == base * (0.5 + jitter)
+
+    @pytest.mark.parametrize("field", ["base_delay", "max_delay"])
+    def test_negative_delays_rejected(self, field):
+        with pytest.raises(ValueError, match="backoff delays"):
+            RestartPolicy(**{field: -0.1})
 
     @pytest.mark.parametrize("bad", [-1, -5])
     def test_negative_max_restarts_rejected(self, bad):
@@ -50,9 +63,8 @@ class TestRestartTracker:
     def _policy(self, max_restarts, base_delay=0.1):
         return RestartPolicy(
             max_restarts=max_restarts,
-            backoff=RetryPolicy(
-                retries=0, base_delay=base_delay, max_delay=5.0
-            ),
+            base_delay=base_delay,
+            max_delay=5.0,
             reset_after=None,
         )
 
@@ -88,7 +100,8 @@ class TestRestartTracker:
     def test_health_reset_refreshes_budget(self):
         policy = RestartPolicy(
             max_restarts=1,
-            backoff=RetryPolicy(retries=0, base_delay=0.0, max_delay=0.0),
+            base_delay=0.0,
+            max_delay=0.0,
             reset_after=10.0,
         )
         tracker = RestartTracker(policy)

@@ -126,7 +126,6 @@ class TestShardDeadline:
             processes=ShardConfig(
                 processes=2,
                 deadline=time.monotonic() + 1.0,
-                inline_fallback=False,
             ),
         )
         started = time.monotonic()

@@ -1,34 +1,24 @@
 """The multiply server's core contracts.
 
 Every admitted request terminates exactly one way — a product
-bit-identical to the direct engine call, or a structured error — and
-the dispatcher's batching/retry/degradation machinery may change
-latency but never bits.
+bit-identical to the direct engine call, or a structured error. An
+executor runs each request once, on the configuration it asked for;
+its batching may change latency but never bits.
 """
 
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from repro.errors import (
-    AdmissionError,
-    BackendCapabilityError,
-    CakeError,
-    DeadlineExceededError,
-)
+from repro.errors import AdmissionError, CakeError, DeadlineExceededError
 from repro.gemm.cake import CakeGemm
 from repro.gemm.goto import GotoGemm
-from repro.gemm.sharded import ShardConfig
 from repro.gemm.verify import NumericFaultError, VerifyConfig
-from repro.runtime import RetryPolicy
 from repro.runtime.faults import NumericFaultPlan, NumericFaultRule
-from repro.serve.batching import Rung, degradation_rungs, oracle_rung
 from repro.serve.loadgen import OperandSet, run_load
-from repro.serve.request import MultiplyRequest, content_seed
 from repro.serve.server import MultiplyServer
 
 
@@ -68,7 +58,7 @@ class TestBitIdentity:
             run = handle.result(timeout=60.0)
             assert handle.done()
             assert handle.report.status == "ok"
-            assert handle.report.attempts == 1
+            assert server.stats().executed == 1
             assert np.array_equal(
                 run.c, CakeGemm(intel, cores=1).multiply(a, b).c
             )
@@ -161,36 +151,14 @@ class TestCoalescing:
 
 
 class TestRetries:
-    def test_transient_fault_heals_on_server_retry(self, intel, operands):
-        a, b = operands
-        # Fail-once budget on disk: detection without in-engine recovery,
-        # so only the *server's* retry can produce the clean pass.
-        verify = VerifyConfig(
-            max_retries=0,
-            oracle_fallback=False,
-            inject=NumericFaultPlan(
-                rules=(
-                    NumericFaultRule(
-                        block=0, strip=0, kind="scale", factor=3.0
-                    ),
-                ),
-                state_dir=tempfile.mkdtemp(prefix="serve-retry-"),
-            ),
-        )
-        with MultiplyServer(intel, cores=1) as server:
-            handle = server.submit(a, b, verify=verify)
-            run = handle.result(timeout=60.0)
-        assert np.array_equal(
-            run.c, CakeGemm(intel, cores=1).multiply(a, b).c
-        )
-        assert handle.report.retries == 1
-        assert handle.report.attempts == 2
-        assert server.stats().retries == 1
+    """A request runs once: the engine's own recovery ladder is its only
+    retry, and what that ladder cannot heal fails the request."""
 
     def test_exhausted_retries_fail_structured(self, intel, operands):
         a, b = operands
         # No state_dir: the in-process rule re-fires on every attempt,
-        # so retries exhaust and the request must fail structured.
+        # so the verifier's retries exhaust and the request must fail
+        # structured.
         verify = VerifyConfig(
             max_retries=0,
             oracle_fallback=False,
@@ -206,13 +174,7 @@ class TestRetries:
                 ),
             ),
         )
-        with MultiplyServer(
-            intel,
-            cores=1,
-            retry_policy=RetryPolicy(
-                retries=1, base_delay=0.001, max_delay=0.002
-            ),
-        ) as server:
+        with MultiplyServer(intel, cores=1) as server:
             handle = server.submit(a, b, verify=verify)
             with pytest.raises(NumericFaultError):
                 handle.result(timeout=60.0)
@@ -220,170 +182,57 @@ class TestRetries:
         assert handle.report.error == "NumericFaultError"
         assert server.stats().failed == 1
 
-    def test_replayed_fault_replays_its_backoff_schedule(
-        self, intel, operands
-    ):
-        a, b = operands
-
-        @dataclass(frozen=True)
-        class Recording(RetryPolicy):
-            calls: list = field(default_factory=list, compare=False)
-
-            def delay(self, seed, attempt):
-                self.calls.append((seed, attempt))
-                return super().delay(seed, attempt)
-
-        def replay():
-            # Two failed attempts, healed by the third: two backoffs.
-            verify = VerifyConfig(
-                max_retries=0,
-                oracle_fallback=False,
-                inject=NumericFaultPlan(
-                    rules=(
-                        NumericFaultRule(
-                            block=0, strip=0, kind="scale", factor=3.0,
-                            times=2,
-                        ),
+    def test_unhealed_fault_never_switches_backend(self, intel, rng):
+        # At this shape the blas-group and numpy backends return
+        # different bits, so a product from any backend but the one
+        # asked for would break bit-identity with the direct call. The
+        # fault fires on three attempts; the verifier makes one.
+        a = rng.standard_normal((300, 211))
+        b = rng.standard_normal((211, 257))
+        verify = VerifyConfig(
+            max_retries=0,
+            oracle_fallback=False,
+            inject=NumericFaultPlan(
+                rules=(
+                    NumericFaultRule(
+                        block=0, strip=0, kind="scale", factor=3.0, times=3
                     ),
-                    state_dir=tempfile.mkdtemp(prefix="serve-replay-"),
                 ),
-            )
-            policy = Recording(retries=2, base_delay=0.001, max_delay=0.002)
-            with MultiplyServer(
-                intel, cores=1, retry_policy=policy
-            ) as server:
-                handle = server.submit(a, b, verify=verify)
-                handle.result(timeout=60.0)
-            assert handle.report.retries == 2
-            return policy.calls
-
-        first = replay()
-        assert first == [(content_seed(a, b), 1), (content_seed(a, b), 2)]
-        assert replay() == first
-
-    def test_retry_schedule_is_content_seeded(self, operands):
-        a, b = operands
-        policy = RetryPolicy(retries=3, base_delay=0.05, max_delay=1.0)
-        seed = MultiplyRequest(a=a, b=b).seed()
-        assert seed == content_seed(a, b)  # stable, derived from content
-        replay = [policy.delay(seed, k) for k in (1, 2, 3)]
-        assert replay == [policy.delay(seed, k) for k in (1, 2, 3)]
-        other = content_seed(b.T.copy(), a.T.copy())
-        assert other != seed  # different content, decorrelated backoff
-
-
-class TestDegradation:
-    def test_ladder_shape(self):
-        a = np.zeros((4, 4), dtype=np.float32)
-        request = MultiplyRequest(
-            a=a,
-            b=a,
-            workers=4,
-            backend="blas-group",
-            processes=ShardConfig(processes=2),
-        )
-        rungs = degradation_rungs(request)
-        assert [
-            (1 if isinstance(r.processes, int) or r.processes is None
-             else r.processes.processes,
-             r.workers, r.backend)
-            for r in rungs
-        ] == [
-            (2, 4, "blas-group"),  # as requested
-            (1, 4, "blas-group"),  # drop sharding
-            (1, 1, "blas-group"),  # drop threading
-            (1, 1, "numpy"),  # drop the fast backend
-        ]
-        assert rungs[-1] == oracle_rung()
-
-    def test_bottom_rung_request_gets_one_rung(self):
-        a = np.zeros((4, 4), dtype=np.float32)
-        request = MultiplyRequest(a=a, b=a)
-        assert degradation_rungs(request) == [Rung(None, None, None)]
-
-    def test_capability_error_degrades_to_oracle(self, intel, operands):
-        a, b = operands
-        reference = CakeGemm(intel, cores=1).multiply(a, b).c
-
-        class Refusing:
-            def multiply(self, a, b):
-                raise BackendCapabilityError(
-                    "blas-group", "refuses for this test",
-                    np.dtype(np.float32),
-                )
-
-        with MultiplyServer(intel, cores=1) as server:
-            inner = server.engines
-
-            class FlakyEngines:
-                def engine_for(self, request, shape_class, rung,
-                               deadline_at=None, override=None):
-                    if rung.backend != "numpy":
-                        return Refusing()
-                    return inner.engine_for(
-                        request, shape_class, rung, deadline_at,
-                        override=override,
-                    )
-
-            server.engines = FlakyEngines()
-            handle = server.submit(a, b, backend="blas-group")
-            run = handle.result(timeout=60.0)
-        assert np.array_equal(run.c, reference)  # degradation kept bits
-        assert handle.report.status == "ok"
-        assert len(handle.report.degradations) == 1
-        step = handle.report.degradations[0]
-        assert step["reason"] == "BackendCapabilityError"
-        assert "numpy" in step["to"]
-        assert server.stats().degradations == 1
-
-    def test_persistent_transient_fault_walks_the_ladder(
-        self, intel, operands
-    ):
-        a, b = operands
-        reference = CakeGemm(intel, cores=1).multiply(a, b).c
-
-        class Failing:
-            def multiply(self, a, b):
-                raise NumericFaultError(
-                    "CB(0, 0, 0)", (0, 0, 0), _identity_failure()
-                )
-
-        def _identity_failure():
-            from repro.gemm.verify import IdentityFailure
-
-            return IdentityFailure(
-                identity="column", strip=None,
-                residual=1.0, tolerance=1e-9,
-            )
-
-        with MultiplyServer(
-            intel,
-            cores=1,
-            retry_policy=RetryPolicy(
-                retries=1, base_delay=0.001, max_delay=0.002
+                state_dir=tempfile.mkdtemp(prefix="serve-backend-"),
             ),
-        ) as server:
-            inner = server.engines
-
-            class FlakyEngines:
-                def engine_for(self, request, shape_class, rung,
-                               deadline_at=None, override=None):
-                    if rung.workers != 1:
-                        return Failing()  # the threaded rung never works
-                    return inner.engine_for(
-                        request, shape_class, rung, deadline_at,
-                        override=override,
-                    )
-
-            server.engines = FlakyEngines()
-            handle = server.submit(a, b, workers=2)
-            run = handle.result(timeout=60.0)
-        assert np.array_equal(run.c, reference)
-        assert handle.report.retries == 1  # exhausted on the first rung
-        assert len(handle.report.degradations) == 1
-        assert handle.report.degradations[0]["reason"] == (
-            "NumericFaultError"
         )
+        with MultiplyServer(intel) as server:
+            handle = server.submit(a, b, backend="blas-group", verify=verify)
+            with pytest.raises(NumericFaultError):
+                handle.result(timeout=60.0)
+        assert handle.report.status == "failed"
+        assert server.stats().executed == 1
+
+    @pytest.mark.parametrize("engine", ["cake", "goto"])
+    @pytest.mark.parametrize("operand", ["A", "B"])
+    def test_non_finite_operand_fails_verified_once(
+        self, intel, operands, engine, operand
+    ):
+        # inf in A, NaN in B: the verified request fails on its one
+        # run with the checksum pass's error; unverified, it returns
+        # the IEEE product like the direct call.
+        a, b = (x.copy() for x in operands)
+        if operand == "A":
+            a[5, 7] = np.inf
+        else:
+            b[7, 5] = np.nan
+        with MultiplyServer(intel, cores=1) as server:
+            handle = server.submit(a, b, engine=engine, verify=True)
+            with pytest.raises(ValueError, match=f"operand {operand} block"):
+                handle.result(timeout=60.0)
+            run = server.multiply(a, b, engine=engine)
+        assert handle.report.status == "failed"
+        assert server.stats().executed == 2
+        direct = {"cake": CakeGemm, "goto": GotoGemm}[engine]
+        assert np.array_equal(
+            run.c, direct(intel, cores=1).multiply(a, b).c, equal_nan=True
+        )
+        np.testing.assert_allclose(run.c, a @ b, rtol=1e-5, atol=1e-5)
 
 
 class TestLifecycle:

@@ -40,7 +40,7 @@ def test_short_single_server_soak_is_clean(tmp_path):
         "plain-goto",
         "threaded",
         "bitflip-heal",
-        "transient-retry",
+        "detect-raise",
     }
     assert report["requests"] == sum(
         v["requests"] for v in report["variants"].values()

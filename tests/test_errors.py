@@ -17,7 +17,6 @@ from repro.errors import (
     SimulationError,
     WorkerCrashError,
 )
-from repro.gemm.sharded import ShardExecutionError
 from repro.gemm.verify import IdentityFailure, NumericFaultError
 
 
@@ -78,7 +77,6 @@ _EXAMPLES = {
             identity="row", strip=4, residual=0.5, tolerance=1e-6
         ),
     ),
-    ShardExecutionError: lambda: ShardExecutionError([(0, 1), (1, 0)], 2),
 }
 
 
