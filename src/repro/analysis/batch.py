@@ -11,9 +11,11 @@ handful of NumPy passes over structure-of-arrays data:
 * per-block geometry comes from one gather per axis
   (:meth:`repro.schedule.space.BlockGrid.surface_arrays`);
 * CAKE's capacity-LRU residency runs through
-  :func:`repro.schedule.reuse.surface_lru_replay`, which steps block by
-  block only at run starts, turn reuses and ragged blocks, and applies
-  the rest of each reduction run in one step, from sizes alone;
+  :func:`repro.schedule.reuse.surface_lru_replay`, which steps each
+  reduction run once per run key (the LRU state entering the run,
+  translated to the run's own ``(mi, ni)``, plus the run's M size, N
+  size and K direction) and gathers every later run's hit flags from a
+  memo;
 * roofline pricing runs through
   :func:`repro.perfmodel.roofline.block_times_batch`, and every float
   total is a left-to-right accumulation
@@ -44,11 +46,7 @@ from repro.machines.spec import MachineSpec
 from repro.packing.cost import packing_cost
 from repro.perfmodel.roofline import BlockTime, block_times_batch, sequential_sum
 from repro.schedule.kfirst import kfirst_order_arrays
-from repro.schedule.reuse import (
-    encode_surface_ids,
-    occurrence_index,
-    surface_lru_replay,
-)
+from repro.schedule.reuse import surface_lru_replay
 from repro.schedule.space import ComputationSpace
 from repro.util import ceil_div, split_length
 
@@ -124,8 +122,8 @@ def analyze_cake_batch(
     Identical accounting to :func:`repro.analysis.walk.walk_cake` — the
     same plan, the same K-first order, the same LRU residency decisions,
     the same roofline pricing — with the per-block Python loop replaced
-    by array passes plus the LRU replay, whose cost scales with the
-    schedule's reduction runs rather than its blocks.
+    by array passes plus the LRU replay, which steps a reduction run only
+    when no earlier run had its run key.
 
     The autotuner prices candidate plans through the same walk: ``plan``
     supplies an explicit (possibly overridden) :class:`CakePlan` in place
@@ -150,12 +148,10 @@ def analyze_cake_batch(
 
     # Residency: replay the exact LRU the scalar walk drives. C-surface
     # occurrence counts stand in for the walk's ``progress`` dict.
-    occ = occurrence_index(mi * grid.nb + ni)
-    final = occ == grid.kb - 1
-    a_ids, b_ids, c_ids, c_base = encode_surface_ids(grid, order)
-    a_hit, b_hit, c_hit, spill = surface_lru_replay(
-        a_ids, b_ids, c_ids, sa, sb, sc, final, plan.residency_elements, c_base
+    a_hit, b_hit, c_hit, occ, spill = surface_lru_replay(
+        grid, order, plan.residency_elements
     )
+    final = occ == grid.kb - 1
 
     a_el = np.where(a_hit, 0, sa)
     b_el = np.where(b_hit, 0, sb)

@@ -34,7 +34,6 @@ from repro.schedule.reuse import (
     SurfaceResidency,
     analyze_reuse,
     analyze_reuse_batch,
-    encode_surface_ids,
     occurrence_index,
     surface_lru_replay,
     validate_order_arrays,
@@ -63,7 +62,6 @@ __all__ = [
     "SurfaceResidency",
     "analyze_reuse",
     "analyze_reuse_batch",
-    "encode_surface_ids",
     "occurrence_index",
     "surface_lru_replay",
     "validate_order_arrays",
