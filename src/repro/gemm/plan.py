@@ -19,7 +19,7 @@ which is exactly why its DRAM demand grows with core count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.core.cb_block import CBBlock
@@ -32,6 +32,7 @@ from repro.schedule.kfirst import kfirst_schedule
 from repro.schedule.variants import build_schedule
 from repro.schedule.space import BlockCoord, BlockGrid, ComputationSpace
 from repro.util import require_positive
+from repro.util.hashing import hash_once
 
 #: Hard cap on the aspect factor: past this, blocks are so wide that the
 #: cache-sizing rule forces degenerate mc, and the machine is simply too
@@ -185,6 +186,7 @@ class PlanOverride:
         return cls(**doc)
 
 
+@hash_once
 @dataclass(frozen=True, slots=True)
 class CakePlan:
     """Analytically-derived CAKE tiling for one (machine, problem) pair."""
@@ -195,6 +197,9 @@ class CakePlan:
     alpha: float
     mc: int
     kc: int
+    _hash: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_problem(
@@ -368,6 +373,7 @@ def _cake_plan(
     return CakePlan(machine, space, cores, best[1], best[2], best[2])
 
 
+@hash_once
 @dataclass(frozen=True, slots=True)
 class GotoPlan:
     """Cache-filling GOTO tiling (Section 4.1) for the baseline engine."""
@@ -378,6 +384,9 @@ class GotoPlan:
     mc: int
     kc: int
     nc: int
+    _hash: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_problem(

@@ -19,13 +19,15 @@ the paper's observed single-core throughputs is documented per preset in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.machines.internal_bw import InternalBandwidthCurve
 from repro.util import require_positive
+from repro.util.hashing import hash_once
 from repro.util.units import FLOAT32_BYTES
 
 
+@hash_once
 @dataclass(frozen=True, slots=True)
 class MachineSpec:
     """Parametric model of a CPU platform (one row of Table 2).
@@ -108,6 +110,9 @@ class MachineSpec:
     l2_latency_cycles: int = 14
     llc_latency_cycles: int = 40
     element_bytes: int = FLOAT32_BYTES
+    _hash: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         require_positive("cores", self.cores)

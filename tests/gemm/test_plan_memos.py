@@ -4,10 +4,15 @@ A repeated shape must build exactly the strip groups a cold build
 gives — same views onto the same buffers, same indices and labels —
 because executor threads and shard workers share the memoized values.
 So the values are immutable, bounded like the plans, and
-``clear_plan_memos()`` empties every one of them.
+``clear_plan_memos()`` empties every one of them. The plans and machine
+specs that key the memos hash once, and never carry that hash into
+another process.
 """
 
 from __future__ import annotations
+
+import multiprocessing as mp
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,10 +27,14 @@ from repro.gemm.parallel import (
 )
 from repro.gemm.plan import (
     PLAN_MEMO_MAXSIZE,
+    CakePlan,
+    GotoPlan,
     clear_plan_memos,
     plan_cache_info,
 )
 from repro.gemm.sharded import plan_shards
+from repro.machines import intel_i9_10900k
+from repro.schedule.space import ComputationSpace
 
 ENGINES = {"cake": CakeGemm, "goto": GotoGemm}
 #: At ``cores=4`` on the i9 preset: three K panels for both engines,
@@ -152,3 +161,42 @@ def test_clear_plan_memos_empties_every_memo(intel):
     clear_plan_memos()
     info = plan_cache_info()
     assert all(info[name]["currsize"] == 0 for name in memos), info
+
+
+@pytest.mark.parametrize("plan_cls", [CakePlan, GotoPlan])
+def test_equal_plans_hash_equal(plan_cls):
+    space = ComputationSpace(*SHAPE)
+    plan = plan_cls.from_problem(intel_i9_10900k(), space, cores=4)
+    clear_plan_memos()
+    again = plan_cls.from_problem(intel_i9_10900k(), space, cores=4)
+    assert again is not plan and again.machine is not plan.machine
+    assert again == plan and again.machine == plan.machine
+    assert hash(again) == hash(plan) == hash(plan)
+    assert hash(again.machine) == hash(plan.machine)
+
+
+def _hashes_like_a_plan_built_here(plan: CakePlan) -> tuple[bool, bool, bool]:
+    """In a spawned process, where string hashes take another salt: the
+    plan that arrived pickled against an equal one built here."""
+    built = CakePlan.from_problem(
+        intel_i9_10900k(), ComputationSpace(*SHAPE), cores=4
+    )
+    return (
+        plan == built,
+        hash(plan) == hash(built),
+        hash(plan.machine) == hash(built.machine),
+    )
+
+
+@pytest.mark.skipif(
+    "spawn" not in mp.get_all_start_methods(),
+    reason="spawn start method unavailable",
+)
+def test_a_plan_pickled_into_a_spawned_process_hashes_like_its_own():
+    plan = CakePlan.from_problem(
+        intel_i9_10900k(), ComputationSpace(*SHAPE), cores=4
+    )
+    hash(plan)  # stored before the plan travels, as a shard task's does
+    with ProcessPoolExecutor(1, mp_context=mp.get_context("spawn")) as pool:
+        future = pool.submit(_hashes_like_a_plan_built_here, plan)
+        assert future.result(timeout=120) == (True, True, True)
