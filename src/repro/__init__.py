@@ -15,14 +15,14 @@ The package is organised around the paper's structure:
     AMD Ryzen 9 5950X, ARM Cortex-A53), including internal-bandwidth
     scaling curves.
 ``repro.memsim``
-    A trace-driven, multi-level LRU cache-hierarchy simulator used to
-    reproduce the stall/access profiles of Figure 7.
+    A trace-driven, multi-level LRU cache-hierarchy simulator at tile
+    granularity, used to reproduce the stall/access profiles of
+    Figure 7 (the tests validate it against a line-level simulator).
 ``repro.packing``
     Blocked packing of operands into contiguous buffers (Section 5.2.1).
 ``repro.gemm``
-    Executable GEMM engines: the CAKE executor, a faithful GOTO
-    (Goto's algorithm) baseline standing in for MKL/ARMPL/OpenBLAS,
-    and a naive reference.
+    Executable GEMM engines: the CAKE executor and a faithful GOTO
+    (Goto's algorithm) baseline standing in for MKL/ARMPL/OpenBLAS.
 ``repro.perfmodel``
     Roofline-style performance evaluation of a schedule on a machine,
     producing the GFLOP/s and DRAM-GB/s series of Figures 9-12.

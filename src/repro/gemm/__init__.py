@@ -1,4 +1,4 @@
-"""GEMM engines: CAKE, the GOTO baseline, and a naive reference.
+"""GEMM engines: CAKE and the GOTO baseline.
 
 :class:`~repro.gemm.cake.CakeGemm` implements the paper's contribution:
 CB-block partitioning (Section 3 shaping, Section 4.3 LRU sizing), the
@@ -30,7 +30,6 @@ from repro.gemm.backends import (
     resolve_backend,
 )
 from repro.gemm.microkernel import MicroKernel
-from repro.gemm.naive import naive_matmul, reference_matmul
 from repro.gemm.counters import TrafficCounters
 from repro.gemm.parallel import (
     PhaseTimers,
@@ -69,8 +68,6 @@ __all__ = [
     "registered_backends",
     "resolve_backend",
     "MicroKernel",
-    "naive_matmul",
-    "reference_matmul",
     "TrafficCounters",
     "PhaseTimers",
     "StripGroup",

@@ -496,20 +496,6 @@ def _plan_memos() -> dict:
     }
 
 
-def plan_cache_info() -> dict[str, object]:
-    """Hit/miss/size counters for the plan memos and the per-plan memos
-    built from them: grid, accounting
-    (:func:`repro.gemm.engine.plan_accounting`), loop order, strip
-    layout and the grid's block edges."""
-    return {
-        "maxsize": PLAN_MEMO_MAXSIZE,
-        **{
-            name: memo.cache_info()._asdict()
-            for name, memo in _plan_memos().items()
-        },
-    }
-
-
 def clear_plan_memos() -> None:
     """Drop every memoized plan and everything memoized per plan (tests;
     never needed for correctness)."""

@@ -66,9 +66,9 @@ of the bound only when the plan has an N panel boundary where the
 near-square grid wants a column cut. A plan with a single N panel can
 only be cut in rows, which replicates B: 1.54x at 256x2048 . 2048x1024
 on two processes of the 10-core CAKE plan, and the same for GOTO, whose
-``nc`` spans all of N on that shape. The tests, the sharded bench and
-the sharded experiment assert the slack at ``cores=1``, whose small CAKE
-blocks leave several N panels to cut.
+``nc`` spans all of N on that shape. The tests and the sharded bench
+assert the slack at ``cores=1``, whose small CAKE blocks leave several
+N panels to cut.
 
 The warm runtime
 ----------------
@@ -77,11 +77,14 @@ Shard processes and shared-memory segments outlive one multiply:
 
 * **Pools.** A process-wide cache holds idle worker pools keyed by start
   method and process count. A multiply leases one pool exclusively and
-  returns it only if every future completed. A broken, timed-out or
-  raising call tears its pool down with
-  :func:`~repro.runtime.restart.kill_pool` instead; an idle pool found
-  dead at lease time is replaced without charging the run's
-  :data:`MAX_POOL_REBUILDS`. Pools retire after
+  returns it once every future completed. A shard that raises its own
+  error (a refused operand, an unrecoverable numeric fault) leaves the
+  pool healthy: the shards not yet started are cancelled, the running
+  ones waited for under the run's deadline, the pool returned and the
+  error re-raised. A broken, timed-out or interrupted call tears its
+  pool down with :func:`~repro.runtime.restart.kill_pool` instead; an
+  idle pool found dead at lease time is replaced without charging the
+  run's :data:`MAX_POOL_REBUILDS`. Pools retire after
   :data:`POOL_IDLE_SECONDS` idle, and at exit; every worker also exits
   by itself once its parent dies.
 * **Arena.** One process-wide :class:`~repro.packing.pool.SharedBufferPool`
@@ -117,6 +120,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from concurrent.futures import as_completed
+from concurrent.futures import wait as wait_futures
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
@@ -829,6 +833,29 @@ def _default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
+def _settle(
+    futures: dict, error: BaseException, remaining: Callable[[], float | None]
+) -> bool:
+    """Cancel the shards not yet started and wait for the running ones.
+
+    Called once a shard raised ``error``. The wait is bounded by the
+    run's deadline like the barrier's: past it, a hung peer raises
+    :class:`DeadlineExceededError` (caused by ``error``) and the caller
+    kills the pool. Returns whether the pool is still whole, i.e. no
+    peer died while it was waited for.
+    """
+    for future in futures:
+        future.cancel()
+    _, hung = wait_futures(futures, timeout=remaining())
+    if hung:
+        raise DeadlineExceededError("shard") from error
+    return not any(
+        isinstance(future.exception(), BrokenProcessPool)
+        for future in futures
+        if not future.cancelled()
+    )
+
+
 def run_sharded(
     *,
     plan: CakePlan | GotoPlan,
@@ -856,10 +883,11 @@ def run_sharded(
     (the arena of :func:`shard_arena`), with A and B filled; each shard
     zeroes its own C panel. On return, ``c`` holds the product — the
     caller copies it out before releasing its segments.
-    The worker pool is leased from the warm runtime and returned only if
-    every shard completed in it. Worker phase timers are summed into
-    ``timers``; per-shard breakdowns, rebuild counts and the IPC-vs-bound
-    comparison come back in the :class:`ShardReport`.
+    The worker pool is leased from the warm runtime and returned when
+    every shard completed in it, or when a shard raised its own error
+    (after its peers settled, :func:`_settle`). Worker phase timers are
+    summed into ``timers``; per-shard breakdowns, rebuild counts and the
+    IPC-vs-bound comparison come back in the :class:`ShardReport`.
     """
     a_segment, b_segment, c_segment = (pool.segment_of(x) for x in (a, b, c))
     pending = {
@@ -932,6 +960,17 @@ def run_sharded(
                     }
                 for future in as_completed(futures, timeout=_remaining()):
                     index = futures[future]
+                    error = future.exception()
+                    if error is not None and not isinstance(
+                        error, BrokenProcessPool
+                    ):
+                        # The shard's own error leaves its pool healthy:
+                        # settle the peers, keep the pool warm, re-raise.
+                        healthy = _settle(futures, error, _remaining)
+                        if healthy:
+                            _RUNTIME.give_back(pool_key, pool_exec)
+                            pool_exec = None
+                        raise error
                     results[index] = future.result()
                     pending.pop(index)
             except BrokenProcessPool:

@@ -3,15 +3,12 @@
 Used to reproduce Figure 7: where do memory requests get served, and how
 long do cores stall waiting, under CAKE vs the GOTO baseline?
 
-Two granularities, cross-validated against each other in tests:
-
-* :class:`~repro.memsim.lru.SetAssociativeCache` — a classical
-  line-granularity set-associative LRU cache, exact but only tractable for
-  small traces (unit tests, archsim validation).
-* :class:`~repro.memsim.lru.LRUCache` — an object-granularity LRU cache
-  holding variable-sized entries (tiles, panels, blocks) against a byte
-  budget. This is what makes full GEMM traces tractable in Python: one
-  access per *tile* instead of one per 64-byte line.
+:class:`~repro.memsim.lru.LRUCache` is an object-granularity LRU cache
+holding variable-sized entries (tiles, panels, blocks) against a byte
+budget. This is what makes full GEMM traces tractable in Python: one
+access per *tile* instead of one per 64-byte line. The tests
+cross-validate it against a line-granularity set-associative simulator
+of the same schedules at small scale (``tests/memsim/line_oracle.py``).
 
 :class:`~repro.memsim.hierarchy.MemoryHierarchy` assembles per-core private
 levels, the shared LLC and DRAM from a
@@ -23,37 +20,15 @@ MKL/GOTO stalls on *main* memory — emerges from LRU capacity pressure
 alone, with no engine-specific special-casing.
 """
 
-from repro.memsim.lru import LRUCache, SetAssociativeCache
+from repro.memsim.lru import LRUCache
 from repro.memsim.hierarchy import LevelStats, MemoryHierarchy
 from repro.memsim.profile import MemoryProfile, profile_cake, profile_goto
-from repro.memsim.trace import Access, TraceRecorder, replay
-from repro.memsim.linear import (
-    LineHierarchy,
-    LineProfile,
-    cake_line_ops,
-    goto_line_ops,
-    line_profile_cake,
-    line_profile_goto,
-)
-from repro.memsim.vectorized import VectorizedLineHierarchy, expand_ranges
 
 __all__ = [
     "LRUCache",
-    "SetAssociativeCache",
     "LevelStats",
     "MemoryHierarchy",
     "MemoryProfile",
     "profile_cake",
     "profile_goto",
-    "Access",
-    "TraceRecorder",
-    "replay",
-    "LineHierarchy",
-    "LineProfile",
-    "cake_line_ops",
-    "goto_line_ops",
-    "line_profile_cake",
-    "line_profile_goto",
-    "VectorizedLineHierarchy",
-    "expand_ranges",
 ]

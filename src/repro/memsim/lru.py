@@ -1,14 +1,11 @@
-"""LRU cache models.
+"""The object-granularity LRU cache model.
 
-:class:`LRUCache` is object-granularity: entries are opaque hashable keys
-with a byte size, evicted least-recently-used-first until the new entry
-fits. This models a cache holding matrix *tiles/panels* and is what the
-GEMM-scale traces use.
-
-:class:`SetAssociativeCache` is the classical line-granularity model
-(address -> set by index bits, LRU within the set), used where exactness
-matters more than speed. Both expose the same counter vocabulary so the
-hierarchy can host either.
+:class:`LRUCache` entries are opaque hashable keys with a byte size,
+evicted least-recently-used-first until the new entry fits. This models a
+cache holding matrix *tiles/panels* and is what the GEMM-scale traces
+use. The line-granularity set-associative model it is validated against
+lives with the tests (``tests/memsim/line_oracle.py``) and counts in the
+same :class:`CacheStats` vocabulary.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from repro.util import require_positive
 
 @dataclass(slots=True)
 class CacheStats:
-    """Hit/miss/eviction counters shared by both cache models."""
+    """Hit/miss/eviction counters of a cache model."""
 
     hits: int = 0
     misses: int = 0
@@ -113,71 +110,3 @@ class LRUCache:
             if dirty:
                 self.stats.writebacks += 1
                 self.stats.writeback_bytes += size
-
-
-class SetAssociativeCache:
-    """Line-granularity set-associative LRU cache.
-
-    Parameters
-    ----------
-    capacity_bytes, line_bytes, ways:
-        Standard geometry; ``capacity_bytes`` must be divisible by
-        ``line_bytes * ways`` so sets come out whole.
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: int,
-        line_bytes: int = 64,
-        ways: int = 8,
-        name: str = "cache",
-    ) -> None:
-        require_positive("capacity_bytes", capacity_bytes)
-        require_positive("line_bytes", line_bytes)
-        require_positive("ways", ways)
-        if capacity_bytes % (line_bytes * ways):
-            raise ValueError(
-                f"capacity {capacity_bytes} not divisible by "
-                f"line_bytes*ways = {line_bytes * ways}"
-            )
-        self.capacity_bytes = capacity_bytes
-        self.line_bytes = line_bytes
-        self.ways = ways
-        self.num_sets = capacity_bytes // (line_bytes * ways)
-        self.name = name
-        self.stats = CacheStats()
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
-
-    def access_line(self, address: int, *, write: bool = False) -> bool:
-        """Touch the line containing ``address``; returns True on hit."""
-        if address < 0:
-            raise ValueError(f"address must be >= 0, got {address}")
-        tag = address // self.line_bytes
-        s = self._sets[tag % self.num_sets]
-        if tag in s:
-            dirty = s.pop(tag)
-            s[tag] = dirty or write
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        self.stats.bytes_filled += self.line_bytes
-        s[tag] = write
-        if len(s) > self.ways:
-            _, dirty = s.popitem(last=False)
-            self.stats.evictions += 1
-            if dirty:
-                self.stats.writebacks += 1
-                self.stats.writeback_bytes += self.line_bytes
-        return False
-
-    def access(self, address: int, size_bytes: int, *, write: bool = False) -> int:
-        """Touch a byte range; returns the number of line hits."""
-        require_positive("size_bytes", size_bytes)
-        first = address // self.line_bytes
-        last = (address + size_bytes - 1) // self.line_bytes
-        hits = 0
-        for line in range(first, last + 1):
-            hits += self.access_line(line * self.line_bytes, write=write)
-        return hits

@@ -33,10 +33,8 @@ from repro.schedule.reuse import (
     ReuseReport,
     SurfaceResidency,
     analyze_reuse,
-    analyze_reuse_batch,
     occurrence_index,
     surface_lru_replay,
-    validate_order_arrays,
     validate_schedule,
 )
 
@@ -61,9 +59,7 @@ __all__ = [
     "ReuseReport",
     "SurfaceResidency",
     "analyze_reuse",
-    "analyze_reuse_batch",
     "occurrence_index",
     "surface_lru_replay",
-    "validate_order_arrays",
     "validate_schedule",
 ]

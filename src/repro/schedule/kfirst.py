@@ -22,7 +22,7 @@ automatically unless overridden.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -153,17 +153,3 @@ def kfirst_order_arrays(
     else:
         raise ValueError(f"outer must be 'auto', 'n' or 'm', got {outer!r}")
     return OrderArrays(mi=mi, ni=ni, ki=ki)
-
-
-def kfirst_runs(
-    grid: BlockGrid, *, outer: Literal["auto", "n", "m"] = "auto"
-) -> Iterator[list[BlockCoord]]:
-    """The schedule grouped into complete reduction runs.
-
-    Each yielded list is one K-run: the ``grid.kb`` blocks that accumulate
-    a single C block to completion. Executors use this to know when a
-    partial-result surface is finished and may be written back to DRAM.
-    """
-    order = kfirst_schedule(grid, outer=outer)
-    for start in range(0, len(order), grid.kb):
-        yield order[start : start + grid.kb]

@@ -327,31 +327,6 @@ def occurrence_index(keys: np.ndarray) -> np.ndarray:
     return occ
 
 
-def validate_order_arrays(grid: BlockGrid, order: "OrderArrays") -> None:
-    """Raise :class:`ScheduleError` unless ``order`` covers every block once.
-
-    Vectorized counterpart of :func:`validate_schedule`: one bincount
-    over linearised coordinates replaces the per-coord set bookkeeping.
-    """
-    mi, ni, ki = order.mi, order.ni, order.ki
-    if not (len(mi) == len(ni) == len(ki)):
-        raise ScheduleError("order arrays must have equal lengths")
-    if len(mi) == 0:
-        raise ScheduleError(f"schedule covers 0 of {grid.num_blocks} blocks in the grid")
-    for name, arr, count in (("mi", mi, grid.mb), ("ni", ni, grid.nb), ("ki", ki, grid.kb)):
-        if int(arr.min()) < 0 or int(arr.max()) >= count:
-            raise ScheduleError(f"{name} coordinates outside grid of {count} blocks")
-    linear = (mi * grid.nb + ni) * grid.kb + ki
-    counts = np.bincount(linear, minlength=grid.num_blocks)
-    if counts.max(initial=0) > 1:
-        raise ScheduleError("a block is scheduled more than once")
-    covered = int((counts > 0).sum())
-    if covered != grid.num_blocks or len(mi) != grid.num_blocks:
-        raise ScheduleError(
-            f"schedule covers {covered} of {grid.num_blocks} blocks in the grid"
-        )
-
-
 class _LruReplay:
     """The LRU that :func:`surface_lru_replay` steps.
 
@@ -647,60 +622,3 @@ def surface_lru_replay(
         replay.advance(zip(*[column.tolist() for column in columns]), hits)
         flags = np.frombuffer(hits, dtype=bool).reshape(-1, 3)
     return flags[:, 0], flags[:, 1], flags[:, 2], occ, replay.spill
-
-
-def analyze_reuse_batch(
-    grid: BlockGrid,
-    order: "OrderArrays",
-    *,
-    capacity_elements: int | None = None,
-) -> ReuseReport:
-    """Batched :func:`analyze_reuse`: identical tallies, no per-block loop.
-
-    The adjacency model collapses to shifted-array comparisons plus a
-    segment pass over the C-surface key stream; the capacity model runs
-    :func:`surface_lru_replay`. Both are equal to the scalar analyzer
-    field-for-field for any valid order (hypothesis-asserted in tests).
-    """
-    validate_order_arrays(grid, order)
-    mi, ni, ki = order.mi, order.ni, order.ki
-    n = len(mi)
-    sa, sb, sc = grid.surface_arrays(mi, ni, ki)
-
-    report = ReuseReport(blocks=n)
-    if capacity_elements is None:
-        c_keys = mi * grid.nb + ni
-        occ = occurrence_index(c_keys)
-        same_a = np.zeros(n, dtype=bool)
-        same_a[1:] = (mi[1:] == mi[:-1]) & (ki[1:] == ki[:-1])
-        same_b = np.zeros(n, dtype=bool)
-        same_b[1:] = (ki[1:] == ki[:-1]) & (ni[1:] == ni[:-1])
-        seg_start = np.ones(n, dtype=bool)
-        seg_start[1:] = c_keys[1:] != c_keys[:-1]
-        seg_end = np.ones(n, dtype=bool)
-        seg_end[:-1] = seg_start[1:]
-        completed = (occ + 1) >= grid.kb
-
-        report.reuse_a = int(same_a.sum())
-        report.io_a = int(sa[~same_a].sum())
-        report.reuse_b = int(same_b.sum())
-        report.io_b = int(sb[~same_b].sum())
-        report.reuse_c = int(n - seg_start.sum())
-        report.io_c_refetch = int(sc[seg_start & (occ > 0)].sum())
-        report.io_c_final = int(sc[seg_end & completed].sum())
-        report.io_c_spill = int(sc[seg_end & ~completed].sum())
-        return report
-
-    a_hit, b_hit, c_hit, occ, spill = surface_lru_replay(
-        grid, order, capacity_elements
-    )
-
-    report.reuse_a = int(a_hit.sum())
-    report.io_a = int(sa[~a_hit].sum())
-    report.reuse_b = int(b_hit.sum())
-    report.io_b = int(sb[~b_hit].sum())
-    report.reuse_c = int((c_hit & (occ > 0)).sum())
-    report.io_c_refetch = int(sc[~c_hit & (occ > 0)].sum())
-    report.io_c_final = int(sc[occ == grid.kb - 1].sum())
-    report.io_c_spill = spill
-    return report

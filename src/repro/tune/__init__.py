@@ -20,7 +20,6 @@ from repro.tune.tuner import (
     PlanTuner,
     TuneConfig,
     TuneResult,
-    clear_resolution_memo,
     tuned_override,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "TuneConfig",
     "TuneKey",
     "TuneResult",
-    "clear_resolution_memo",
     "default_cache_root",
     "execution_variants",
     "plan_shape_candidates",

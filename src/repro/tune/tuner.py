@@ -303,11 +303,6 @@ class PlanTuner:
 _RESOLVED: dict[tuple[str, str], PlanOverride | None] = {}
 
 
-def clear_resolution_memo() -> None:
-    """Forget in-process resolutions (tests; disk cache is untouched)."""
-    _RESOLVED.clear()
-
-
 def tuned_override(
     machine: MachineSpec,
     *,

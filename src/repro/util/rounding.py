@@ -26,23 +26,12 @@ def ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def round_to_multiple(value: int, multiple: int) -> int:
-    """Round ``value`` *up* to the nearest multiple of ``multiple``.
-
-    >>> round_to_multiple(10, 4)
-    12
-    >>> round_to_multiple(12, 4)
-    12
-    """
-    return ceil_div(value, multiple) * multiple
-
-
 def floor_to_multiple(value: int, multiple: int) -> int:
     """Round ``value`` *down* to the nearest multiple of ``multiple``.
 
-    Unlike :func:`round_to_multiple` this never returns 0 for a positive
-    ``value`` smaller than ``multiple``; it clamps to ``multiple`` instead,
-    because a zero-sized tile is never a valid partitioning outcome.
+    It never returns 0 for a positive ``value`` smaller than
+    ``multiple``; it clamps to ``multiple`` instead, because a zero-sized
+    tile is never a valid partitioning outcome.
 
     >>> floor_to_multiple(10, 4)
     8

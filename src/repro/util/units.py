@@ -1,11 +1,8 @@
-"""Unit conversions between the paper's model units and SI units.
+"""Byte-size units shared by the machine presets and the figure reports.
 
-The CAKE analysis (Sections 3-4) works in *model units*: one "cycle" is the
-time a core takes to multiply an ``mr x kc`` tile by a ``kc x nr`` tile, and
-bandwidth is measured in matrix *elements* per cycle. The evaluation
-(Section 5) reports GFLOP/s and GB/s. These helpers convert between the two
-given a machine clock frequency and element width, so that every figure
-harness does the conversion exactly the same way.
+The presets size caches and DRAM in KiB/MiB/GiB (Table 2), the reports
+print them back in MiB/GiB, and both use the constants below so a size
+reads the same everywhere.
 """
 
 from __future__ import annotations
@@ -32,47 +29,8 @@ def bytes_to_gib(n_bytes: float) -> float:
     return n_bytes / BYTES_PER_GIB
 
 
-def mm_flops(m: int, n: int, k: int) -> int:
-    """FLOPs of an ``m x k`` by ``k x n`` matrix multiplication.
-
-    Uses the standard 2*M*N*K convention (one multiply + one add per MAC).
-    """
-    require_positive("m", m)
-    require_positive("n", n)
-    require_positive("k", k)
-    return 2 * m * n * k
-
-
 def gflops(flops: float, seconds: float) -> float:
     """Throughput in GFLOP/s given work and wall time."""
     require_nonnegative("flops", flops)
     require_positive("seconds", seconds)
     return flops / seconds / 1e9
-
-
-def elements_per_cycle_to_gb_per_s(
-    elements_per_cycle: float,
-    clock_hz: float,
-    element_bytes: int = FLOAT32_BYTES,
-) -> float:
-    """Convert a model bandwidth (elements/cycle) to GB/s.
-
-    ``GB`` here is the decimal gigabyte (1e9 bytes), matching how DRAM
-    bandwidth is quoted in Table 2 of the paper.
-    """
-    require_nonnegative("elements_per_cycle", elements_per_cycle)
-    require_positive("clock_hz", clock_hz)
-    require_positive("element_bytes", element_bytes)
-    return elements_per_cycle * clock_hz * element_bytes / 1e9
-
-
-def gb_per_s_to_elements_per_cycle(
-    gb_per_s: float,
-    clock_hz: float,
-    element_bytes: int = FLOAT32_BYTES,
-) -> float:
-    """Convert a DRAM bandwidth in GB/s to model elements/cycle."""
-    require_nonnegative("gb_per_s", gb_per_s)
-    require_positive("clock_hz", clock_hz)
-    require_positive("element_bytes", element_bytes)
-    return gb_per_s * 1e9 / (clock_hz * element_bytes)

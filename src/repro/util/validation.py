@@ -6,7 +6,6 @@ the whole library, which the test suite relies on.
 
 from __future__ import annotations
 
-from collections.abc import Container
 from numbers import Integral
 from typing import Any
 
@@ -39,9 +38,3 @@ def require_at_least(name: str, value: float, minimum: float) -> None:
     """Raise ``ValueError`` unless ``value >= minimum``."""
     if not value >= minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-
-
-def require_in(name: str, value: Any, allowed: Container[Any]) -> None:
-    """Raise ``ValueError`` unless ``value in allowed``."""
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed!r}, got {value!r}")

@@ -76,6 +76,38 @@ def assert_product_close(c, a, b):
     np.testing.assert_allclose(c, expected, rtol=1e-8, atol=1e-9 * scale)
 
 
+# -- Algorithm 1: the product oracle that shares no code with the engines ----
+
+_NAIVE_LIMIT = 128
+
+
+def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Algorithm 1: the literal triple loop over scalar MACs.
+
+    Restricted to small operands (every dimension <= 128) because the
+    point is independent validation, not throughput.
+    """
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("operands must be 2-D")
+    m, k = a.shape
+    k2, n = b.shape
+    if k != k2:
+        raise ValueError(f"inner dimensions disagree: {k} vs {k2}")
+    if max(m, n, k) > _NAIVE_LIMIT:
+        raise ValueError(
+            f"naive_matmul is for validation on sizes <= {_NAIVE_LIMIT}; "
+            f"got {m}x{k}x{n}"
+        )
+    c = np.zeros((m, n), dtype=np.result_type(a, b))
+    for i in range(m):
+        for j in range(n):
+            acc = 0.0
+            for kk in range(k):
+                acc += a[i, kk] * b[kk, j]
+            c[i, j] = acc
+    return c
+
+
 # -- the loop packer: the oracle for packing and for operand views -----------
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gemm import MicroKernel, naive_matmul
+from repro.gemm import MicroKernel
+from tests.conftest import naive_matmul
 
 
 class TestTileMatmul:

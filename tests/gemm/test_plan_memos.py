@@ -29,8 +29,8 @@ from repro.gemm.plan import (
     PLAN_MEMO_MAXSIZE,
     CakePlan,
     GotoPlan,
+    _plan_memos,
     clear_plan_memos,
-    plan_cache_info,
 )
 from repro.gemm.sharded import plan_shards
 from repro.machines import intel_i9_10900k
@@ -152,15 +152,14 @@ def test_clear_plan_memos_empties_every_memo(intel):
     a, b = _operands(m, n, k)
     for engine in (CakeGemm(intel, cores=4), GotoGemm(intel, cores=4)):
         engine.multiply(a, b)
-    info = plan_cache_info()
-    memos = {name for name in info if name != "maxsize"}
-    assert {"grid", "loop_order", "strip_layout", "accounting"} <= memos
+    memos = _plan_memos()
+    assert {"grid", "loop_order", "strip_layout", "accounting"} <= set(memos)
     for name in ("cake", "goto", "grid", "loop_order", "strip_layout"):
-        assert info[name]["currsize"] >= 1, name
-        assert info[name]["maxsize"] == PLAN_MEMO_MAXSIZE, name
+        assert memos[name].cache_info().currsize >= 1, name
+        assert memos[name].cache_info().maxsize == PLAN_MEMO_MAXSIZE, name
     clear_plan_memos()
-    info = plan_cache_info()
-    assert all(info[name]["currsize"] == 0 for name in memos), info
+    sizes = {name: memo.cache_info().currsize for name, memo in memos.items()}
+    assert not any(sizes.values()), sizes
 
 
 @pytest.mark.parametrize("plan_cls", [CakePlan, GotoPlan])

@@ -5,9 +5,9 @@ The seam has three contracts this file pins down:
 * :class:`~repro.gemm.plan.PlanOverride` is a validated, round-trippable
   value object — bad fields fail at construction, serialization rejects
   unknown keys (a future tuner's rows must not silently half-apply);
-* the plan memos are **bounded** (``PLAN_MEMO_MAXSIZE``) and observable
-  (``plan_cache_info``), so a server sweeping many shapes cannot grow
-  them without limit;
+* the plan memos are **bounded** (``PLAN_MEMO_MAXSIZE``) ``lru_cache``
+  objects, so a server sweeping many shapes cannot grow them without
+  limit;
 * an override changes exactly the fields it names — and the engines'
   ``plan=`` path stays bit-identical to the analytic plan for every
   reduction-order-preserving override (the tuner's whole premise).
@@ -26,8 +26,9 @@ from repro.gemm.plan import (
     CakePlan,
     GotoPlan,
     PlanOverride,
+    _cake_plan,
+    _goto_plan,
     clear_plan_memos,
-    plan_cache_info,
 )
 from repro.schedule.space import ComputationSpace
 
@@ -106,24 +107,22 @@ class TestOverriddenDerivation:
 class TestBoundedMemo:
     def test_memos_are_bounded_and_observable(self, intel):
         clear_plan_memos()
-        info = plan_cache_info()
-        assert info["maxsize"] == PLAN_MEMO_MAXSIZE
-        assert info["cake"]["maxsize"] == PLAN_MEMO_MAXSIZE
-        assert info["goto"]["maxsize"] == PLAN_MEMO_MAXSIZE
-        assert info["cake"]["currsize"] == 0
+        assert _cake_plan.cache_info().maxsize == PLAN_MEMO_MAXSIZE
+        assert _goto_plan.cache_info().maxsize == PLAN_MEMO_MAXSIZE
+        assert _cake_plan.cache_info().currsize == 0
 
         CakePlan.from_problem(intel, SPACE)
         CakePlan.from_problem(intel, SPACE)
-        info = plan_cache_info()
-        assert info["cake"]["currsize"] >= 1
-        assert info["cake"]["hits"] >= 1
+        info = _cake_plan.cache_info()
+        assert info.currsize >= 1
+        assert info.hits >= 1
 
     def test_memo_never_exceeds_maxsize(self, intel):
         """Distinct keys beyond the bound evict instead of growing."""
         clear_plan_memos()
         for m in range(64, 64 + 40):
             CakePlan.from_problem(intel, ComputationSpace(m, 64, 64))
-        assert plan_cache_info()["cake"]["currsize"] <= PLAN_MEMO_MAXSIZE
+        assert _cake_plan.cache_info().currsize <= PLAN_MEMO_MAXSIZE
 
 
 class TestEngineSeam:

@@ -2,9 +2,9 @@
 
 Shard worker pools and the shared-memory arena outlive one multiply.
 What must still hold: workers die with their parent, idle pools and
-the arena retire without leaving processes or segments behind, and a
-pool that died while idle is replaced without charging the caller's
-rebuild budget.
+the arena retire without leaving processes or segments behind, a pool
+that died while idle is replaced without charging the caller's rebuild
+budget, and a shard's own error leaves its healthy pool warm.
 """
 
 from __future__ import annotations
@@ -22,8 +22,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.gemm import CakeGemm
+from repro.errors import DeadlineExceededError
+from repro.gemm import CakeGemm, NumericFaultError, VerifyConfig
+from repro.gemm import sharded
 from repro.gemm.sharded import POOL_IDLE_SECONDS, ShardConfig
+from repro.runtime import NumericFaultPlan, NumericFaultRule
 
 needs_proc = pytest.mark.skipif(
     not Path("/proc/self/stat").exists(), reason="needs /proc"
@@ -153,3 +156,66 @@ def test_a_pool_that_died_idle_is_replaced_for_free(intel, operands):
     assert np.array_equal(run.c, serial.c)
     assert run.shards.pool_rebuilds == 0
     assert run.shards.inline_shards == 0
+
+
+def test_a_shard_error_keeps_the_warm_pool(intel, operands):
+    """A refused operand and an unhealed numeric fault are the shards'
+    own errors: the same workers serve the next multiply."""
+    a, b = operands
+    serial = CakeGemm(intel, cores=1).multiply(a, b)
+    sharded._RUNTIME.shutdown()  # retire other tests' idle pools
+    _sharded(intel, a, b)
+    workers = {proc.pid for proc in mp.active_children()}
+    assert len(workers) == 2
+
+    poisoned = a.copy()
+    poisoned[3, 4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        _sharded(intel, poisoned, b, verify=True)
+    assert {proc.pid for proc in mp.active_children()} == workers
+
+    unhealed = VerifyConfig(
+        inject=NumericFaultPlan(
+            rules=(NumericFaultRule(block=0, strip=0, kind="scale", times=99),)
+        ),
+        max_retries=0,
+        oracle_fallback=False,
+    )
+    with pytest.raises(NumericFaultError):
+        _sharded(intel, a, b, verify=unhealed)
+    assert {proc.pid for proc in mp.active_children()} == workers
+
+    run = _sharded(intel, a, b)
+    assert np.array_equal(run.c, serial.c)
+    assert run.shards.pool_rebuilds == 0
+    assert {proc.pid for proc in mp.active_children()} == workers
+
+
+def test_a_peer_hung_past_the_deadline_still_kills_the_pool(intel, operands):
+    """After a shard's own error, a peer that hangs is waited for only
+    until the run's deadline; then the pool is killed."""
+    a, b = operands
+    sharded._RUNTIME.shutdown()
+    _sharded(intel, a, b)
+    workers = {proc.pid for proc in mp.active_children()}
+    # Blocks 0 and 2 of the 2x2 grid, (0, 0) and (1, 1), fall in
+    # different shards whichever way the grid is cut.
+    faults = VerifyConfig(
+        inject=NumericFaultPlan(
+            rules=(
+                NumericFaultRule(block=0, strip=0, kind="scale", times=99),
+                NumericFaultRule(block=2, kind="hang", hang_seconds=30.0),
+            )
+        ),
+        max_retries=0,
+        oracle_fallback=False,
+    )
+    config = ShardConfig(processes=2, deadline=time.monotonic() + 1.5)
+    started = time.monotonic()
+    with pytest.raises(DeadlineExceededError) as exc:
+        CakeGemm(intel, cores=1, processes=config, verify=faults).multiply(a, b)
+    assert time.monotonic() - started < 15.0
+    assert isinstance(exc.value.__cause__, NumericFaultError)
+    assert _wait_until(
+        lambda: not workers & {proc.pid for proc in mp.active_children()}, 10.0
+    )

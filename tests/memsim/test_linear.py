@@ -1,16 +1,17 @@
-"""Line-granularity simulation tests and cross-granularity validation."""
+"""The line-level oracle (``line_oracle.py``) and the cross-granularity
+validation of the object-granularity LRU behind Figure 7."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.machines import intel_i9_10900k
-from repro.memsim.linear import (
+from repro.memsim import profile_cake, profile_goto
+from tests.memsim.line_oracle import (
     AddressSpace,
     LineHierarchy,
     line_profile_cake,
     line_profile_goto,
 )
-from repro.memsim import profile_cake, profile_goto
 
 
 class TestAddressSpace:
@@ -55,6 +56,17 @@ class TestLineHierarchy:
         h.access_range(0, 0, 128)
         h.access_range(0, 0, 128)
         assert h.dram_fraction == pytest.approx(0.5)
+
+    def test_working_set_larger_than_l1_falls_to_l2(self, intel):
+        # Two passes over a buffer bigger than L1 but smaller than L2:
+        # the second pass hits in L2, not L1.
+        nbytes = intel.l1_bytes * 4
+        assert nbytes < intel.l2_bytes
+        h = LineHierarchy(intel, cores=1)
+        h.access_range(0, 0, nbytes)
+        h.access_range(0, 0, nbytes)
+        assert h.serves["L2"] == nbytes // 64
+        assert h.serves["L1"] == 0
 
 
 class TestCrossGranularityValidation:

@@ -1,9 +1,11 @@
-"""Tests for the LRU cache models."""
+"""Tests for the LRU cache models: the library's object-granularity
+``LRUCache`` and the line oracle's ``SetAssociativeCache``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memsim import LRUCache, SetAssociativeCache
+from repro.memsim import LRUCache
+from tests.memsim.line_oracle import SetAssociativeCache
 
 
 class TestLRUCacheBasics:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import CBBlock
 from repro.schedule import BlockGrid, ComputationSpace, kfirst_schedule
-from repro.schedule.kfirst import kfirst_runs
 from repro.schedule.reuse import validate_schedule
 
 
@@ -101,7 +100,9 @@ class TestKFirstAdjacency:
     @settings(max_examples=40)
     @given(grids)
     def test_runs_group_whole_reductions(self, g):
-        runs = list(kfirst_runs(g))
+        """Every ``kb`` consecutive blocks complete one C surface."""
+        order = kfirst_schedule(g)
+        runs = [order[i : i + g.kb] for i in range(0, len(order), g.kb)]
         assert len(runs) == g.mb * g.nb
         for run in runs:
             assert len(run) == g.kb

@@ -1,10 +1,10 @@
-"""Vectorized schedule enumeration and the batched reuse analyzer.
+"""Vectorized schedule enumeration and the grouped LRU replay.
 
 Every array builder must reproduce its scalar builder's block sequence
-element for element, and :func:`analyze_reuse_batch` must match
-:func:`analyze_reuse` field for field — under both residency models, for
-every schedule variant, on remainder-heavy grids (prime dimensions leave
-a ragged block on all three axes, the hardest case for closed forms).
+element for element, on remainder-heavy grids (prime dimensions leave a
+ragged block on all three axes), and :func:`surface_lru_replay` must
+make :class:`SurfaceResidency`'s hits and spills block by block, for
+every schedule variant.
 """
 
 from unittest import mock
@@ -14,15 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cb_block import CBBlock
-from repro.errors import ScheduleError
 from repro.schedule import (
     ORDER_ARRAY_BUILDERS,
     SCHEDULE_BUILDERS,
     BlockGrid,
     ComputationSpace,
     SurfaceResidency,
-    analyze_reuse,
-    analyze_reuse_batch,
     build_order_arrays,
     build_schedule,
     kfirst_order_arrays,
@@ -30,7 +27,6 @@ from repro.schedule import (
     naive_order_arrays,
     occurrence_index,
     surface_lru_replay,
-    validate_order_arrays,
 )
 from repro.schedule import reuse
 
@@ -49,16 +45,6 @@ GRIDS = [
     _grid(6, 6, 6, 9, 9, 9),        # single block
     _grid(1, 1, 17, 1, 1, 4),       # degenerate: K-only grid
 ]
-
-
-def _report_fields(report):
-    return {
-        name: getattr(report, name)
-        for name in (
-            "io_a", "io_b", "io_c_spill", "io_c_refetch", "io_c_final",
-            "reuse_a", "reuse_b", "reuse_c", "blocks",
-        )
-    }
 
 
 class TestOrderArrays:
@@ -98,41 +84,6 @@ class TestOrderArrays:
             )
 
 
-class TestValidateOrderArrays:
-    def test_accepts_every_variant(self):
-        for grid in GRIDS:
-            for variant in VARIANTS:
-                validate_order_arrays(grid, build_order_arrays(variant, grid))
-
-    def test_rejects_duplicate_block(self):
-        grid = GRIDS[0]
-        order = kfirst_order_arrays(grid)
-        mi = order.mi.copy()
-        mi[-1] = mi[0]
-        ni = order.ni.copy()
-        ni[-1] = ni[0]
-        ki = order.ki.copy()
-        ki[-1] = ki[0]
-        broken = type(order)(mi=mi, ni=ni, ki=ki)
-        with pytest.raises(ScheduleError):
-            validate_order_arrays(grid, broken)
-
-    def test_rejects_truncated_schedule(self):
-        grid = GRIDS[0]
-        order = kfirst_order_arrays(grid)
-        short = type(order)(mi=order.mi[:-1], ni=order.ni[:-1], ki=order.ki[:-1])
-        with pytest.raises(ScheduleError, match="covers"):
-            validate_order_arrays(grid, short)
-
-    def test_rejects_out_of_range_coordinate(self):
-        grid = GRIDS[0]
-        order = kfirst_order_arrays(grid)
-        mi = order.mi.copy()
-        mi[0] = grid.mb
-        with pytest.raises(ScheduleError, match="outside"):
-            validate_order_arrays(grid, type(order)(mi=mi, ni=order.ni, ki=order.ki))
-
-
 class TestOccurrenceIndex:
     def test_matches_progress_dict(self):
         keys = np.array([3, 1, 3, 3, 1, 2, 3, 2])
@@ -145,61 +96,6 @@ class TestOccurrenceIndex:
 
     def test_empty(self):
         assert len(occurrence_index(np.array([], dtype=np.int64))) == 0
-
-
-class TestAnalyzeReuseBatch:
-    @pytest.mark.parametrize("grid", GRIDS)
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_adjacency_model_matches_scalar(self, grid, variant):
-        scalar = analyze_reuse(grid, build_schedule(variant, grid))
-        batch = analyze_reuse_batch(grid, build_order_arrays(variant, grid))
-        assert _report_fields(batch) == _report_fields(scalar)
-
-    @pytest.mark.parametrize("grid", GRIDS)
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("budget_blocks", [0.5, 1.5, 4.0])
-    def test_capacity_model_matches_scalar(self, grid, variant, budget_blocks):
-        """LRU replay equals SurfaceResidency at tight and slack budgets."""
-        nominal = grid.nominal
-        footprint = nominal.m * nominal.n + 2 * (
-            nominal.m * nominal.k + nominal.k * nominal.n
-        )
-        capacity = max(int(footprint * budget_blocks), 1)
-        scalar = analyze_reuse(
-            grid, build_schedule(variant, grid), capacity_elements=capacity
-        )
-        batch = analyze_reuse_batch(
-            grid,
-            build_order_arrays(variant, grid),
-            capacity_elements=capacity,
-        )
-        assert _report_fields(batch) == _report_fields(scalar)
-
-    @given(
-        st.integers(1, 30), st.integers(1, 30), st.integers(1, 30),
-        st.integers(1, 10), st.integers(1, 10), st.integers(1, 10),
-        st.sampled_from(VARIANTS),
-        st.floats(0.3, 5.0),
-    )
-    def test_both_models_match_scalar_hypothesis(
-        self, m, n, k, bm, bn, bk, variant, budget_blocks
-    ):
-        grid = _grid(m, n, k, bm, bn, bk)
-        order = build_schedule(variant, grid)
-        arrays = build_order_arrays(variant, grid)
-        assert _report_fields(
-            analyze_reuse_batch(grid, arrays)
-        ) == _report_fields(analyze_reuse(grid, order))
-        nominal = grid.nominal
-        footprint = nominal.m * nominal.n + 2 * (
-            nominal.m * nominal.k + nominal.k * nominal.n
-        )
-        capacity = max(int(footprint * budget_blocks), 1)
-        assert _report_fields(
-            analyze_reuse_batch(grid, arrays, capacity_elements=capacity)
-        ) == _report_fields(
-            analyze_reuse(grid, order, capacity_elements=capacity)
-        )
 
 
 def _footprint(grid):

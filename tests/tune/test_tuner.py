@@ -8,6 +8,7 @@ from repro.gemm.cake import CakeGemm
 from repro.gemm.goto import GotoGemm
 from repro.machines import amd_ryzen_9_5950x
 from repro.tune import PlanTuner, TuneConfig, TuneKey
+from repro.tune import tuner as tuner_module
 
 
 def key(**overrides) -> TuneKey:
@@ -128,9 +129,7 @@ class TestGuards:
 class TestTunedEngines:
     def test_tuned_true_resolves_from_cache(self, tuner, intel, tmp_path, rng):
         seeded = tuner.tune(key())
-        from repro.tune import clear_resolution_memo
-
-        clear_resolution_memo()
+        tuner_module._RESOLVED.clear()  # forget in-process resolutions
         config = TuneConfig(cache_root=tmp_path, repeats=1, top_k=2)
         a = rng.standard_normal((96, 160)).astype(np.float32)
         b = rng.standard_normal((160, 128)).astype(np.float32)

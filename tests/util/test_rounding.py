@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util import ceil_div, floor_to_multiple, round_to_multiple, split_length
+from repro.util import ceil_div, floor_to_multiple, split_length
 
 
 class TestCeilDiv:
@@ -31,21 +31,6 @@ class TestCeilDiv:
     def test_matches_definition(self, a, b):
         q = ceil_div(a, b)
         assert (q - 1) * b < a <= q * b or (a == 0 and q == 0)
-
-
-class TestRoundToMultiple:
-    def test_rounds_up(self):
-        assert round_to_multiple(10, 4) == 12
-
-    def test_exact_unchanged(self):
-        assert round_to_multiple(12, 4) == 12
-
-    @given(st.integers(0, 10**6), st.integers(1, 10**4))
-    def test_result_is_multiple_and_ge(self, v, m):
-        r = round_to_multiple(v, m)
-        assert r % m == 0
-        assert r >= v
-        assert r - v < m
 
 
 class TestFloorToMultiple:

@@ -1,16 +1,8 @@
-"""Unit tests for repro.util.units conversions."""
+"""Unit tests for repro.util.units."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.util import (
-    bytes_to_gib,
-    bytes_to_mib,
-    elements_per_cycle_to_gb_per_s,
-    gb_per_s_to_elements_per_cycle,
-    gflops,
-    mm_flops,
-)
+from repro.util import bytes_to_gib, bytes_to_mib, gflops
 from repro.util.units import BYTES_PER_GIB, BYTES_PER_MIB, FLOAT32_BYTES
 
 
@@ -25,37 +17,14 @@ class TestByteConversions:
         with pytest.raises(ValueError):
             bytes_to_mib(-1)
 
+    def test_float32_default(self):
+        assert FLOAT32_BYTES == 4
+
 
 class TestFlops:
-    def test_mm_flops_convention(self):
-        # 2 FLOPs per MAC
-        assert mm_flops(10, 20, 30) == 2 * 10 * 20 * 30
-
     def test_gflops(self):
         assert gflops(2e9, 1.0) == 2.0
 
     def test_gflops_rejects_zero_time(self):
         with pytest.raises(ValueError):
             gflops(1.0, 0.0)
-
-
-class TestBandwidthConversions:
-    def test_known_value(self):
-        # 1 element/cycle at 1 GHz, float32 => 4 GB/s
-        assert elements_per_cycle_to_gb_per_s(1.0, 1e9) == pytest.approx(4.0)
-
-    def test_inverse_known_value(self):
-        assert gb_per_s_to_elements_per_cycle(4.0, 1e9) == pytest.approx(1.0)
-
-    @given(
-        st.floats(0.001, 1e6),
-        st.floats(1e6, 1e10),
-        st.integers(1, 16),
-    )
-    def test_round_trip(self, epc, clock, width):
-        gb = elements_per_cycle_to_gb_per_s(epc, clock, width)
-        back = gb_per_s_to_elements_per_cycle(gb, clock, width)
-        assert back == pytest.approx(epc, rel=1e-12)
-
-    def test_float32_default(self):
-        assert FLOAT32_BYTES == 4

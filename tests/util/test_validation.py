@@ -4,7 +4,6 @@ import pytest
 
 from repro.util import (
     require_at_least,
-    require_in,
     require_nonnegative,
     require_positive,
 )
@@ -37,12 +36,3 @@ class TestRequireAtLeast:
     def test_rejects_below(self):
         with pytest.raises(ValueError, match="alpha must be >= 1.0"):
             require_at_least("alpha", 0.99, 1.0)
-
-
-class TestRequireIn:
-    def test_accepts_member(self):
-        require_in("mode", "a", ("a", "b"))
-
-    def test_rejects_nonmember(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            require_in("mode", "c", ("a", "b"))
